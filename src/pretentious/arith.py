@@ -3,12 +3,14 @@
 Desk scale: limits up to 1e7 are comfortable interactively, 1e8 works if
 you give it time.  Above SPF_TABLE_LIMIT the sieve runs in fixed-width
 segments so memory stays flat, and factorization of large n falls back to
-trial division by the sieved primes.
+trial division by the sieved primes.  Small integers (moduli, group orders,
+table keys) are factored without a table by `factorize_small`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -43,6 +45,40 @@ class FactoredInteger:
         for p, _ in self.factors:
             r *= p
         return r
+
+
+def factorize_small(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n by trial division, increasing primes;
+    () for n < 2."""
+    out = []
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if m > 1:
+        out.append((m, 1))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def is_prime_small(n: int) -> bool:
+    """Primality of a small n through `factorize_small`.  Memoized, because
+    table specs check every key and get rebuilt over the same primes."""
+    return factorize_small(n) == ((n, 1),)
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n >= 1, increasing."""
+    out = [1]
+    for p, e in factorize_small(n):
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def _flag_sieve(limit: int) -> np.ndarray:

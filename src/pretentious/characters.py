@@ -5,7 +5,9 @@ prime power, the 2-part split as {-1} x <5> for 8 | q).  A character is an
 exponent tuple against the component generators, and its value at n is the
 exact rational angle  sum_i e_i * dlog_i(n) / d_i  (mod 1).  Keeping angles
 as Fractions makes orthogonality and multiplicativity checks exact; floats
-only appear when a value is rendered to complex.
+appear when a value is rendered to complex and in the unit-group transform,
+where the primitivity test compares sums that are exactly 0 or |K| against
+|K|/2.
 
 Canonical order: characters are enumerated lexicographically by exponent
 tuple, so the principal character is always index 0, and `char:q:index`
@@ -17,38 +19,22 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
+from functools import cached_property, lru_cache
+from math import gcd, prod
 import itertools
 
 import numpy as np
 
+from .arith import divisors, factorize_small  # divisors is re-exported
 from .errors import PreconditionError
 
 MAX_MODULUS = 10**4
 
 
-def _factorize_small(q: int) -> list[tuple[int, int]]:
-    out = []
-    m = q
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if m > 1:
-        out.append((m, 1))
-    return out
-
-
 def _primitive_root_odd(p: int, e: int) -> int:
     """Primitive root mod p**e for odd p."""
     phi = p - 1
-    fac = [f for f, _ in _factorize_small(phi)]
+    fac = [f for f, _ in factorize_small(phi)]
     g = 2
     while True:
         if all(pow(g, phi // f, p) != 1 for f in fac):
@@ -82,7 +68,7 @@ class UnitGroupStructure:
         self.q = q
         gens: list[int] = []
         orders: list[int] = []
-        for p, e in _factorize_small(q):
+        for p, e in factorize_small(q):
             pe = p**e
             if p == 2:
                 if e == 2:
@@ -130,10 +116,58 @@ class UnitGroupStructure:
     def __repr__(self):
         return f"UnitGroupStructure(q={self.q}, orders={self.orders})"
 
+    @cached_property
+    def ravel(self) -> np.ndarray:
+        """ravel[i] = C-order position of units[i]'s exponent tuple in a grid
+        of shape `orders`; ravelling that grid also lists characters in
+        canonical order."""
+        k = len(self.orders)
+        radix = np.array([prod(self.orders[i + 1:]) for i in range(k)], dtype=np.int64)
+        return self.exponents @ radix
+
 
 @lru_cache(maxsize=None)
 def unit_group(q: int) -> UnitGroupStructure:
     return UnitGroupStructure(q)
+
+
+def unit_group_transform(values, q: int) -> np.ndarray:
+    """ghat(chi) = sum over units a of v(a) conj(chi(a)) for every chi mod q,
+    indexed by canonical character index; `values` is aligned with
+    unit_group(q).units.
+
+    One FFT over the exponent grid: ghat(chi_e) = sum_beta V[beta]
+    e^(-2 pi i <e, beta/d>) is exactly numpy's fftn at index e.
+    """
+    G = unit_group(q)
+    grid = np.zeros(G.orders, dtype=np.complex128)
+    grid.reshape(-1)[G.ravel] = values
+    return np.fft.fftn(grid).reshape(-1)
+
+
+@lru_cache(maxsize=4096)
+def factors_through(q: int, d: int) -> np.ndarray:
+    """Boolean array over canonical character indices mod q: does chi
+    factor through d | q, i.e. kill every unit u == 1 (mod d)?
+
+    Those units form a subgroup K, and the transform of its indicator is
+    sum over K of conj(chi(u)): |K| when chi kills K, else 0.
+    """
+    in_kernel = (unit_group(q).units - 1) % d == 0
+    mask = unit_group_transform(in_kernel, q).real > in_kernel.sum() / 2
+    mask.flags.writeable = False
+    return mask
+
+
+@lru_cache(maxsize=4096)
+def primitive_mask(q: int) -> np.ndarray:
+    """Boolean array over canonical character indices mod q: is chi
+    primitive, i.e. factoring through q/p for no prime p | q?"""
+    mask = np.ones(unit_group(q).phi, dtype=bool)
+    for p, _ in factorize_small(q):
+        mask &= ~factors_through(q, q // p)
+    mask.flags.writeable = False
+    return mask
 
 
 @dataclass(frozen=True)
@@ -242,35 +276,27 @@ def character_row(chi: DirichletCharacter) -> np.ndarray:
     return row
 
 
-def divisors(q: int) -> list[int]:
-    out = [1]
-    for p, e in _factorize_small(q):
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
 @lru_cache(maxsize=None)
 def conductor(chi: DirichletCharacter) -> int:
     """Smallest d | q through which chi factors.
 
-    Brute force over divisors: chi factors through d iff it kills every
-    unit u == 1 (mod d).
+    The moduli chi factors through are closed under gcd, so walking down
+    from q one prime at a time, while chi still factors through d/p, ends
+    at the conductor.
     """
-    q = chi.q
-    G = unit_group(q)
-    for d in divisors(q):
-        ok = True
-        for u in G.units:
-            if (int(u) - 1) % d == 0 and chi.angle(int(u)) != 0:
-                ok = False
+    q, i = chi.q, chi.index
+    d = q
+    while True:
+        for p, _ in factorize_small(d):
+            if factors_through(q, d // p)[i]:
+                d //= p
                 break
-        if ok:
+        else:
             return d
-    return q  # unreachable: d = q always works
 
 
 def is_primitive(chi: DirichletCharacter) -> bool:
-    return conductor(chi) == chi.q
+    return bool(primitive_mask(chi.q)[chi.index])
 
 
 def induce(psi: DirichletCharacter, q: int) -> DirichletCharacter:

@@ -455,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_positive_int, default=1)
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--truncation", type=_positive_int, default=None,
-                   help="cap on prime-power exponents per factor (explicit tables only)")
+                   help="prime cutoff P: multiply over p <= P (default x) and "
+                        "report the tail bound sum_{P < p <= x} 2/p")
     _add_common(p)
     p.set_defaults(func=_cmd_meanvalues_euler)
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import PrimeTable
+from .arith import PrimeTable, is_prime_small
 from .characters import DirichletCharacter, character_by_index, character_row
 from .errors import PreconditionError, SpecParseError
 
@@ -89,7 +89,7 @@ class Legendre(FunctionSpec):
     completely_multiplicative = True
 
     def __post_init__(self):
-        if self.p < 3 or self.p % 2 == 0 or not _is_prime_small(self.p):
+        if self.p < 3 or self.p % 2 == 0 or not is_prime_small(self.p):
             raise PreconditionError(f"legendre spec needs an odd prime, got {self.p}")
 
     def symbol(self, n: int) -> int:
@@ -196,7 +196,7 @@ class PrimeTableSpec(FunctionSpec):
         if self.rule not in COMPLETION_RULES:
             raise SpecParseError(f"unknown completion rule {self.rule!r}")
         for (p, k), v in self.entries:
-            if p < 2 or not _is_prime_small(p) or k < 1:
+            if p < 2 or not is_prime_small(p) or k < 1:
                 raise PreconditionError(f"table key {p}^{k} is not a prime power")
             if abs(v) > 1 + _VALUE_TOL:
                 raise PreconditionError(f"|f({p}^{k})| = {abs(v):.6f} exceeds 1")
@@ -266,18 +266,6 @@ class Threshold(FunctionSpec):
         return f"threshold:{self.x0}"
 
 
-@lru_cache(maxsize=None)
-def _is_prime_small(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
-
-
 def make_prime_table_spec(values: dict, rule: str = "cm") -> PrimeTableSpec:
     """Normalize a {p: v} or {(p, k): v} dict into a PrimeTableSpec."""
     entries = []
@@ -304,11 +292,14 @@ def evaluate(spec: FunctionSpec, n: int, table: PrimeTable):
     return out
 
 
+@lru_cache(maxsize=256)
 def _legendre_row(p: int) -> np.ndarray:
+    """(n|p) for n = 0..p-1 as int8 (read-only); numpy sums int8 in int64."""
     row = -np.ones(p, dtype=np.int8)
     row[0] = 0
     sq = np.unique(np.arange(1, p, dtype=np.int64) ** 2 % p)
     row[sq] = 1
+    row.flags.writeable = False
     return row
 
 

@@ -60,17 +60,18 @@ def progression_sums(f: FunctionSpec, x: int, q: int, table: PrimeTable) -> Prog
     return ProgressionTable(x=x, q=q, sums=sums, counts=counts)
 
 
+def _regroup(chi: DirichletCharacter, sums: np.ndarray) -> complex:
+    """sum over classes b mod chi.q of conj(chi(b)) sums[b]."""
+    return complex(np.dot(np.conj(character_row(chi)), sums.astype(np.complex128)))
+
+
 def twisted_sum(f: FunctionSpec, chi: DirichletCharacter, x: int, table: PrimeTable) -> complex:
     """sum over n <= x of f(n) conj(chi(n)).
 
     chi has period q, so the sum collapses onto residue-class partial sums;
     nothing is special-cased beyond that regrouping.
     """
-    pt = progression_sums(f, x, chi.q, table)
-    row = np.conj(character_row(chi))
-    if chi.q == 1:
-        return complex(pt.sums[0])
-    return complex(np.dot(row, pt.sums.astype(np.complex128)))
+    return _regroup(chi, progression_sums(f, x, chi.q, table).sums)
 
 
 def decompose_via_characters(
@@ -82,10 +83,9 @@ def decompose_via_characters(
     pt = progression_sums(f, x, q, table)
     lhs = complex(pt.sums[a % q])
     phi = unit_group(q).phi
-    sums = pt.sums.astype(np.complex128)
     rhs = 0j
     for chi in enumerate_characters(q):
-        rhs += chi(a) * complex(np.dot(np.conj(character_row(chi)), sums))
+        rhs += chi(a) * _regroup(chi, pt.sums)
     return lhs, rhs / phi
 
 
@@ -310,7 +310,7 @@ def progression_report(
     base = complex(pt.sums[1 % q])
     main_scale = None
     if r_div:
-        main_scale = twisted_sum(f, chi, x, table) / G.phi
+        main_scale = _regroup(chi, pt.sums) / G.phi
     rows = []
     maxres = 0.0
     for a in (int(u) for u in G.units):

@@ -6,9 +6,10 @@ epsilon < 1/2, then the character chi maximizing |ghat(chi)| satisfies
 epsilon/(1 - 2 epsilon) of g.  At epsilon >= 1/2 the method promises
 nothing and the API refuses rather than guessing.
 
-The Fourier transform over all phi(q) characters is one multidimensional
-FFT in unit-group exponent coordinates; the brute-force per-character dot
-product lives in the tests as the oracle.
+The Fourier transform over all phi(q) characters is the unit-group
+transform of `characters` (one multidimensional FFT in exponent
+coordinates); the brute-force per-character dot product lives in the tests
+as the oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import DirichletCharacter, character_by_index, character_row, unit_group
+from .characters import (
+    DirichletCharacter,
+    character_by_index,
+    character_row,
+    unit_group,
+    unit_group_transform,
+)
 from .errors import PreconditionError, TheoremViolation
 from .meanvalues import ProgressionTable
 
@@ -89,21 +96,8 @@ def fourier_transform(g: ApproxHomomorphism, chi: DirichletCharacter) -> complex
 
 
 def fourier_spectrum(g: ApproxHomomorphism) -> np.ndarray:
-    """ghat over all characters, indexed by canonical character index.
-
-    One FFT over the exponent grid: ghat(chi_e) = sum_beta G[beta]
-    e^(-2 pi i <e, beta/d>) is exactly numpy's fftn at index e, and raveling
-    the grid in C order lists characters in canonical order.
-    """
-    G = unit_group(g.q)
-    if not G.orders:
-        return np.array([complex(np.sum(g.values))])
-    grid = np.zeros(tuple(G.orders), dtype=np.complex128)
-    radix = np.ones(len(G.orders), dtype=np.int64)
-    for i in range(len(G.orders) - 2, -1, -1):
-        radix[i] = radix[i + 1] * G.orders[i + 1]
-    grid.reshape(-1)[G.exponents @ radix] = g.values
-    return np.fft.fftn(grid).reshape(-1)
+    """ghat over all characters, indexed by canonical character index."""
+    return unit_group_transform(g.values, g.q)
 
 
 @dataclass(frozen=True)

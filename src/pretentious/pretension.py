@@ -25,7 +25,7 @@ from .characters import (
     DirichletCharacter,
     character_row,
     enumerate_characters,
-    is_primitive,
+    primitive_mask,
 )
 from .errors import PreconditionError
 from .funcspec import FunctionSpec, prime_values
@@ -185,9 +185,7 @@ def primitive_characters_upto(Q: int) -> list[DirichletCharacter]:
     """All primitive characters of conductor <= Q (conductor 1 included)."""
     out = []
     for r in range(1, Q + 1):
-        for chi in enumerate_characters(r):
-            if is_primitive(chi):
-                out.append(chi)
+        out += [chi for chi, keep in zip(enumerate_characters(r), primitive_mask(r)) if keep]
     return out
 
 

@@ -12,8 +12,8 @@ transfer identity F(x;q,a) ~ r f(r) F(x/r; q, a r^{-1}) up to a budget
 (x/q)(eta d(r) + 1 - phi(r)/r).
 
 Per-modulus masses are computed from residue-class partial sums (one
-bincount per r) followed by a multidimensional DFT over the unit group in
-exponent coordinates, so nothing ever loops over characters times terms.
+reshape-and-sum per r, `_class_sums`) followed by the unit-group transform
+in exponent coordinates, so nothing ever loops over characters times terms.
 """
 
 from __future__ import annotations
@@ -21,91 +21,22 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .arith import PrimeTable
-from .characters import enumerate_characters, is_primitive, unit_group
+from .arith import PrimeTable, divisors
+from .characters import (
+    enumerate_characters,
+    is_primitive,
+    primitive_mask,
+    unit_group,
+    unit_group_transform,
+)
 from .errors import PreconditionError, TheoremViolation
-from .funcspec import FunctionSpec, evaluate, values_upto
+from .funcspec import FunctionSpec, _legendre_row, evaluate, values_upto
 from .meanvalues import progression_sums
 
 LARGE_SIEVE_SLACK = 1e-9
-
-
-def _radical(r: int) -> list[int]:
-    out = []
-    m = r
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
-@lru_cache(maxsize=4096)
-def _index_tuples(r: int) -> np.ndarray:
-    """Character exponent tuples in canonical-index order, shape (phi, ncomp)."""
-    G = unit_group(r)
-    if not G.orders:
-        return np.zeros((1, 0), dtype=np.int64)
-    grids = np.meshgrid(*[np.arange(d) for d in G.orders], indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
-
-
-@lru_cache(maxsize=4096)
-def _primitive_mask(r: int) -> np.ndarray:
-    """Boolean array over canonical character indices: is chi primitive?
-
-    chi factors through r/p iff it kills every unit u == 1 (mod r/p); chi
-    is primitive iff that fails for every prime p | r.  Kernels of the
-    reductions have at most p elements each, so this stays cheap.
-    """
-    G = unit_group(r)
-    mask = np.ones(G.phi, dtype=bool)
-    if r == 1:
-        return mask
-    tuples = _index_tuples(r)
-    L = 1
-    for d in G.orders:
-        L = L * d // math.gcd(L, d)
-    weights = np.array([L // d for d in G.orders], dtype=np.int64)
-    weighted = tuples * weights  # chi(u) trivial <=> weighted . dlog(u) == 0 mod L
-    for p in _radical(r):
-        step = r // p
-        kernel = [
-            G.dlog[u]
-            for u in ((1 + k * step) % r for k in range(1, p))
-            if u in G.dlog
-        ]
-        if not kernel:
-            # reduction mod r/p is injective on units (r == 2 mod 4 case):
-            # every character factors through it, so none is primitive
-            mask[:] = False
-            return mask
-        ker = np.array(kernel, dtype=np.int64).reshape(len(kernel), -1)
-        dots = weighted @ ker.T % L
-        mask &= ~(dots == 0).all(axis=1)
-    return mask
-
-
-@lru_cache(maxsize=4096)
-def _ravel_indices(r: int) -> np.ndarray:
-    """For each unit (sorted order) the ravel index of its exponent tuple
-    in the character grid; ravel order equals canonical character index."""
-    G = unit_group(r)
-    if not G.orders:
-        return np.zeros(G.phi, dtype=np.int64)
-    radix = np.ones(len(G.orders), dtype=np.int64)
-    for i in range(len(G.orders) - 2, -1, -1):
-        radix[i] = radix[i + 1] * G.orders[i + 1]
-    return G.exponents @ radix
 
 
 def _class_values(f: FunctionSpec, x: int, q: int, a: int, table: PrimeTable) -> np.ndarray:
@@ -129,27 +60,30 @@ def _class_values(f: FunctionSpec, x: int, q: int, a: int, table: PrimeTable) ->
     return out
 
 
+def _class_sums(v: np.ndarray, r: int, start: int) -> np.ndarray:
+    """c[b] = sum of v[i] over i with start + i == b (mod r), for b < r.
+
+    The whole rows of v form an (N // r, r) view that is summed over axis 0,
+    so v is never copied (at x = 1e7 a complex copy is 160 MB); the short
+    tail is added after.  For r >= 2 each class is accumulated one term at
+    a time in index order, so float sums equal a sequential per-class loop
+    bit for bit.  Integer input sums in int64, so int8 values come back exact.
+    """
+    full = len(v) // r * r
+    c = v[:full].reshape(-1, r).sum(axis=0)
+    c[: len(v) - full] += v[full:]
+    return np.roll(c, start)
+
+
 def _mass_from_classes(c: np.ndarray, r: int) -> float:
     """Total |S_psi| over primitive psi mod r given class sums c (len r)."""
-    G = unit_group(r)
-    if not G.orders:
-        return float(abs(c[1 % r])) if r == 1 else 0.0
-    grid = np.zeros(tuple(G.orders), dtype=np.complex128)
-    grid.reshape(-1)[_ravel_indices(r)] = c[np.asarray(G.units)]
-    F = np.fft.fftn(grid).reshape(-1)
-    return float(np.sum(np.abs(F[_primitive_mask(r)])))
+    F = unit_group_transform(c[unit_group(r).units], r)
+    return float(np.sum(np.abs(F[primitive_mask(r)])))
 
 
 def primitive_mass(class_values: np.ndarray, r: int) -> float:
     """M(r) for the given sequence of f(nq+a), n = 1..N."""
-    N = len(class_values)
-    ns = np.arange(1, N + 1, dtype=np.int64) % r
-    if np.iscomplexobj(class_values):
-        c = (np.bincount(ns, weights=class_values.real, minlength=r)
-             + 1j * np.bincount(ns, weights=class_values.imag, minlength=r))
-    else:
-        c = np.bincount(ns, weights=class_values, minlength=r).astype(np.complex128)
-    return _mass_from_classes(c, r)
+    return _mass_from_classes(_class_sums(class_values, r, start=1), r)
 
 
 @dataclass(frozen=True)
@@ -196,18 +130,10 @@ def bad_moduli(
     N = len(cv)
     R = math.isqrt(x // q)
     threshold = eta * (x / q)
-    is_complex = np.iscomplexobj(cv)
-    ns = np.arange(1, N + 1, dtype=np.int64)
     bad = []
     masses = []
     for r in range(2, R + 1):
-        nr = ns % r
-        if is_complex:
-            c = (np.bincount(nr, weights=cv.real, minlength=r)
-                 + 1j * np.bincount(nr, weights=cv.imag, minlength=r))
-        else:
-            c = np.bincount(nr, weights=cv, minlength=r).astype(np.complex128)
-        m = _mass_from_classes(c, r)
+        m = _mass_from_classes(_class_sums(cv, r, start=1), r)
         if keep_masses:
             masses.append((r, m))
         if m >= threshold:
@@ -262,7 +188,7 @@ def transfer_check(
         raise PreconditionError(f"need 1 <= r <= sqrt(x/q), got r={r}")
     cv = _class_values(f, x, q, a, table)
     threshold = eta * (x / q)
-    for ell in _divisors_of(r):
+    for ell in divisors(r):
         if ell > 1 and primitive_mass(cv, ell) >= threshold:
             raise PreconditionError(
                 f"r={r} is not good at eta={eta}: divisor {ell} is a bad modulus"
@@ -277,28 +203,11 @@ def transfer_check(
                          difference=abs(lhs - rhs), budget=budget)
 
 
-def _divisors_of(r: int) -> list[int]:
-    out = [1]
-    m = r
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out = [d * p**k for d in out for k in range(e + 1)]
-        p += 1
-    if m > 1:
-        out = [d * m**k for d in out for k in range(2)]
-    return sorted(out)
-
-
 def primitive_orthogonality_sum(r: int, b: int, n: int) -> complex:
     """sum over ell | r and primitive psi mod ell of conj(psi(b)) psi(n),
     by direct enumeration (float)."""
     total = 0j
-    for ell in _divisors_of(r):
+    for ell in divisors(r):
         for psi in enumerate_characters(ell):
             if is_primitive(psi):
                 total += np.conj(psi(b)) * psi(n)
@@ -388,7 +297,7 @@ def legendre_progression_experiment(
         p = int(p)
         if p == 2 or q % p == 0:
             continue
-        row = _legendre_row_int(p)
+        row = _legendre_row(p)
         s = float(np.sum(row[ns % p])) * q / x
         if s < best:
             best = s
@@ -400,13 +309,3 @@ def legendre_progression_experiment(
         square_class=(a % q) in sq,
         running=tuple(running),
     )
-
-
-@lru_cache(maxsize=256)
-def _legendre_row_int(p: int) -> np.ndarray:
-    row = -np.ones(p, dtype=np.int64)
-    row[0] = 0
-    sq = np.unique(np.arange(1, p, dtype=np.int64) ** 2 % p)
-    row[sq] = 1
-    row.flags.writeable = False
-    return row

@@ -22,10 +22,12 @@ from pretentious.characters import (
     conductor,
     divisors,
     enumerate_characters,
+    factors_through,
     induce,
     is_primitive,
     orthogonality_column_sum,
     orthogonality_row_sum,
+    primitive_mask,
     primitive_part,
     real_characters,
     unit_group,
@@ -171,6 +173,18 @@ def _conductor_brute(chi: DirichletCharacter) -> int:
 def test_conductor_matches_brute_force(q):
     for chi in enumerate_characters(q):
         assert conductor(chi) == _conductor_brute(chi)
+
+
+def test_mask_and_conductor_match_brute_force_all_q_up_to_120():
+    for q in range(1, 121):
+        mask = primitive_mask(q)
+        for chi in enumerate_characters(q):
+            d = _conductor_brute(chi)
+            assert conductor(chi) == d, (q, chi.index)
+            assert mask[chi.index] == (d == q), (q, chi.index)
+            for e in divisors(q):
+                # chi factors through e exactly when its conductor divides e
+                assert factors_through(q, e)[chi.index] == (e % d == 0), (q, chi.index, e)
 
 
 def test_primitivity_definition():

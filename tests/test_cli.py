@@ -310,3 +310,11 @@ def test_pretension_find_cli(capsys):
     assert abs(res["t"]) <= 1e-4
     assert res["squared_distance"] <= 1e-6
     assert len(res["spectrum"]) >= 2
+
+
+def test_meanvalues_euler_truncation_is_prime_cutoff(capsys):
+    rep = run_json(capsys, [
+        "meanvalues", "euler", "--f", "liouville", "--x", "100000", "--truncation", "1000",
+    ])
+    assert rep["result"]["truncation"] == 1000
+    assert rep["result"]["tail_log_bound"] > 0

@@ -11,6 +11,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pretentious.arith import PrimeTable
 from pretentious.characters import (
@@ -18,6 +20,7 @@ from pretentious.characters import (
     character_row,
     enumerate_characters,
     unit_group,
+    unit_group_transform,
 )
 from pretentious.errors import PreconditionError
 from pretentious.funcspec import Mobius, parse_spec
@@ -114,6 +117,33 @@ def test_spectrum_matches_per_character_transform():
         for idx in range(G.phi):
             direct = fourier_transform(g, character_by_index(q, idx))
             assert spec[idx] == pytest.approx(direct, abs=1e-9), (q, idx)
+
+
+def _unit_values(q: int, seed: int) -> ApproxHomomorphism:
+    rng = np.random.default_rng(seed)
+    G = unit_group(q)
+    vals = rng.standard_normal(G.phi) + 1j * rng.standard_normal(G.phi)
+    vals[int(np.searchsorted(G.units, 1 % q))] = 1.0
+    return ApproxHomomorphism.from_values(q, vals)
+
+
+def _assert_transform_matches_per_character(q: int, seed: int) -> None:
+    g = _unit_values(q, seed)
+    spec = unit_group_transform(g.values, q)
+    assert spec.shape == (unit_group(q).phi,)
+    for chi in enumerate_characters(q):
+        assert spec[chi.index] == pytest.approx(fourier_transform(g, chi), abs=1e-9), (q, chi.index)
+
+
+@pytest.mark.parametrize("q", [1, 2, 8, 16, 30, 385])
+def test_unit_group_transform_matches_per_character(q):
+    _assert_transform_matches_per_character(q, seed=q)
+
+
+@settings(max_examples=8, deadline=None)
+@given(q=st.integers(min_value=1, max_value=500), seed=st.integers(0, 10**6))
+def test_unit_group_transform_random_moduli(q, seed):
+    _assert_transform_matches_per_character(q, seed)
 
 
 def test_transform_requires_matching_modulus():

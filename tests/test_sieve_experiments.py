@@ -1,12 +1,15 @@
 """Sieve-side experiments: primitive masses, bad moduli, transfer, Legendre scans.
 
-The mass pipeline (bincount + unit-group DFT) is checked against a direct
-character-enumeration oracle. Numeric fixtures were measured once on
-verified code and frozen as regressions.
+The mass pipeline (reshape-and-sum class sums + unit-group DFT) is checked
+against a direct character-enumeration oracle, and the class sums against
+the bincount code they replaced and the strided slices of progression_sums.
+Numeric fixtures were measured once on verified code and frozen as
+regressions.
 """
 
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +22,7 @@ from pretentious.characters import enumerate_characters, is_primitive, unit_grou
 from pretentious.errors import PreconditionError
 from pretentious.funcspec import Mobius, One, parse_spec
 from pretentious.sieve_experiments import (
+    _class_sums,
     bad_moduli,
     legendre_progression_experiment,
     multiplicativity_defect,
@@ -47,6 +51,76 @@ def _mass_oracle(cv: np.ndarray, r: int) -> float:
         row = np.array([complex(psi(int(v))) for v in range(r)])
         total += abs(np.sum(cv * row[ns]))
     return total
+
+
+def _class_sums_bincount(v: np.ndarray, r: int, start: int) -> np.ndarray:
+    # oracle: the bincount class sums that _class_sums replaced in bad_moduli
+    ns = (np.arange(len(v), dtype=np.int64) + start) % r
+    if np.iscomplexobj(v):
+        return (np.bincount(ns, weights=v.real, minlength=r)
+                + 1j * np.bincount(ns, weights=v.imag, minlength=r))
+    return np.bincount(ns, weights=v, minlength=r)
+
+
+def _class_sums_strided(v: np.ndarray, r: int) -> np.ndarray:
+    # the per-class slice sums of progression_sums (v[i] is the value at n = i)
+    return np.array([v[b::r].sum() for b in range(r)])
+
+
+# ------------------------------------------------------------ class sums
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=3000),
+    r=st.integers(min_value=2, max_value=400),
+    start=st.integers(min_value=0, max_value=10**6),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_class_sums_bit_identical_to_bincount(n, r, start, seed):
+    # n < r leaves no whole row: only the tail is summed.  r = 1 (a plain
+    # pairwise np.sum, never scanned by bad_moduli) is left to the next test.
+    rng = np.random.default_rng(seed)
+    real = rng.standard_normal(n)
+    cplx = real + 1j * rng.standard_normal(n)
+    for v in (real, cplx):
+        got = _class_sums(v, r, start)
+        want = _class_sums_bincount(v, r, start)
+        assert got.shape == (r,)
+        assert got.astype(want.dtype).tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=5000),
+    r=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_class_sums_match_strided_slices(n, r, seed):
+    rng = np.random.default_rng(seed)
+    signs = rng.integers(-1, 2, n).astype(np.int8)
+    got = _class_sums(signs, r, 0)
+    assert got.dtype == np.int64
+    assert got.tolist() == _class_sums_strided(signs, r).tolist()
+    unimodular = np.exp(1j * rng.uniform(0, 2 * math.pi, n))
+    np.testing.assert_allclose(
+        _class_sums(unimodular, r, 0), _class_sums_strided(unimodular, r), rtol=0, atol=1e-9
+    )
+
+
+def test_class_sums_do_not_copy_the_input():
+    # a padded or reshaped copy of the 16 MB input would dominate the peak;
+    # the strided view is how _class_values hands f(nq + a) over
+    v = np.exp(1j * np.arange(10**6 + 3, dtype=np.float64))
+    for view in (v[1:], v[2::3]):
+        tracemalloc.start()
+        try:
+            c = _class_sums(view, 997, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+        np.testing.assert_allclose(c, _class_sums_bincount(view, 997, 1), rtol=0, atol=1e-9)
 
 
 # -------------------------------------------------------- primitive mass
