@@ -1,10 +1,11 @@
-"""Primes, smallest-prime-factor tables, and factorization.
+"""Primes and factorization.
 
 Desk scale: limits up to 1e7 are comfortable interactively, 1e8 works if
-you give it time.  Above SPF_TABLE_LIMIT the sieve runs in fixed-width
-segments so memory stays flat, and factorization of large n falls back to
-trial division by the sieved primes.  Small integers (moduli, group orders,
-table keys) are factored without a table by `factorize_small`.
+you give it time.  The sieve runs in fixed-width segments, so its working
+memory stays flat, and a PrimeTable holds nothing but the primes: every
+pointwise caller (is_prime, factorize) uses binary search or trial
+division by them.  Small integers (moduli, group orders, table keys) are
+factored without a table by `factorize_small`.
 """
 
 from __future__ import annotations
@@ -19,10 +20,7 @@ from .errors import PreconditionError
 
 MAX_SIEVE_LIMIT = 10**8
 
-# Full smallest-prime-factor tables stop here (int32, ~40 MB at 1e7).
-SPF_TABLE_LIMIT = 10**7
-
-# Width of one segment in the large-limit sieve; 2**26 bytes of flags.
+# Width of one sieve segment; 2**26 bytes of flags.
 SEGMENT_WIDTH = 1 << 26
 
 
@@ -90,7 +88,13 @@ def _flag_sieve(limit: int) -> np.ndarray:
     return flags
 
 
-def _segmented_primes(limit: int) -> np.ndarray:
+def sieve_primes(limit: int) -> np.ndarray:
+    """All primes <= limit, increasing, as an int64 array.
+
+    The primes up to sqrt(limit) come from one flag sieve; they then strike
+    their multiples from segments of SEGMENT_WIDTH flags above it."""
+    if not 2 <= limit <= MAX_SIEVE_LIMIT:
+        raise PreconditionError(f"sieve limit must be in [2, {MAX_SIEVE_LIMIT}], got {limit}")
     root = isqrt(limit)
     base = np.flatnonzero(_flag_sieve(root))
     chunks = [base]
@@ -105,37 +109,12 @@ def _segmented_primes(limit: int) -> np.ndarray:
                 flags[start - lo :: p] = False
         chunks.append(np.flatnonzero(flags) + lo)
         lo = hi
-    return np.concatenate(chunks)
-
-
-def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit, increasing, as an int64 array."""
-    if not 2 <= limit <= MAX_SIEVE_LIMIT:
-        raise PreconditionError(f"sieve limit must be in [2, {MAX_SIEVE_LIMIT}], got {limit}")
-    if limit <= SPF_TABLE_LIMIT:
-        return np.flatnonzero(_flag_sieve(limit)).astype(np.int64)
-    return _segmented_primes(limit).astype(np.int64)
-
-
-def _spf_table(limit: int) -> np.ndarray:
-    # Mark spf for p <= sqrt(limit) only; every composite has such a factor,
-    # so the untouched entries >= 2 are exactly the primes > sqrt(limit).
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == 0:
-            view = spf[p::p]
-            view[view == 0] = p
-    rest = np.flatnonzero(spf[2:] == 0) + 2
-    spf[rest] = rest
-    return spf
+    return np.concatenate(chunks).astype(np.int64, copy=False)
 
 
 class PrimeTable:
-    """Primes up to `limit` plus a smallest-prime-factor table.
-
-    The spf table covers 2..min(limit, SPF_TABLE_LIMIT); factorize() stays
-    exact for every n <= limit via trial division beyond the table.
-    """
+    """The primes up to `limit`, with pointwise primality and factorization
+    for every n <= limit by binary search and trial division."""
 
     def __init__(self, limit: int):
         if not 2 <= limit <= MAX_SIEVE_LIMIT:
@@ -144,8 +123,6 @@ class PrimeTable:
             )
         self.limit = limit
         self.primes = sieve_primes(limit)
-        self.spf_limit = min(limit, SPF_TABLE_LIMIT)
-        self.spf = _spf_table(self.spf_limit)
 
     def __repr__(self):
         return f"PrimeTable(limit={self.limit}, primes={len(self.primes)})"
@@ -156,8 +133,6 @@ class PrimeTable:
         return self.primes[: np.searchsorted(self.primes, x, side="right")]
 
     def is_prime(self, n: int) -> bool:
-        if n <= self.spf_limit:
-            return n >= 2 and int(self.spf[n]) == n
         if n > self.limit:
             raise PreconditionError(f"{n} exceeds table limit {self.limit}")
         i = np.searchsorted(self.primes, n)
@@ -166,8 +141,6 @@ class PrimeTable:
     def smallest_prime_factor(self, n: int) -> int:
         if n < 2:
             raise PreconditionError("smallest_prime_factor needs n >= 2")
-        if n <= self.spf_limit:
-            return int(self.spf[n])
         if n > self.limit:
             raise PreconditionError(f"{n} exceeds table limit {self.limit}")
         for p in self.primes:
@@ -179,35 +152,23 @@ class PrimeTable:
         return n
 
     def factorize(self, n: int) -> FactoredInteger:
-        """Exact factorization for 1 <= n <= limit."""
+        """Exact factorization for 1 <= n <= limit, by trial division."""
         if not 1 <= n <= self.limit:
             raise PreconditionError(f"factorize needs 1 <= n <= {self.limit}, got {n}")
         m = n
         out = []
-        if m > self.spf_limit:
-            for p in self.primes:
-                p = int(p)
-                if p * p > m:
-                    break
-                if m % p == 0:
-                    e = 0
-                    while m % p == 0:
-                        m //= p
-                        e += 1
-                    out.append((p, e))
-                if m <= self.spf_limit:
-                    break
-        while m > 1:
-            if m <= self.spf_limit:
-                p = int(self.spf[m])
-            else:
-                p = m  # survived trial division past sqrt: prime
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        out.sort()
+        for p in self.primes:
+            p = int(p)
+            if p * p > m:
+                break
+            if m % p == 0:
+                e = 0
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                out.append((p, e))
+        if m > 1:
+            out.append((m, 1))  # survived trial division past sqrt: prime
         return FactoredInteger(n, tuple(out))
 
 

@@ -20,7 +20,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 import itertools
 
 import numpy as np
@@ -239,7 +239,17 @@ class DirichletCharacter:
 
 @lru_cache(maxsize=4096)
 def _root_of_unity(a: Fraction) -> complex:
+    if a.denominator == 2:
+        return -1 + 0j  # exp(pi i) rounds to -1 + 1.2e-16i
     return cmath.exp(2j * cmath.pi * (a.numerator / a.denominator))
+
+
+@lru_cache(maxsize=128)
+def _roots(L: int) -> np.ndarray:
+    """e(j/L) for j = 0..L-1 as complex128 (read-only)."""
+    out = np.array([_root_of_unity(Fraction(j, L)) for j in range(L)], dtype=np.complex128)
+    out.flags.writeable = False
+    return out
 
 
 def enumerate_characters(q: int) -> list[DirichletCharacter]:
@@ -264,14 +274,16 @@ def character_by_index(q: int, index: int) -> DirichletCharacter:
 
 @lru_cache(maxsize=512)
 def character_row(chi: DirichletCharacter) -> np.ndarray:
-    """chi at residues 0..q-1 as complex128 (read-only)."""
-    q = chi.q
-    row = np.zeros(max(q, 1), dtype=np.complex128)
-    G = unit_group(q)
-    for u in G.units:
-        row[int(u)] = chi(int(u))
-    if q == 1:
-        row[0] = 1.0
+    """chi at residues 0..q-1 as complex128 (read-only).
+
+    With L the lcm of the component orders, chi(u) = e(j/L) where j is the
+    exponent tuple of u dotted with e_i L / d_i, so one matrix product and
+    one lookup in the L-th roots give every unit's value."""
+    G = unit_group(chi.q)
+    L = lcm(*G.orders)
+    scaled = np.array([e * (L // d) for e, d in zip(chi.exponents, G.orders)], dtype=np.int64)
+    row = np.zeros(max(chi.q, 1), dtype=np.complex128)
+    row[G.units] = _roots(L)[(G.exponents @ scaled) % L]
     row.flags.writeable = False
     return row
 

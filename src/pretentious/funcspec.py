@@ -9,7 +9,11 @@ serialize to a small textual grammar, and evaluate three ways:
   prime_values(spec, primes, ...) f at an array of primes
 
 The bulk paths matter: distance minimization and progression sums at
-x = 1e7 cannot afford per-n factorization loops.
+x = 1e7 cannot afford per-n factorization loops.  `values_upto` has closed
+forms for the periodic and twist families (and their products) and one
+vectorized multiplicative filler for everything else: f at the primes from
+one `prime_values` call, f(p^k) for k >= 2 from `prime_power_value`, and
+no per-n Python loop.
 """
 
 from __future__ import annotations
@@ -303,28 +307,36 @@ def _legendre_row(p: int) -> np.ndarray:
     return row
 
 
-def _mobius_upto(x: int, table: PrimeTable) -> np.ndarray:
-    vals = np.ones(x + 1, dtype=np.int8)
-    vals[0] = 0
-    for p in table.primes_upto(x):
-        p = int(p)
-        vals[p::p] *= -1
-    for p in table.primes_upto(math.isqrt(x)):
-        p2 = int(p) * int(p)
-        vals[p2::p2] = 0
-    return vals
+def _multiplicative_fill(spec: FunctionSpec, x: int, table: PrimeTable, dtype) -> np.ndarray:
+    """vals[n] = product of f(p^k) over p^k || n, for n = 0..x (f(0) := 0).
 
-
-def _sign_sieve_upto(x: int, primes) -> np.ndarray:
-    # (-1)^(number of prime-power divisors from `primes`), counted with
-    # multiplicity: flip multiples of p, p^2, p^3, ...
-    vals = np.ones(x + 1, dtype=np.int8)
+    Two vectorized passes.  Every n <= x has at most one prime factor
+    P > sqrt(x), and P divides n exactly once, so the first pass multiplies
+    in f(P) along each cofactor m.  The second walks the primes p <= sqrt(x)
+    in descending order and multiplies every multiple of p by f(p^k), k read
+    off a small exponent array.  Each product is thus formed as
+    ((1 * f(P)) * f(p_r^k_r)) * ... * f(p_1^k_1), largest prime first.
+    """
+    vals = np.ones(x + 1, dtype=dtype)
     vals[0] = 0
-    for p in primes:
-        pk = int(p)
-        while pk <= x:
-            vals[pk::pk] *= -1
-            pk *= int(p)
+    root = math.isqrt(x)
+    primes = table.primes_upto(x)
+    fp = prime_values(spec, primes, table).astype(dtype)
+    split = np.searchsorted(primes, root, side="right")
+    large, f_large = primes[split:], fp[split:]
+    for m in range(1, x // (root + 1) + 1):
+        hi = np.searchsorted(large, x // m, side="right")
+        vals[m * large[:hi]] *= f_large[:hi]
+    for i in range(split - 1, -1, -1):
+        p = int(primes[i])
+        f_pk = [0, fp[i]]
+        exps = np.ones(x // p, dtype=np.int8)  # exps[j] = k with p^k || (j + 1) p
+        pk = p
+        while pk <= x // p:
+            exps[pk - 1 :: pk] += 1
+            pk *= p
+            f_pk.append(spec.prime_power_value(p, len(f_pk)))
+        vals[p::p] *= np.array(f_pk, dtype=dtype)[exps]
     return vals
 
 
@@ -339,62 +351,27 @@ def values_upto(spec: FunctionSpec, x: int, table: PrimeTable) -> np.ndarray:
         vals = np.ones(x + 1, dtype=np.int8)
         vals[0] = 0
         return vals
-    if isinstance(spec, Mobius):
-        return _mobius_upto(x, table)
-    if isinstance(spec, Liouville):
-        return _sign_sieve_upto(x, table.primes_upto(x))
-    if isinstance(spec, Threshold):
-        cut = spec.cutoff
-        ps = table.primes_upto(x)
-        flip = ps[ps > cut]
-        out = _sign_sieve_upto(x, flip)
-        return out
-    if isinstance(spec, Legendre):
-        row = _legendre_row(spec.p)
-        reps = x // spec.p + 1
-        vals = np.tile(row, reps)[: x + 1].copy()
-        vals[0] = 0
-        return vals
-    if isinstance(spec, CharacterSpec):
-        row = character_row(spec.character)
-        q = max(spec.q, 1)
-        vals = np.tile(row, x // q + 1)[: x + 1].copy()
+    if isinstance(spec, (Legendre, CharacterSpec)):
+        is_legendre = isinstance(spec, Legendre)
+        row = _legendre_row(spec.p) if is_legendre else character_row(spec.character)
+        vals = np.tile(row, x // len(row) + 1)[: x + 1]  # a view: one allocation, no copy
         vals[0] = 0
         return vals
     if isinstance(spec, Twist):
         n = np.arange(x + 1, dtype=np.float64)
         n[0] = 1.0
-        vals = np.exp(1j * spec.t * np.log(n))
+        vals = np.zeros(x + 1, dtype=np.complex128)
+        np.multiply(np.log(n, out=n), spec.t, out=vals.imag)
+        np.exp(vals, out=vals)
         vals[0] = 0
         return vals
     if isinstance(spec, Product):
-        out = values_upto(spec.factors[0], x, table)
-        if out.dtype != np.complex128:
-            out = out.astype(np.complex128)
-        else:
-            out = out.copy()
+        out = values_upto(spec.factors[0], x, table).astype(np.complex128, copy=False)
         for f in spec.factors[1:]:
             out *= values_upto(f, x, table)
         return out
-    # generic multiplicative fill along smallest prime factors
-    vals = np.ones(x + 1, dtype=np.complex128)
-    vals[0] = 0
-    spf = table.spf
-    if x > table.spf_limit:
-        raise PreconditionError(
-            f"generic bulk evaluation needs x <= {table.spf_limit}"
-        )
-    ppv = spec.prime_power_value
-    out = vals  # local alias
-    for n in range(2, x + 1):
-        p = int(spf[n])
-        m = n // p
-        k = 1
-        while m % p == 0:
-            m //= p
-            k += 1
-        out[n] = out[m] * ppv(p, k)
-    return out
+    signs = isinstance(spec, (Mobius, Liouville, Threshold))
+    return _multiplicative_fill(spec, x, table, np.int8 if signs else np.complex128)
 
 
 def prime_values(spec: FunctionSpec, primes: np.ndarray, table: PrimeTable) -> np.ndarray:

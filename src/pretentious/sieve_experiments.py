@@ -34,7 +34,7 @@ from .characters import (
 )
 from .errors import PreconditionError, TheoremViolation
 from .funcspec import FunctionSpec, _legendre_row, evaluate, values_upto
-from .meanvalues import progression_sums
+from .meanvalues import _class_sums, progression_sums
 
 LARGE_SIEVE_SLACK = 1e-9
 
@@ -58,21 +58,6 @@ def _class_values(f: FunctionSpec, x: int, q: int, a: int, table: PrimeTable) ->
     out = vals[a + q :: q][:N]
     assert len(out) == N
     return out
-
-
-def _class_sums(v: np.ndarray, r: int, start: int) -> np.ndarray:
-    """c[b] = sum of v[i] over i with start + i == b (mod r), for b < r.
-
-    The whole rows of v form an (N // r, r) view that is summed over axis 0,
-    so v is never copied (at x = 1e7 a complex copy is 160 MB); the short
-    tail is added after.  For r >= 2 each class is accumulated one term at
-    a time in index order, so float sums equal a sequential per-class loop
-    bit for bit.  Integer input sums in int64, so int8 values come back exact.
-    """
-    full = len(v) // r * r
-    c = v[:full].reshape(-1, r).sum(axis=0)
-    c[: len(v) - full] += v[full:]
-    return np.roll(c, start)
 
 
 def _mass_from_classes(c: np.ndarray, r: int) -> float:

@@ -124,6 +124,31 @@ def test_character_row_layout():
                 row[0] = 5  # rows are shared; must be frozen
 
 
+def _character_row_loop(chi):
+    # oracle: the per-unit loop that character_row replaced
+    q = chi.q
+    row = np.zeros(max(q, 1), dtype=np.complex128)
+    for u in unit_group(q).units:
+        row[int(u)] = chi(int(u))
+    if q == 1:
+        row[0] = 1.0
+    return row
+
+
+def test_character_row_byte_identical_to_unit_loop():
+    for q in range(1, 301):
+        for chi in enumerate_characters(q):
+            assert character_row(chi).tobytes() == _character_row_loop(chi).tobytes(), chi
+
+
+def test_real_characters_are_exactly_signs():
+    for q in (5, 8, 12, 40, 97, 105):
+        for chi in real_characters(q):
+            row = character_row(chi)
+            assert set(row[np.asarray(unit_group(q).units)].tolist()) <= {1 + 0j, -1 + 0j}
+            assert not np.any(row.imag)
+
+
 def test_angles_are_exact_fractions():
     chi = character_by_index(5, 1)
     assert chi.angle(2) in (Fraction(1, 4), Fraction(3, 4))

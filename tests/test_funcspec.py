@@ -338,3 +338,116 @@ def test_completely_multiplicative_flags():
     assert not Mobius().completely_multiplicative
     assert Product((Liouville(), One())).completely_multiplicative
     assert not Product((Mobius(), One())).completely_multiplicative
+
+
+# ------------------------------------------------ fill kernel vs oracles
+#
+# The fill paths that the vectorized filler replaced, kept as oracles: the
+# mobius and prime-power sign sieves (exact, int8) and the per-n recursion
+# f(n) = f(n / p^k) f(p^k) along smallest prime factors.
+
+
+def _mobius_upto(x: int, table: PrimeTable) -> np.ndarray:
+    vals = np.ones(x + 1, dtype=np.int8)
+    vals[0] = 0
+    for p in table.primes_upto(x):
+        p = int(p)
+        vals[p::p] *= -1
+    for p in table.primes_upto(math.isqrt(x)):
+        p2 = int(p) * int(p)
+        vals[p2::p2] = 0
+    return vals
+
+
+def _sign_sieve_upto(x: int, primes) -> np.ndarray:
+    # (-1)^(number of prime-power divisors from `primes`), counted with
+    # multiplicity: flip multiples of p, p^2, p^3, ...
+    vals = np.ones(x + 1, dtype=np.int8)
+    vals[0] = 0
+    for p in primes:
+        pk = int(p)
+        while pk <= x:
+            vals[pk::pk] *= -1
+            pk *= int(p)
+    return vals
+
+
+def _spf_table(limit: int) -> np.ndarray:
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            view = spf[p::p]
+            view[view == 0] = p
+    rest = np.flatnonzero(spf[2:] == 0) + 2
+    spf[rest] = rest
+    return spf
+
+
+def _values_upto_loop(spec, x: int) -> np.ndarray:
+    spf = _spf_table(x)
+    out = np.ones(x + 1, dtype=np.complex128)
+    out[0] = 0
+    for n in range(2, x + 1):
+        p = int(spf[n])
+        m = n // p
+        k = 1
+        while m % p == 0:
+            m //= p
+            k += 1
+        out[n] = out[m] * spec.prime_power_value(p, k)
+    return out
+
+
+@st.composite
+def _table_specs(draw):
+    x = draw(st.integers(min_value=1, max_value=2 * 10**4))
+    rule = draw(st.sampled_from(["cm", "zero", "explicit"]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    keys = []
+    for p in _table().primes_upto(x).tolist():
+        pk, k = p, 1
+        while pk <= x and (k == 1 or rule == "explicit"):
+            keys.append((p, k))
+            pk, k = pk * p, k + 1
+    # unimodular values, with a share of zeros so vanishing factors occur
+    values = np.exp(1j * rng.uniform(-np.pi, np.pi, len(keys)))
+    values[rng.random(len(keys)) < 0.05] = 0
+    return x, make_prime_table_spec(dict(zip(keys, values.tolist())), rule)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_table_specs())
+def test_fill_matches_per_n_loop(case):
+    x, spec = case
+    got = values_upto(spec, x, _table())
+    assert got.dtype == np.complex128
+    np.testing.assert_allclose(got, _values_upto_loop(spec, x), rtol=0, atol=1e-12)
+
+
+def test_sign_fills_byte_identical_to_sieves():
+    x = 10**5
+    t = PrimeTable(x)
+    ps = t.primes_upto(x)
+    threshold = Threshold(10**5)
+    cases = [
+        (Mobius(), _mobius_upto(x, t)),
+        (Liouville(), _sign_sieve_upto(x, ps)),
+        (threshold, _sign_sieve_upto(x, ps[ps > threshold.cutoff])),
+    ]
+    for spec, want in cases:
+        got = values_upto(spec, x, t)
+        assert got.dtype == np.int8
+        assert got.tobytes() == want.tobytes()
+
+
+def test_explicit_table_missing_square_refuses():
+    # every entry up to x = 50 but 3^2: the filler must ask for it and fail
+    t = _table()
+    x = 50
+    keys = [(p, k) for p in t.primes_upto(x).tolist() for k in range(1, 6) if p**k <= x]
+    keys.remove((3, 2))
+    spec = make_prime_table_spec({key: -1.0 for key in keys}, rule="explicit")
+    with pytest.raises(PreconditionError, match=r"3\^2"):
+        values_upto(spec, x, t)
+    assert values_upto(spec, 8, t)[8] == -1  # 3^2 > 8 is never needed

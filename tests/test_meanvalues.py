@@ -7,6 +7,7 @@ checks). Regression values were measured once on verified code and frozen.
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -119,6 +120,32 @@ def test_decompose_hand_cases():
     lhs, rhs = decompose_via_characters(One(), 12, 4, 3, _table())
     assert lhs == pytest.approx(3, abs=1e-12)
     assert rhs == pytest.approx(3, abs=1e-9)
+
+
+def test_decompose_large_prime_modulus_stays_fast():
+    # all 996 character rows mod 997 are rebuilt on every call (the row
+    # cache holds fewer), so each call has to be cheap on its own
+    for _ in range(2):
+        t0 = time.perf_counter()
+        lhs, rhs = decompose_via_characters(Mobius(), 10**4, 997, 2, _table())
+        assert time.perf_counter() - t0 < 1.0
+        assert abs(lhs - rhs) < 1e-9
+
+
+def test_progression_sums_match_strided_slices():
+    # oracle: the per-class strided sums that the shared class-sum kernel replaced
+    x = 10**4
+    for text in ("mobius", "liouville", "legendre:7", "prod(char:5:2,nit:1.0)", "nit:0.5"):
+        f = parse_spec(text)
+        vals = values_upto(f, x, _table())
+        for q in (1, 2, 3, 7, 30, 97, 1000):
+            want = np.array([vals[a::q].sum() for a in range(q)])
+            got = progression_sums(f, x, q, _table()).sums
+            if np.iscomplexobj(vals):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+            else:
+                assert got.dtype == np.float64
+                assert got.tolist() == want.tolist()
 
 
 def test_decompose_rejects_non_unit():

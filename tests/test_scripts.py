@@ -1,0 +1,49 @@
+"""Smoke tests for the sweep scripts in scripts/.
+
+Each script runs in its own interpreter at its smallest size; the test
+checks the exit code and that stdout is CSV under the documented header.
+"""
+
+import csv
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_script(name: str, *args: str) -> list[dict]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return list(csv.DictReader(io.StringIO(proc.stdout)))
+
+
+def test_residual_trend_smallest_sweep():
+    rows = _run_script("residual_trend.py", "--xmax", "1e4", "--qs", "3")
+    assert len(rows) == 1
+    row = rows[0]
+    assert list(row) == ["f", "q", "x", "normalized_max_residual", "max_residual",
+                         "conductor", "t"]
+    assert (row["f"], row["q"], row["x"]) == ("mobius", "3", "10000")
+    assert float(row["normalized_max_residual"]) >= 0
+    assert int(row["conductor"]) >= 1
+    float(row["t"])
+
+
+@pytest.mark.parametrize("q,a", [(4, 3), (5, 1)])
+def test_legendre_infimum_smallest_scan(q, a):
+    rows = _run_script("legendre_infimum.py", "--q", str(q), "--a", str(a),
+                       "--x", "1e3", "--p-limit", "100")
+    assert rows and list(rows[0]) == ["p", "record_low"]
+    lows = [float(r["record_low"]) for r in rows]
+    assert lows == sorted(lows, reverse=True)  # each row is a new record low
+    assert all(int(r["p"]) % 2 == 1 for r in rows)
