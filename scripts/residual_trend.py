@@ -24,7 +24,6 @@ def main():
     ap.add_argument("--xmax", type=float, default=1e6)
     ap.add_argument("--Q", type=int, default=10, help="conductor bound for the scan")
     ap.add_argument("--A", type=float, default=2.0, help="twist bound")
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--out", default=None, help="CSV path (default stdout)")
     args = ap.parse_args()
 
@@ -42,7 +41,7 @@ def main():
         table = PrimeTable(x)  # one sieve per scale, shared across q
         for q in qs:
             t0 = time.time()
-            rep = progression_report(f, x, q, args.Q, args.A, table, workers=args.threads)
+            rep = progression_report(f, x, q, args.Q, args.A, table)
             print(
                 f"{args.f},{q},{x},{rep.normalized_max_residual!r},"
                 f"{rep.max_residual!r},{rep.exceptional.conductor},{rep.exceptional.t!r}",

@@ -203,8 +203,7 @@ class DirichletCharacter:
         if n < 0:
             raise PreconditionError("character argument must be >= 0")
         G = unit_group(self.q)
-        a = n % self.q if self.q > 1 else 0
-        t = G.dlog.get(a)
+        t = G.dlog.get(n % self.q)
         if t is None:
             return None
         total = Fraction(0)
@@ -319,7 +318,7 @@ def induce(psi: DirichletCharacter, q: int) -> DirichletCharacter:
     G = unit_group(q)
     exps = []
     for g, d in zip(G.generators, G.orders):
-        a = psi.angle(g % r if r > 1 else 1)
+        a = psi.angle(g)
         assert a is not None  # gcd(g, q) = 1 and r | q force gcd(g, r) = 1
         e = a * d
         assert e.denominator == 1, "induced exponent not integral"
@@ -354,8 +353,8 @@ def orthogonality_row_sum(q: int, a: int, b: int) -> int:
     the whole sum is an integer computed without floats.
     """
     G = unit_group(q)
-    ta = G.dlog.get(a % q if q > 1 else 0)
-    tb = G.dlog.get(b % q if q > 1 else 0)
+    ta = G.dlog.get(a % q)
+    tb = G.dlog.get(b % q)
     if ta is None or tb is None:
         raise PreconditionError("orthogonality_row_sum needs units a, b")
     out = 1

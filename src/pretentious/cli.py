@@ -172,9 +172,7 @@ def _cmd_constants(args) -> int:
 def _cmd_pretension_find(args) -> int:
     f = parse_spec(args.f)
     table = PrimeTable(args.x)
-    report = find_exceptional(
-        f, args.x, args.Q, args.A, table, depth=args.depth, workers=args.threads
-    )
+    report = find_exceptional(f, args.x, args.Q, args.A, table, depth=args.depth)
     config = _config(
         args, "pretension find", f=args.f, x=args.x, Q=args.Q, A=args.A, depth=args.depth
     )
@@ -215,7 +213,7 @@ def _report_csv(report) -> str:
 def _cmd_meanvalues_report(args) -> int:
     f = parse_spec(args.f)
     table = PrimeTable(args.x)
-    report = progression_report(f, args.x, args.q, args.Q, args.A, table, workers=args.threads)
+    report = progression_report(f, args.x, args.q, args.Q, args.A, table)
     fmt = args.format
     if fmt is None:
         out = getattr(args, "out", None)
@@ -400,7 +398,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="recorded in the report config for reproducibility (default 0)",
     )
     parser.add_argument(
-        "--threads", type=_positive_int, default=1, help="worker cap for parallel scans"
+        "--threads", type=_positive_int, default=1, help="recorded in the report config only"
     )
 
 

@@ -130,7 +130,7 @@ class CharacterSpec(FunctionSpec):
         return self.character.is_real()
 
     def prime_power_value(self, p, k):
-        return self.character(pow(p, k, self.q) if self.q > 1 else 1)
+        return self.character(pow(p, k, self.q))
 
     def render(self):
         return f"char:{self.q}:{self.index}"
@@ -387,7 +387,7 @@ def prime_values(spec: FunctionSpec, primes: np.ndarray, table: PrimeTable) -> n
         return row[primes % spec.p].astype(np.float64)
     if isinstance(spec, CharacterSpec):
         row = character_row(spec.character)
-        return row[primes % spec.q] if spec.q > 1 else np.ones(len(primes), np.complex128)
+        return row[primes % spec.q]
     if isinstance(spec, Twist):
         return np.exp(1j * spec.t * np.log(primes.astype(np.float64)))
     if isinstance(spec, Product):

@@ -159,7 +159,7 @@ def coprime_mean_bound(
     bound_q = (1.0 + d2) * math.exp(-d2) + math.log(x) ** -0.25
     pt = progression_sums(f, x, r, table)
     G = unit_group(r)
-    restricted = complex(np.sum(pt.sums[np.asarray(G.units)])) if r > 1 else complex(pt.sums[0])
+    restricted = complex(np.sum(pt.sums[G.units]))
     phi = G.phi
     measured = abs(restricted) / (phi / r * x)
     return CoprimeMeanBound(x=x, r=r, t_bound=T, t_star=t_star, squared_distance=d2,
@@ -211,12 +211,10 @@ def euler_product_mean(
     if not 2 <= P <= x:
         raise PreconditionError(f"need 2 <= truncation <= x, got {P}")
     ps = table.primes_upto(P)
-    if q > 1:
-        ps = ps[q % ps != 0]
+    ps = ps[q % ps != 0]
     psc = ps.astype(np.float64)
     if psi is not None:
-        row = character_row(psi)
-        psi_p = row[ps % psi.q] if psi.q > 1 else np.ones(len(ps), np.complex128)
+        psi_p = character_row(psi)[ps % psi.q]
     else:
         psi_p = np.ones(len(ps), np.complex128)
 
@@ -297,7 +295,6 @@ def progression_report(
     Q: int,
     A: float,
     table: PrimeTable,
-    workers: int = 1,
 ) -> ProgressionReport:
     """Structure of F(x;q,a) against the exceptional character.
 
@@ -312,7 +309,7 @@ def progression_report(
     Both take the unknowable o(1) to be 0, so they are reference curves,
     not bounds to assert.
     """
-    exc = find_exceptional(f, x, Q, A, table, workers=workers)
+    exc = find_exceptional(f, x, Q, A, table)
     r = exc.conductor
     r_div = q % r == 0
     G = unit_group(q)

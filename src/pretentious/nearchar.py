@@ -66,7 +66,7 @@ class ApproxHomomorphism:
 
     def value_at(self, a: int) -> complex:
         G = unit_group(self.q)
-        i = int(G.unit_index[a % self.q]) if self.q > 1 else 0
+        i = int(G.unit_index[a % self.q])
         if i < 0:
             raise PreconditionError(f"{a} is not a unit mod {self.q}")
         return complex(self.values[i])
@@ -76,7 +76,7 @@ def _max_pair_defect(q: int, garr: np.ndarray) -> float:
     """max |g(ab) - g(a) g(b)| over unit pairs, row-chunked to bound memory."""
     G = unit_group(q)
     units = np.asarray(G.units)
-    prod_index = G.unit_index[np.outer(units, units) % q] if q > 1 else np.zeros((1, 1), int)
+    prod_index = G.unit_index[np.outer(units, units) % q]
     worst = 0.0
     chunk = max(1, 2**22 // max(len(units), 1))
     for lo in range(0, len(units), chunk):
@@ -91,7 +91,7 @@ def fourier_transform(g: ApproxHomomorphism, chi: DirichletCharacter) -> complex
     if chi.q != g.q:
         raise PreconditionError("transform needs matching moduli")
     G = unit_group(g.q)
-    row = character_row(chi)[np.asarray(G.units)] if g.q > 1 else np.ones(1)
+    row = character_row(chi)[G.units]
     return complex(np.dot(g.values, np.conj(row)))
 
 
@@ -142,7 +142,7 @@ def nearest_character(g: ApproxHomomorphism) -> RecoveryResult:
             f"max Fourier mass {top:.6f} under floor {floor:.6f} at eps={eps:.4f}"
         )
     bound = eps / (1.0 - 2.0 * eps)
-    row = character_row(chi)[np.asarray(G.units)] if g.q > 1 else np.ones(1)
+    row = character_row(chi)[G.units]
     dev = float(np.max(np.abs(row - g.values)))
     if dev > bound + _FLOAT_SLACK:
         raise TheoremViolation(

@@ -8,14 +8,16 @@ conductor r <= Q and |t| <= A, how close is f to psi(n) n^(it)?  The
 minimizer is the "exceptional" character that controls progression sums.
 
 Minimization in t runs on a grid of spacing pi/(4 log x) (the objective
-cannot oscillate faster than log x) followed by golden-section refinement
-of the best bracket down to 1e-6.
+cannot oscillate faster than log x), over [0, A] alone when the objective is
+even in t, then on 17-point grids across the two cells around the best
+point until the spacing is at most 5e-7.  Each grid is evaluated by
+rotating the prime terms one step at a time, so no cosine is taken per
+point; the reported distance is the direct cosine sum at the chosen t.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +34,7 @@ from .funcspec import FunctionSpec, prime_values
 
 T_REFINE_TOL = 1e-6
 GRID_SPACING_FACTOR = math.pi / 4.0
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+REFINE_POINTS = 17
 
 
 @dataclass(frozen=True)
@@ -68,9 +70,7 @@ class ExceptionalReport:
 
 def _included_primes(x: int, r: int, table: PrimeTable) -> np.ndarray:
     ps = table.primes_upto(x)
-    if r > 1:
-        ps = ps[r % ps != 0]
-    return ps
+    return ps[r % ps != 0]
 
 
 def distance_squared(
@@ -104,23 +104,27 @@ class TwistObjective:
     """t -> D_r(f, psi(n) n^(it); x)^2 from precomputed prime data.
 
     Writing z_p = f(p) conj(psi(p)), the objective is
-    sum 1/p - sum |z_p|/p * cos(arg z_p - t log p).
+    sum 1/p - sum |z_p|/p * cos(arg z_p - t log p); it is even in t when
+    every z_p is real.  `fv` is f at table.primes_upto(x), when the caller
+    already has it.
     """
 
     def __init__(self, f, psi: DirichletCharacter, x: int, table: PrimeTable,
-                 r: int | None = None):
+                 r: int | None = None, fv: np.ndarray | None = None):
         if r is None:
             r = psi.q
-        ps = _included_primes(x, r, table)
-        fv = prime_values(f, ps, table)
-        row = character_row(psi)
-        pv = row[ps % psi.q] if psi.q > 1 else np.ones(len(ps))
-        z = fv * np.conj(pv)
+        ps = table.primes_upto(x)
+        if fv is None:
+            fv = prime_values(f, ps, table)
+        keep = r % ps != 0
+        ps = ps[keep]
+        z = fv[keep] * np.conj(character_row(psi)[ps % psi.q])
         inv_p = 1.0 / ps
         self.base = float(np.sum(inv_p))
         self.amp = np.abs(z) * inv_p
         self.phase = np.angle(z)
         self.logp = np.log(ps.astype(np.float64))
+        self.even = bool(np.all(z.imag == 0))
         self.x = x
         self.r = r
         self.prime_count = len(ps)
@@ -128,44 +132,39 @@ class TwistObjective:
     def __call__(self, t: float) -> float:
         return self.base - float(np.sum(self.amp * np.cos(self.phase - t * self.logp)))
 
-
-def _golden_minimize(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    t = (a + b) / 2.0
-    return t, fn(t)
+    def grid(self, ts: np.ndarray) -> np.ndarray:
+        """The objective at evenly spaced ts: the terms
+        amp_p e^(i(phase_p - t log p)) are built once at ts[0] and rotated
+        by e^(-i h log p) per step of h."""
+        n = len(ts)
+        w = self.amp * np.exp(1j * (self.phase - ts[0] * self.logp))
+        step = np.exp(-1j * ((ts[-1] - ts[0]) / max(n - 1, 1)) * self.logp)
+        out = np.empty(n)
+        for k in range(n):
+            if k:
+                w *= step
+            out[k] = self.base - float(np.sum(w.real))
+        return out
 
 
-def minimize_twist(obj: TwistObjective, A: float, x: int,
-                   tol: float = T_REFINE_TOL) -> tuple[float, float]:
-    """Grid scan of [-A, A] then golden-section refinement of the best cell."""
+def minimize_twist(obj: TwistObjective, A: float, x: int) -> tuple[float, float]:
+    """Grid scan of [-A, A] ([0, A] for an even objective), then finer grids
+    over the two cells around the best point down to spacing T_REFINE_TOL/2.
+
+    Returns the best point of the last grid and obj there."""
     if A < 0:
         raise PreconditionError(f"twist bound A must be >= 0, got {A}")
     if A == 0:
         return 0.0, obj(0.0)
+    lo = 0.0 if obj.even else -A
     h = GRID_SPACING_FACTOR / math.log(x)
-    n = max(3, int(math.ceil(2.0 * A / h)) + 1)
-    ts = np.linspace(-A, A, n)
-    vals = np.array([obj(float(t)) for t in ts])
-    i = int(np.argmin(vals))
-    lo = float(ts[max(i - 1, 0)])
-    hi = float(ts[min(i + 1, n - 1)])
-    t, v = _golden_minimize(obj, lo, hi, tol)
-    # the refined point can only improve on the grid minimum
-    if vals[i] < v:
-        t, v = float(ts[i]), float(vals[i])
-    return t, v
+    ts = np.linspace(lo, A, max(3, int(math.ceil((A - lo) / h)) + 1))
+    while True:
+        i = int(np.argmin(obj.grid(ts)))
+        if ts[1] - ts[0] <= T_REFINE_TOL / 2:
+            t = float(ts[i])
+            return t, obj(t)
+        ts = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)], REFINE_POINTS)
 
 
 def min_distance_over_t(
@@ -175,9 +174,10 @@ def min_distance_over_t(
     A: float,
     table: PrimeTable,
     r: int | None = None,
+    fv: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """(t*, D^2 at t*) minimizing D_r(f, psi(n)n^(it); x)^2 over |t| <= A."""
-    obj = TwistObjective(f, psi, x, table, r=r)
+    obj = TwistObjective(f, psi, x, table, r=r, fv=fv)
     return minimize_twist(obj, A, x)
 
 
@@ -196,7 +196,6 @@ def find_exceptional(
     A: float,
     table: PrimeTable,
     depth: int = 10,
-    workers: int = 1,
 ) -> ExceptionalReport:
     """Scan primitive characters of conductor <= Q for the best twist.
 
@@ -207,17 +206,11 @@ def find_exceptional(
         raise PreconditionError(f"need 3 <= x <= table limit {table.limit}, got {x}")
     if Q < 1:
         raise PreconditionError(f"conductor bound must be >= 1, got {Q}")
-    cands = primitive_characters_upto(Q)
-
-    def score(psi: DirichletCharacter) -> SpectrumEntry:
-        t, v = min_distance_over_t(f, psi, x, A, table)
-        return SpectrumEntry(psi, psi.q, t, v)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(score, cands))
-    else:
-        entries = [score(psi) for psi in cands]
+    fv = prime_values(f, table.primes_upto(x), table)
+    entries = []
+    for psi in primitive_characters_upto(Q):
+        t, v = min_distance_over_t(f, psi, x, A, table, fv=fv)
+        entries.append(SpectrumEntry(psi, psi.q, t, v))
     entries.sort(
         key=lambda e: (
             e.squared_distance,

@@ -179,7 +179,7 @@ def transfer_check(
                 f"r={r} is not good at eta={eta}: divisor {ell} is a bad modulus"
             )
     lhs = complex(progression_sums(f, x, q, table).sums[a % q])
-    ainv = (a * pow(r, -1, q)) % q if q > 1 else 0
+    ainv = (a * pow(r, -1, q)) % q
     sub = progression_sums(f, x // r, q, table)
     rhs = r * complex(evaluate(f, r, table)) * complex(sub.sums[ainv])
     phi_r = unit_group(r).phi

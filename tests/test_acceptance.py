@@ -142,7 +142,7 @@ def test_criterion_04_pretension_recovery():
         for t0 in (0.0, 0.5, 2.0):
             base = CharacterSpec(psi.q, psi.index)
             f = Product((base, Twist(t0))) if t0 else base
-            rep = find_exceptional(f, x, 20, 3.0, table, workers=4)
+            rep = find_exceptional(f, x, 20, 3.0, table)
             dt = abs(rep.t - t0)
             worst_t = max(worst_t, dt)
             worst_d2 = max(worst_d2, rep.squared_distance)
@@ -280,7 +280,7 @@ def test_criterion_09_residual_trend(table_medium, table_large):
     series = {}
     for q in (3, 4, 5, 8):
         series[q] = [
-            progression_report(Mobius(), x, q, 10, 2.0, tables[x], workers=4)
+            progression_report(Mobius(), x, q, 10, 2.0, tables[x])
             .normalized_max_residual
             for x in xs
         ]

@@ -8,12 +8,14 @@ induction, primitivity) is checked against independent brute force.
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pretentious.arith import PrimeTable
 from pretentious.characters import (
     MAX_MODULUS,
     DirichletCharacter,
@@ -33,6 +35,16 @@ from pretentious.characters import (
     unit_group,
 )
 from pretentious.errors import PreconditionError
+from pretentious.funcspec import CharacterSpec, Mobius, One, Twist, prime_values
+from pretentious.meanvalues import euler_product_mean
+from pretentious.nearchar import (
+    ApproxHomomorphism,
+    _max_pair_defect,
+    fourier_transform,
+    nearest_character,
+)
+from pretentious.pretension import TwistObjective, _included_primes, distance_squared
+from pretentious.sieve_experiments import transfer_check
 
 MODULI = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 24, 36, 40, 60]
 
@@ -261,3 +273,73 @@ def test_character_homomorphism_random(q, idx, m, n):
     chi = chars[idx % len(chars)]
     vm, vn, vmn = chi(m), chi(n), chi(m * n)
     assert vmn == pytest.approx(vm * vn, abs=1e-9)
+
+
+
+@pytest.fixture(scope="module")
+def mod1():
+    """Everything the modulus-1 cases share; the unit group mod 1 is {0}."""
+    return SimpleNamespace(table=PrimeTable(10**4), chi=DirichletCharacter(1, ()),
+                           g=ApproxHomomorphism.from_values(1, [1.0]))
+
+
+def _q1_twist_objective(c):
+    got = TwistObjective(Mobius(), c.chi, 10**4, c.table)(0.7)
+    ref = distance_squared(Mobius(), Twist(0.7), 10**4, c.table).squared_distance
+    return got == pytest.approx(ref, abs=1e-12)
+
+
+def _q1_included_primes(c):
+    return np.array_equal(_included_primes(10**4, 1, c.table), c.table.primes_upto(10**4))
+
+
+def _q1_euler_product_mean(c):
+    got = euler_product_mean(Mobius(), 10**4, c.table, psi=c.chi, t=0.5, q=1)
+    return got == euler_product_mean(Mobius(), 10**4, c.table, t=0.5)
+
+
+def _q1_character_spec(c):
+    spec = CharacterSpec(1, 0)
+    powers = [spec.prime_power_value(p, k) for p, k in ((2, 1), (3, 2), (7, 5))]
+    return powers == [1, 1, 1] and np.all(prime_values(spec, c.table.primes_upto(100), c.table) == 1)
+
+
+def _q1_angle(c):
+    return [c.chi.angle(n) for n in range(6)] == [0] * 6
+
+
+def _q1_orthogonality_row_sum(c):
+    return [orthogonality_row_sum(1, a, b) for a, b in ((0, 0), (1, 0), (5, 3))] == [1, 1, 1]
+
+
+def _q1_value_at(c):
+    return [c.g.value_at(a) for a in range(5)] == [1] * 5
+
+
+def _q1_max_pair_defect(c):
+    return _max_pair_defect(1, c.g.values) == 0.0
+
+
+def _q1_fourier_transform(c):
+    return fourier_transform(c.g, c.chi) == 1
+
+
+def _q1_nearest_character(c):
+    res = nearest_character(c.g)
+    return res.chi == c.chi and res.max_deviation == 0.0
+
+
+def _q1_transfer_check(c):
+    tc = transfer_check(One(), 10**4, 1, 1, 1, 0.5, c.table)
+    return tc.lhs == tc.rhs == 10**4
+
+
+@pytest.mark.parametrize("check", [
+    _q1_twist_objective, _q1_included_primes, _q1_euler_product_mean, _q1_character_spec,
+    _q1_angle, _q1_orthogonality_row_sum, _q1_value_at, _q1_max_pair_defect,
+    _q1_fourier_transform, _q1_nearest_character, _q1_transfer_check,
+], ids=lambda fn: fn.__name__[4:])
+def test_modulus_one_needs_no_special_case(mod1, check):
+    # the mod-1 group has units == [0], unit_index == [0] and character_row
+    # == [1+0j], so every modulus-1 call runs the general code
+    assert check(mod1)

@@ -15,7 +15,16 @@ from hypothesis import strategies as st
 from pretentious.arith import PrimeTable
 from pretentious.characters import character_by_index, enumerate_characters
 from pretentious.errors import PreconditionError
-from pretentious.funcspec import CharacterSpec, Mobius, One, Product, Twist, parse_spec
+from pretentious.funcspec import (
+    CharacterSpec,
+    Mobius,
+    One,
+    Product,
+    Twist,
+    parse_spec,
+    prime_values,
+)
+from pretentious.meanvalues import halasz_bound
 from pretentious.pretension import (
     GRID_SPACING_FACTOR,
     T_REFINE_TOL,
@@ -151,12 +160,101 @@ def test_find_exceptional_identity_case():
     assert rep.spectrum[0].squared_distance == rep.squared_distance
 
 
-def test_find_exceptional_deterministic_under_threads():
-    f = Mobius()
-    a = find_exceptional(f, 10**4, 10, 1.0, _table(), workers=1)
-    b = find_exceptional(f, 10**4, 10, 1.0, _table(), workers=4)
-    assert a.psi == b.psi and a.t == b.t and a.squared_distance == b.squared_distance
-    assert [s.character for s in a.spectrum] == [s.character for s in b.spectrum]
+# The minimizer that rotated grids replaced, kept as the oracle: a direct
+# cosine sum at every point of a grid over [-A, A], then golden-section search
+# on the bracket around the best point.
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_minimize(fn, lo, hi, tol):
+    a, b = lo, hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = fn(d)
+    t = (a + b) / 2.0
+    return t, fn(t)
+
+
+def _oracle_minimize_twist(obj, A, x):
+    if A == 0:
+        return 0.0, obj(0.0)
+    h = GRID_SPACING_FACTOR / math.log(x)
+    n = max(3, int(math.ceil(2.0 * A / h)) + 1)
+    ts = np.linspace(-A, A, n)
+    vals = np.array([obj(float(t)) for t in ts])
+    i = int(np.argmin(vals))
+    lo, hi = float(ts[max(i - 1, 0)]), float(ts[min(i + 1, n - 1)])
+    t, v = _golden_minimize(obj, lo, hi, T_REFINE_TOL)
+    if vals[i] < v:
+        t, v = float(ts[i]), float(vals[i])
+    return t, v
+
+
+ORACLE_SCANS = [
+    "mobius",
+    "legendre:5",
+    "threshold:50000",
+    "prod(char:7:2,nit:0.5)",
+    "prod(char:5:2,nit:1.0)",
+    "nit:-1.3",
+]
+
+
+@pytest.mark.parametrize("text", ORACLE_SCANS)
+def test_find_exceptional_matches_oracle_scan(text):
+    f, x, Q, A = parse_spec(text), 10**5, 10, 2.0
+    rep = find_exceptional(f, x, Q, A, _table(), depth=10**3)
+    oracle = {}
+    for psi in primitive_characters_upto(Q):
+        obj = TwistObjective(f, psi, x, _table())
+        oracle[psi] = (*_oracle_minimize_twist(obj, A, x), obj.even)
+    assert sorted(e.character.serial for e in rep.spectrum) == sorted(c.serial for c in oracle)
+    for e in rep.spectrum:
+        t_o, d2_o, even = oracle[e.character]
+        dt = abs(abs(e.t) - abs(t_o)) if even else abs(e.t - t_o)
+        assert dt <= 1e-6, (e.character.serial, e.t, t_o)
+        assert e.squared_distance <= d2_o + 1e-12, (e.character.serial, e.squared_distance, d2_o)
+        assert e.squared_distance == TwistObjective(f, e.character, x, _table())(e.t)
+    # the order is the oracle's, except that characters whose distances tie
+    # up to rounding (a conjugate pair for real f) may come in either order
+    d2_o = [oracle[e.character][1] for e in rep.spectrum]
+    assert all(a <= b + 1e-12 for a, b in zip(d2_o, d2_o[1:]))
+    best = min(oracle.values(), key=lambda o: o[1])[1]
+    assert oracle[rep.psi][1] <= best + 1e-12
+
+
+def test_find_exceptional_evaluates_f_once_per_scan(monkeypatch):
+    calls = []
+
+    def counting(spec, primes, table):
+        calls.append(len(primes))
+        return prime_values(spec, primes, table)
+
+    monkeypatch.setattr("pretentious.pretension.prime_values", counting)
+    find_exceptional(Mobius(), 10**4, 10, 1.0, _table())  # 17 characters
+    assert calls == [len(_table().primes_upto(10**4))]
+
+
+def test_even_objective_reports_nonnegative_t():
+    # a real f against a real character has an objective even in t; the scan
+    # then searches [0, A], which is find_exceptional's tie-break toward t >= 0
+    rep = find_exceptional(parse_spec("legendre:5"), 10**5, 10, 2.0, _table(), depth=10**3)
+    real = [e for e in rep.spectrum if e.character.is_real()]
+    assert real and all(e.t >= 0 for e in real)
+    assert halasz_bound(Mobius(), 10**5, 2.0, _table()).t_star >= 0
+    # a complex character keeps the full range: negative twists are found
+    rep = find_exceptional(parse_spec("prod(char:5:1,nit:-0.5)"), 10**5, 10, 2.0, _table())
+    assert rep.psi == character_by_index(5, 1)
+    assert abs(rep.t + 0.5) <= 1e-6
 
 
 def test_trivial_character_twist_only():
@@ -244,3 +342,32 @@ def test_triangle_inequality(fa, fb, fc, x):
     dfg = math.sqrt(distance_squared(f, g, x, t).squared_distance)
     dgh = math.sqrt(distance_squared(g, h, x, t).squared_distance)
     assert dfh <= dfg + dgh + 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(SPEC_POOL),
+    st.sampled_from(primitive_characters_upto(12)),
+    st.sampled_from([10**3, 10**4, 10**5]),
+    st.floats(0.0, 3.0),
+    st.floats(-3.0, 3.0),
+    st.integers(1, 120),
+)
+def test_rotated_grid_matches_direct_objective(text, psi, x, A, t0, n):
+    obj = TwistObjective(parse_spec(text), psi, x, _table())
+    ts = np.linspace(t0, t0 + A, n)
+    direct = np.array([obj(float(t)) for t in ts])
+    assert np.max(np.abs(obj.grid(ts) - direct)) <= 1e-12
+
+
+def test_rotated_grid_drift_over_a_long_grid():
+    # T = 100 at x = 1e5: 2,933 grid points, so the rounding of each
+    # rotation step compounds over 2,932 multiplications
+    x, T = 10**5, 100.0
+    obj = TwistObjective(parse_spec("prod(char:5:2,nit:1.0)"), character_by_index(7, 3),
+                         x, _table())
+    h = GRID_SPACING_FACTOR / math.log(x)
+    ts = np.linspace(-T, T, int(math.ceil(2 * T / h)) + 1)
+    assert len(ts) > 2900
+    direct = np.array([obj(float(t)) for t in ts])
+    assert np.max(np.abs(obj.grid(ts) - direct)) <= 1e-12
