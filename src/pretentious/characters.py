@@ -133,16 +133,19 @@ def unit_group(q: int) -> UnitGroupStructure:
 
 def unit_group_transform(values, q: int) -> np.ndarray:
     """ghat(chi) = sum over units a of v(a) conj(chi(a)) for every chi mod q,
-    indexed by canonical character index; `values` is aligned with
-    unit_group(q).units.
+    indexed by canonical character index; the last axis of `values` is
+    aligned with unit_group(q).units, and leading axes are transformed
+    independently.
 
     One FFT over the exponent grid: ghat(chi_e) = sum_beta V[beta]
     e^(-2 pi i <e, beta/d>) is exactly numpy's fftn at index e.
     """
     G = unit_group(q)
-    grid = np.zeros(G.orders, dtype=np.complex128)
-    grid.reshape(-1)[G.ravel] = values
-    return np.fft.fftn(grid).reshape(-1)
+    lead = np.shape(values)[:-1]
+    grid = np.zeros(lead + G.orders, dtype=np.complex128)
+    grid.reshape(lead + (G.phi,))[..., G.ravel] = values
+    axes = tuple(range(len(lead), grid.ndim))
+    return np.fft.fftn(grid, s=G.orders, axes=axes).reshape(lead + (G.phi,))
 
 
 @lru_cache(maxsize=4096)
@@ -343,39 +346,6 @@ def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
         assert e.denominator == 1, "primitive part exponent not integral"
         exps.append(int(e) % m)
     return DirichletCharacter(d, tuple(exps))
-
-
-def orthogonality_row_sum(q: int, a: int, b: int) -> int:
-    """sum over chi mod q of chi(a)*conj(chi(b)), exactly.
-
-    Componentwise each factor is a full geometric sum of d-th roots of
-    unity, which is d when the exponent difference vanishes and 0 else, so
-    the whole sum is an integer computed without floats.
-    """
-    G = unit_group(q)
-    ta = G.dlog.get(a % q)
-    tb = G.dlog.get(b % q)
-    if ta is None or tb is None:
-        raise PreconditionError("orthogonality_row_sum needs units a, b")
-    out = 1
-    for x, y, d in zip(ta, tb, G.orders):
-        if (x - y) % d != 0:
-            return 0
-        out *= d
-    return out
-
-
-def orthogonality_column_sum(chi: DirichletCharacter, rho: DirichletCharacter) -> int:
-    """sum over units a mod q of chi(a)*conj(rho(a)), exactly."""
-    if chi.q != rho.q:
-        raise PreconditionError("column orthogonality needs a common modulus")
-    G = unit_group(chi.q)
-    out = 1
-    for e, f, d in zip(chi.exponents, rho.exponents, G.orders):
-        if (e - f) % d != 0:
-            return 0
-        out *= d
-    return out
 
 
 def real_characters(q: int) -> list[DirichletCharacter]:

@@ -223,6 +223,17 @@ class PrimeTableSpec(FunctionSpec):
             object.__setattr__(self, "_map_cache", m)
         return m
 
+    @property
+    def _prime_arrays(self):
+        # sorted primes with a k = 1 entry and their values, memoized like _map
+        a = self.__dict__.get("_prime_arrays_cache")
+        if a is None:
+            ones = sorted((p, v) for (p, k), v in self._map.items() if k == 1)
+            a = (np.array([p for p, _ in ones], dtype=np.int64),
+                 np.array([v for _, v in ones], dtype=np.complex128))
+            object.__setattr__(self, "_prime_arrays_cache", a)
+        return a
+
     def prime_power_value(self, p, k):
         m = self._map
         if (p, k) in m:
@@ -395,6 +406,13 @@ def prime_values(spec: FunctionSpec, primes: np.ndarray, table: PrimeTable) -> n
         for f in spec.factors[1:]:
             out = out * prime_values(f, primes, table)
         return out
+    if isinstance(spec, PrimeTableSpec):
+        keys, vals = spec._prime_arrays
+        i = np.searchsorted(keys, primes)
+        found = keys[np.minimum(i, len(keys) - 1)] == primes if len(keys) else i < 0
+        if not found.all():
+            spec.prime_power_value(int(primes[np.argmin(found)]), 1)  # raises
+        return vals[i]
     return np.array([spec.prime_power_value(int(p), 1) for p in primes], dtype=np.complex128)
 
 

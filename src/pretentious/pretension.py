@@ -10,15 +10,33 @@ minimizer is the "exceptional" character that controls progression sums.
 Minimization in t runs on a grid of spacing pi/(4 log x) (the objective
 cannot oscillate faster than log x), over [0, A] alone when the objective is
 even in t, then on 17-point grids across the two cells around the best
-point until the spacing is at most 5e-7.  Each grid is evaluated by
-rotating the prime terms one step at a time, so no cosine is taken per
-point; the reported distance is the direct cosine sum at the chosen t.
+point until the spacing is at most 5e-7.  The reported distance is the
+direct cosine sum at the chosen t; the grids run on cell moments.
+
+Cell moments.  With w_p = f(p) conj(psi(p)) / p, the grids need
+S(t) = sum_p w_p e^(-it log p).  log p is binned into cells of width
+delta = CELL_WIDTH with centres u_c, and t into blocks of half-width
+B = T_BLOCK with centres t_j = 2jB.  Writing v = log p - u_c and s = t - t_j,
+
+    S(t) = sum_c e^(-itu_c) sum_{m < M} (-is)^m / m! W_j[c, m],
+    W_j[c, m] = sum over p in cell c of w_p e^(-it_j v) v^m,
+
+up to the Taylor remainder of e^(-isv), which is at most |sv|^M / M!.  As
+|s| <= B, |v| <= delta/2 and |w_p| <= 1/p, every grid value is within
+TRUNCATION_BOUND * sum_{p <= x} 1/p of S(t), where TRUNCATION_BOUND =
+(B delta / 2)^M / M! = 2.8e-15 for delta = 0.05, M = MOMENTS = 9 and B = 4;
+for x <= 1e8, sum 1/p < 3.2, so the bound is below 1e-14.  One pass over the
+primes builds a block's moments, and each grid point then costs a sum over
+about log(x)/delta cells instead of pi(x) primes.  psi(p) depends only on
+p mod r, so the scan keeps moments per residue class mod r and the
+unit-group transform turns them into every character mod r at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -28,6 +46,8 @@ from .characters import (
     character_row,
     enumerate_characters,
     primitive_mask,
+    unit_group,
+    unit_group_transform,
 )
 from .errors import PreconditionError
 from .funcspec import FunctionSpec, prime_values
@@ -35,6 +55,13 @@ from .funcspec import FunctionSpec, prime_values
 T_REFINE_TOL = 1e-6
 GRID_SPACING_FACTOR = math.pi / 4.0
 REFINE_POINTS = 17
+CELL_WIDTH = 0.05
+MOMENTS = 9
+T_BLOCK = 4.0
+TRUNCATION_BOUND = (T_BLOCK * CELL_WIDTH / 2) ** MOMENTS / math.factorial(MOMENTS)
+TIE_TOL = 1e-12
+_GRID_CHUNK = 64
+_BLOCKS_KEPT = 4
 
 
 @dataclass(frozen=True)
@@ -100,51 +127,185 @@ def distance_squared(
     )
 
 
+class _PrimeData:
+    """The primes p <= x not dividing r, with what every twist objective
+    that excludes r shares: f(p), 1/p and its sum, log p, and p mod q."""
+
+    def __init__(self, fv: np.ndarray, x: int, r: int, q: int, table: PrimeTable):
+        ps = table.primes_upto(x)
+        keep = r % ps != 0
+        ps = ps[keep]
+        self.fv = fv[keep]
+        self.cls = (ps % q).astype(np.min_scalar_type(q))
+        self.inv_p = 1.0 / ps
+        self.base = float(np.sum(self.inv_p))
+        self.logp = np.log(ps, dtype=np.float64)
+        self.x = x
+        self.r = r
+
+
+def _polar(amp: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    return amp * np.exp(1j * phase)
+
+
+class _CellMoments:
+    """base - Re sum_p w_p e^(-it log p) on grids of t, for one or more
+    columns of weights, from Taylor moments over cells of log p (see the
+    module docstring).
+
+    `weights()` returns a fresh array of w_p.  With `cls` given, moments are
+    kept per class p mod r and `columns` maps that class axis to the output
+    columns.  The moments of a t-block are built on first use; the last
+    _BLOCKS_KEPT blocks are kept.
+    """
+
+    def __init__(self, logp, base, weights, cls=None, r=1, columns=None):
+        self.logp = logp
+        self.base = base
+        self.weights = weights
+        self.cls = cls
+        self.r = r
+        self.columns = columns
+        self.first = math.floor(logp[0] / CELL_WIDTH) if len(logp) else 0
+        last = math.floor(logp[-1] / CELL_WIDTH) if len(logp) else -1
+        self.centres = (np.arange(self.first, last + 1) + 0.5) * CELL_WIDTH
+        self._blocks: dict[int, np.ndarray] = {}
+
+    def _class_moments(self, j: int) -> np.ndarray:
+        """W[c, m, b] = sum over p in cell c with p = b (mod r) of
+        w_p e^(-i t_j v_p) v_p^m, where v_p = log p - u_c and t_j = 2j T_BLOCK.
+        The powers stream through one running array."""
+        cell = np.floor(self.logp / CELL_WIDTH).astype(np.intp)
+        cell -= self.first
+        v = self.centres[cell]
+        np.subtract(self.logp, v, out=v)
+        w = self.weights()
+        if j:
+            w = w * np.exp(-2j * T_BLOCK * j * v)
+        if self.cls is not None:
+            cell *= self.r
+            cell += self.cls
+        n = len(self.centres) * self.r
+        W = np.zeros((MOMENTS, n), dtype=np.complex128)
+        for m in range(MOMENTS):
+            if m:
+                w *= v
+            W[m].real = np.bincount(cell, w.real, n)
+            if np.iscomplexobj(w):
+                W[m].imag = np.bincount(cell, w.imag, n)
+        return W.reshape(MOMENTS, -1, self.r).transpose(1, 0, 2)
+
+    def moments(self, j: int) -> np.ndarray:
+        """The moments of t-block j, shape (cells, MOMENTS, columns)."""
+        W = self._blocks.get(j)
+        if W is None:
+            if len(self._blocks) == _BLOCKS_KEPT:
+                del self._blocks[next(iter(self._blocks))]
+            W = self._class_moments(j)
+            if self.columns is not None:
+                W = self.columns(W)
+            W = self._blocks[j] = np.ascontiguousarray(W)
+        return W
+
+    def grid(self, ts: np.ndarray, col: int | None = None) -> np.ndarray:
+        """Values at ts, shape (len(ts), columns), or (len(ts),) for one
+        `col`.  A point t in block j = round(t / 2 T_BLOCK) is
+        base - Re sum_c e^(-itu_c) sum_m (-is)^m / m! W_j[c, m], s = t - t_j."""
+        ts = np.asarray(ts, dtype=np.float64)
+        blocks = np.rint(ts / (2.0 * T_BLOCK)).astype(np.intp)
+        out = None
+        for j in sorted(set(blocks.tolist())):
+            W = self.moments(j)
+            if col is not None:
+                W = W[..., col:col + 1]
+            k = W.shape[-1]
+            W = W.reshape(len(self.centres), MOMENTS * k)
+            if out is None:
+                out = np.empty((len(ts), k))
+            rows = np.flatnonzero(blocks == j)
+            for lo in range(0, len(rows), _GRID_CHUNK):
+                idx = rows[lo:lo + _GRID_CHUNK]
+                t = ts[idx]
+                steps = np.ones((len(idx), MOMENTS), dtype=np.complex128)
+                steps[:, 1:] = (-1j * (t - 2.0 * T_BLOCK * j))[:, None] / np.arange(1, MOMENTS)
+                taylor = np.cumprod(steps, axis=1)
+                E = np.multiply.outer(t, self.centres) * -1j
+                np.exp(E, out=E)
+                R = (E @ W).reshape(len(idx), MOMENTS, k)
+                out[idx] = self.base - np.einsum("nm,nmk->nk", taylor, R).real
+        return out if col is None else out[:, 0]
+
+
 class TwistObjective:
     """t -> D_r(f, psi(n) n^(it); x)^2 from precomputed prime data.
 
     Writing z_p = f(p) conj(psi(p)), the objective is
     sum 1/p - sum |z_p|/p * cos(arg z_p - t log p); it is even in t when
     every z_p is real.  `fv` is f at table.primes_upto(x), when the caller
-    already has it.
+    already has it.  Calls evaluate that cosine sum directly; `grid` runs on
+    cell moments.
     """
 
     def __init__(self, f, psi: DirichletCharacter, x: int, table: PrimeTable,
                  r: int | None = None, fv: np.ndarray | None = None):
         if r is None:
             r = psi.q
-        ps = table.primes_upto(x)
         if fv is None:
-            fv = prime_values(f, ps, table)
-        keep = r % ps != 0
-        ps = ps[keep]
-        z = fv[keep] * np.conj(character_row(psi)[ps % psi.q])
-        inv_p = 1.0 / ps
-        self.base = float(np.sum(inv_p))
-        self.amp = np.abs(z) * inv_p
+            fv = prime_values(f, table.primes_upto(x), table)
+        self._bind(_PrimeData(fv, x, r, psi.q, table), psi)
+
+    @classmethod
+    def _on(cls, data: _PrimeData, psi: DirichletCharacter, kernel: _CellMoments,
+            col: int) -> "TwistObjective":
+        """psi's objective over shared prime data, with grids read from
+        column `col` of a kernel shared by the characters mod data.r."""
+        obj = cls.__new__(cls)
+        obj._bind(data, psi, kernel, col)
+        return obj
+
+    def _bind(self, data: _PrimeData, psi: DirichletCharacter,
+              kernel: _CellMoments | None = None, col: int = 0):
+        z = np.conj(character_row(psi))[data.cls]
+        np.multiply(data.fv, z, out=z)
+        self.base = data.base
+        self.amp = np.abs(z)
+        self.amp *= data.inv_p
         self.phase = np.angle(z)
-        self.logp = np.log(ps.astype(np.float64))
+        self.logp = data.logp
         self.even = bool(np.all(z.imag == 0))
-        self.x = x
-        self.r = r
-        self.prime_count = len(ps)
+        self.x = data.x
+        self.r = data.r
+        self.prime_count = len(data.logp)
+        self._kernel = kernel
+        self._col = col
 
     def __call__(self, t: float) -> float:
         return self.base - float(np.sum(self.amp * np.cos(self.phase - t * self.logp)))
 
     def grid(self, ts: np.ndarray) -> np.ndarray:
-        """The objective at evenly spaced ts: the terms
-        amp_p e^(i(phase_p - t log p)) are built once at ts[0] and rotated
-        by e^(-i h log p) per step of h."""
-        n = len(ts)
-        w = self.amp * np.exp(1j * (self.phase - ts[0] * self.logp))
-        step = np.exp(-1j * ((ts[-1] - ts[0]) / max(n - 1, 1)) * self.logp)
-        out = np.empty(n)
-        for k in range(n):
-            if k:
-                w *= step
-            out[k] = self.base - float(np.sum(w.real))
-        return out
+        """The objective at each of ts from cell moments, within
+        TRUNCATION_BOUND * sum 1/p (plus rounding) of the direct sum."""
+        if self._kernel is None:
+            self._kernel = _CellMoments(self.logp, self.base,
+                                        partial(_polar, self.amp, self.phase))
+        return self._kernel.grid(ts, self._col)
+
+
+def _coarse_grid(even: bool, A: float, x: int) -> np.ndarray:
+    lo = 0.0 if even else -A
+    h = GRID_SPACING_FACTOR / math.log(x)
+    return np.linspace(lo, A, max(3, int(math.ceil((A - lo) / h)) + 1))
+
+
+def _refine(grid, ts: np.ndarray, vals: np.ndarray) -> float:
+    """Finer grids over the two cells around the best point, down to spacing
+    T_REFINE_TOL/2; returns the best point of the last grid."""
+    while True:
+        i = int(np.argmin(vals))
+        if ts[1] - ts[0] <= T_REFINE_TOL / 2:
+            return float(ts[i])
+        ts = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)], REFINE_POINTS)
+        vals = grid(ts)
 
 
 def minimize_twist(obj: TwistObjective, A: float, x: int) -> tuple[float, float]:
@@ -156,15 +317,9 @@ def minimize_twist(obj: TwistObjective, A: float, x: int) -> tuple[float, float]
         raise PreconditionError(f"twist bound A must be >= 0, got {A}")
     if A == 0:
         return 0.0, obj(0.0)
-    lo = 0.0 if obj.even else -A
-    h = GRID_SPACING_FACTOR / math.log(x)
-    ts = np.linspace(lo, A, max(3, int(math.ceil((A - lo) / h)) + 1))
-    while True:
-        i = int(np.argmin(obj.grid(ts)))
-        if ts[1] - ts[0] <= T_REFINE_TOL / 2:
-            t = float(ts[i])
-            return t, obj(t)
-        ts = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)], REFINE_POINTS)
+    ts = _coarse_grid(obj.even, A, x)
+    t = _refine(obj.grid, ts, obj.grid(ts))
+    return t, obj(t)
 
 
 def min_distance_over_t(
@@ -181,11 +336,67 @@ def min_distance_over_t(
     return minimize_twist(obj, A, x)
 
 
+def _primitive_characters(r: int) -> list[DirichletCharacter]:
+    return [chi for chi, keep in zip(enumerate_characters(r), primitive_mask(r)) if keep]
+
+
 def primitive_characters_upto(Q: int) -> list[DirichletCharacter]:
     """All primitive characters of conductor <= Q (conductor 1 included)."""
+    return [chi for r in range(1, Q + 1) for chi in _primitive_characters(r)]
+
+
+def _character_kernel(data: _PrimeData) -> _CellMoments:
+    """A kernel with one column per primitive character mod data.r, in
+    canonical order: moments per class mod r, then the unit-group transform."""
+    r = data.r
+    units, mask = unit_group(r).units, primitive_mask(r)
+    return _CellMoments(data.logp, data.base, partial(np.multiply, data.fv, data.inv_p),
+                        data.cls, r, lambda W: unit_group_transform(W[..., units], r)[..., mask])
+
+
+def _scan_modulus(fv: np.ndarray, x: int, r: int, A: float,
+                  table: PrimeTable) -> list[SpectrumEntry]:
+    """minimize_twist for every primitive character mod r, on one set of
+    class moments that the unit-group transform turns into every
+    character's moments at once."""
+    chars = _primitive_characters(r)
+    if not chars:
+        return []
+    data = _PrimeData(fv, x, r, r, table)
+    kernel = _character_kernel(data)
+    # both coarse grids, for every character, before any objective exists:
+    # the moments are then built while the fewest prime-length arrays live
+    coarse = {}
+    if A > 0:
+        for even in (False, True):
+            ts = _coarse_grid(even, A, x)
+            coarse[even] = ts, kernel.grid(ts)
     out = []
-    for r in range(1, Q + 1):
-        out += [chi for chi, keep in zip(enumerate_characters(r), primitive_mask(r)) if keep]
+    for col, psi in enumerate(chars):
+        obj = TwistObjective._on(data, psi, kernel, col)
+        t = 0.0
+        if A > 0:
+            ts, vals = coarse[obj.even]
+            t = _refine(obj.grid, ts, vals[:, col])
+        out.append(SpectrumEntry(psi, r, t, obj(t)))
+        del obj  # before the next character's arrays are built
+    return out
+
+
+def _spectrum_order(entries: list[SpectrumEntry]) -> list[SpectrumEntry]:
+    """Ascending D^2; each run of entries within TIE_TOL of the run's first
+    is a tie, ordered by conductor, canonical index, |t|, then t >= 0."""
+    entries = sorted(entries, key=lambda e: e.squared_distance)
+    out = []
+    i = 0
+    while i < len(entries):
+        j = i + 1
+        while (j < len(entries) and
+               entries[j].squared_distance - entries[i].squared_distance <= TIE_TOL):
+            j += 1
+        out += sorted(entries[i:j], key=lambda e: (e.conductor, e.character.index,
+                                                    abs(e.t), e.t < 0))
+        i = j
     return out
 
 
@@ -199,27 +410,20 @@ def find_exceptional(
 ) -> ExceptionalReport:
     """Scan primitive characters of conductor <= Q for the best twist.
 
-    Ties in D^2 break toward smaller conductor, then smaller canonical
-    index, then smaller |t|, then t >= 0.
+    Distances within TIE_TOL of each other tie; ties break toward smaller
+    conductor, then smaller canonical index, then smaller |t|, then t >= 0.
     """
     if x < 3 or x > table.limit:
         raise PreconditionError(f"need 3 <= x <= table limit {table.limit}, got {x}")
     if Q < 1:
         raise PreconditionError(f"conductor bound must be >= 1, got {Q}")
+    if A < 0:
+        raise PreconditionError(f"twist bound A must be >= 0, got {A}")
     fv = prime_values(f, table.primes_upto(x), table)
     entries = []
-    for psi in primitive_characters_upto(Q):
-        t, v = min_distance_over_t(f, psi, x, A, table, fv=fv)
-        entries.append(SpectrumEntry(psi, psi.q, t, v))
-    entries.sort(
-        key=lambda e: (
-            e.squared_distance,
-            e.conductor,
-            e.character.index,
-            abs(e.t),
-            0 if e.t >= 0 else 1,
-        )
-    )
+    for r in range(1, Q + 1):
+        entries += _scan_modulus(fv, x, r, A, table)
+    entries = _spectrum_order(entries)
     best = entries[0]
     return ExceptionalReport(
         x=x,

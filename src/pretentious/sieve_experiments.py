@@ -25,13 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import PrimeTable, divisors
-from .characters import (
-    enumerate_characters,
-    is_primitive,
-    primitive_mask,
-    unit_group,
-    unit_group_transform,
-)
+from .characters import primitive_mask, unit_group, unit_group_transform
 from .errors import PreconditionError, TheoremViolation
 from .funcspec import FunctionSpec, _legendre_row, evaluate, values_upto
 from .meanvalues import _class_sums, progression_sums
@@ -186,29 +180,6 @@ def transfer_check(
     budget = (x / q) * (eta * fr.divisor_count() + (1.0 - phi_r / r))
     return TransferCheck(x=x, q=q, a=a, r=r, eta=eta, lhs=lhs, rhs=rhs,
                          difference=abs(lhs - rhs), budget=budget)
-
-
-def primitive_orthogonality_sum(r: int, b: int, n: int) -> complex:
-    """sum over ell | r and primitive psi mod ell of conj(psi(b)) psi(n),
-    by direct enumeration (float)."""
-    total = 0j
-    for ell in divisors(r):
-        for psi in enumerate_characters(ell):
-            if is_primitive(psi):
-                total += np.conj(psi(b)) * psi(n)
-    return complex(total)
-
-
-def primitive_orthogonality_reference(r: int, b: int, n: int) -> int:
-    """Closed form for squarefree r, gcd(b, r) = 1: phi(r/d) when
-    gcd(n, r) = d and n == b (mod r/d), else 0."""
-    if math.gcd(b, r) != 1:
-        raise PreconditionError("reference needs gcd(b, r) = 1")
-    d = math.gcd(n, r)
-    m = r // d
-    if (n - b) % m == 0:
-        return unit_group(m).phi
-    return 0
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,6 @@ from pretentious.characters import (
     factors_through,
     induce,
     is_primitive,
-    orthogonality_column_sum,
-    orthogonality_row_sum,
     primitive_mask,
     primitive_part,
     real_characters,
@@ -81,6 +79,41 @@ def test_pairwise_distinct(q):
         key = tuple(chi.angle(u) for u in units)
         assert key not in seen
         seen.add(key)
+
+
+# Test-only oracles: both orthogonality relations, exactly, from exponent
+# tuples.
+def orthogonality_row_sum(q: int, a: int, b: int) -> int:
+    """sum over chi mod q of chi(a)*conj(chi(b)), exactly.
+
+    Componentwise each factor is a full geometric sum of d-th roots of
+    unity, which is d when the exponent difference vanishes and 0 else, so
+    the whole sum is an integer computed without floats.
+    """
+    G = unit_group(q)
+    ta = G.dlog.get(a % q)
+    tb = G.dlog.get(b % q)
+    if ta is None or tb is None:
+        raise PreconditionError("orthogonality_row_sum needs units a, b")
+    out = 1
+    for x, y, d in zip(ta, tb, G.orders):
+        if (x - y) % d != 0:
+            return 0
+        out *= d
+    return out
+
+
+def orthogonality_column_sum(chi: DirichletCharacter, rho: DirichletCharacter) -> int:
+    """sum over units a mod q of chi(a)*conj(rho(a)), exactly."""
+    if chi.q != rho.q:
+        raise PreconditionError("column orthogonality needs a common modulus")
+    G = unit_group(chi.q)
+    out = 1
+    for e, f, d in zip(chi.exponents, rho.exponents, G.orders):
+        if (e - f) % d != 0:
+            return 0
+        out *= d
+    return out
 
 
 def test_orthogonality_exact_all_q_up_to_60():

@@ -451,3 +451,34 @@ def test_explicit_table_missing_square_refuses():
     with pytest.raises(PreconditionError, match=r"3\^2"):
         values_upto(spec, x, t)
     assert values_upto(spec, 8, t)[8] == -1  # 3^2 > 8 is never needed
+
+
+def _prime_values_loop(spec, primes) -> np.ndarray:
+    """The per-prime loop that prime_values ran for table specs, kept as the
+    oracle of its searchsorted lookup."""
+    return np.array([spec.prime_power_value(int(p), 1) for p in primes], dtype=np.complex128)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_table_specs())
+def test_table_prime_values_match_per_prime_loop(case):
+    x, spec = case
+    ps = _table().primes_upto(x)
+    got = prime_values(spec, ps, _table())
+    assert got.dtype == np.complex128
+    assert got.tobytes() == _prime_values_loop(spec, ps).tobytes()
+
+
+@pytest.mark.parametrize("rule", ["cm", "zero", "explicit"])
+def test_table_prime_values_missing_prime_raises_like_the_loop(rule):
+    t = _table()
+    ps = t.primes_upto(100)
+    # one prime missing at the start, the middle or the end; an empty table
+    specs = [make_prime_table_spec({int(p): 0.5j for p in ps if p != missing}, rule=rule)
+             for missing in (2, 47, 97)] + [make_prime_table_spec({}, rule=rule)]
+    for spec in specs:
+        with pytest.raises(PreconditionError) as want:
+            _prime_values_loop(spec, ps)
+        with pytest.raises(PreconditionError) as got:
+            prime_values(spec, ps, t)
+        assert str(got.value) == str(want.value)

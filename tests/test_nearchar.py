@@ -146,6 +146,33 @@ def test_unit_group_transform_random_moduli(q, seed):
     _assert_transform_matches_per_character(q, seed)
 
 
+def _unit_group_transform_1d(values, q):
+    """The transform before it took leading batch axes, kept as the oracle."""
+    G = unit_group(q)
+    grid = np.zeros(G.orders, dtype=np.complex128)
+    grid.reshape(-1)[G.ravel] = values
+    return np.fft.fftn(grid).reshape(-1)
+
+
+@pytest.mark.parametrize("q", [1, 2, 5, 8, 16, 30, 385, 997])
+def test_unit_group_transform_batched_rows(q):
+    # leading axes are transformed row by row; a 1-D call is byte-identical
+    # to the oracle for boolean (factors_through), real and complex inputs
+    rng = np.random.default_rng(q)
+    phi = unit_group(q).phi
+    batch = rng.standard_normal((3, 4, phi)) + 1j * rng.standard_normal((3, 4, phi))
+    got = unit_group_transform(batch, q)
+    assert got.shape == (3, 4, phi)
+    for i in range(3):
+        for j in range(4):
+            row = unit_group_transform(batch[i, j], q)
+            assert np.max(np.abs(got[i, j] - row), initial=0.0) <= 1e-13
+            assert row.tobytes() == _unit_group_transform_1d(batch[i, j], q).tobytes()
+    for values in (rng.random(phi) < 0.5, rng.standard_normal(phi)):
+        assert (unit_group_transform(values, q).tobytes()
+                == _unit_group_transform_1d(values, q).tobytes())
+
+
 def test_transform_requires_matching_modulus():
     _, row = _char_units(5, 1)
     g = ApproxHomomorphism.from_values(5, row)

@@ -6,6 +6,7 @@ character twist and recovering it.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +28,13 @@ from pretentious.funcspec import (
 from pretentious.meanvalues import halasz_bound
 from pretentious.pretension import (
     GRID_SPACING_FACTOR,
+    REFINE_POINTS,
     T_REFINE_TOL,
+    TIE_TOL,
     TwistObjective,
+    _character_kernel,
+    _PrimeData,
+    _primitive_characters,
     distance_squared,
     find_exceptional,
     min_distance_over_t,
@@ -197,6 +203,35 @@ def _oracle_minimize_twist(obj, A, x):
     if vals[i] < v:
         t, v = float(ts[i]), float(vals[i])
     return t, v
+
+
+# The grid evaluation that cell moments replaced, kept as the oracle: the
+# terms amp_p e^(i(phase_p - t log p)) built once at ts[0] and rotated by
+# e^(-ih log p) per step of h, then the minimizer loop that ran on it.
+def _rotated_grid(obj, ts):
+    n = len(ts)
+    w = obj.amp * np.exp(1j * (obj.phase - ts[0] * obj.logp))
+    step = np.exp(-1j * ((ts[-1] - ts[0]) / max(n - 1, 1)) * obj.logp)
+    out = np.empty(n)
+    for k in range(n):
+        if k:
+            w *= step
+        out[k] = obj.base - float(np.sum(w.real))
+    return out
+
+
+def _rotated_minimize_twist(obj, A, x):
+    if A == 0:
+        return 0.0, obj(0.0)
+    lo = 0.0 if obj.even else -A
+    h = GRID_SPACING_FACTOR / math.log(x)
+    ts = np.linspace(lo, A, max(3, int(math.ceil((A - lo) / h)) + 1))
+    while True:
+        i = int(np.argmin(_rotated_grid(obj, ts)))
+        if ts[1] - ts[0] <= T_REFINE_TOL / 2:
+            t = float(ts[i])
+            return t, obj(t)
+        ts = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)], REFINE_POINTS)
 
 
 ORACLE_SCANS = [
@@ -371,3 +406,76 @@ def test_rotated_grid_drift_over_a_long_grid():
     assert len(ts) > 2900
     direct = np.array([obj(float(t)) for t in ts])
     assert np.max(np.abs(obj.grid(ts) - direct)) <= 1e-12
+
+
+def _character_grids(f, r, x, ts):
+    """Every primitive character mod r on the grid ts, from one kernel."""
+    data = _PrimeData(prime_values(f, _table().primes_upto(x), _table()), x, r, r, _table())
+    return _character_kernel(data).grid(ts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(SPEC_POOL),
+    st.sampled_from(primitive_characters_upto(12)),
+    st.sampled_from([10**3, 10**4, 10**5]),
+    st.floats(0.0, 6.0),
+    st.integers(1, 120),
+)
+def test_character_kernel_matches_direct_objective(text, psi, x, A, n):
+    f = parse_spec(text)
+    ts = np.linspace(-A, A, n)
+    col = _primitive_characters(psi.q).index(psi)
+    got = _character_grids(f, psi.q, x, ts)[:, col]
+    obj = TwistObjective(f, psi, x, _table())
+    assert np.max(np.abs(got - [obj(float(t)) for t in ts])) <= 1e-12
+
+
+def test_character_kernel_far_t_blocks():
+    # A = 50 spans blocks centred at t = 0, +-8, ..., +-48
+    x, r = 10**5, 11
+    ts = np.linspace(-50.0, 50.0, 401)
+    for text in ("mobius", "prod(char:5:2,nit:1.0)"):
+        f = parse_spec(text)
+        vals = _character_grids(f, r, x, ts)
+        for col, psi in enumerate(_primitive_characters(r)):
+            obj = TwistObjective(f, psi, x, _table())
+            assert np.max(np.abs(vals[:, col] - [obj(float(t)) for t in ts])) <= 1e-12
+
+
+def test_conjugate_pairs_come_in_index_order():
+    # for real f a character and its conjugate tie exactly (t -> -t); their
+    # distances differ only in rounding, so the tie-break orders them
+    rep = find_exceptional(Mobius(), 10**5, 20, 3.0, _table(), depth=100)
+    pos = {e.character: i for i, e in enumerate(rep.spectrum)}
+    pairs = 0
+    for e in rep.spectrum:
+        conj = e.character.conjugate()
+        if conj != e.character and conj in pos and e.character.index < conj.index:
+            pairs += 1
+            assert abs(e.squared_distance - rep.spectrum[pos[conj]].squared_distance) <= TIE_TOL
+            assert pos[e.character] < pos[conj], (e.character.serial, conj.serial)
+    assert pairs >= 20
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_peak_memory_within_the_per_character_scan(table_medium):
+    f, x, Q, A = Mobius(), 10**6, 10, 2.0
+
+    def oracle_scan():
+        fv = prime_values(f, table_medium.primes_upto(x), table_medium)
+        for psi in primitive_characters_upto(Q):
+            _rotated_minimize_twist(TwistObjective(f, psi, x, table_medium, fv=fv), A, x)
+
+    find_exceptional(f, 10**4, Q, A, table_medium)  # warm the character caches
+    peak = _traced_peak(lambda: find_exceptional(f, x, Q, A, table_medium))
+    oracle_peak = _traced_peak(oracle_scan)
+    assert peak <= oracle_peak, (peak, oracle_peak)

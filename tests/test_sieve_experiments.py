@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pretentious.arith import PrimeTable
+from pretentious.arith import PrimeTable, divisors
 from pretentious.characters import enumerate_characters, is_primitive, unit_group
 from pretentious.errors import PreconditionError
 from pretentious.funcspec import Mobius, One, parse_spec
@@ -27,8 +27,6 @@ from pretentious.sieve_experiments import (
     legendre_progression_experiment,
     multiplicativity_defect,
     primitive_mass,
-    primitive_orthogonality_reference,
-    primitive_orthogonality_sum,
     transfer_check,
 )
 
@@ -167,6 +165,31 @@ def test_mass_single_character_extraction():
 
 
 SQUAREFREE_R = [1, 2, 3, 5, 6, 7, 10, 14, 15, 21, 30, 35, 42, 70, 105, 210]
+
+
+# Test-only oracles: the orthogonality relation over primitive characters of
+# every ell | r, by enumeration and in closed form.
+def primitive_orthogonality_sum(r: int, b: int, n: int) -> complex:
+    """sum over ell | r and primitive psi mod ell of conj(psi(b)) psi(n),
+    by direct enumeration (float)."""
+    total = 0j
+    for ell in divisors(r):
+        for psi in enumerate_characters(ell):
+            if is_primitive(psi):
+                total += np.conj(psi(b)) * psi(n)
+    return complex(total)
+
+
+def primitive_orthogonality_reference(r: int, b: int, n: int) -> int:
+    """Closed form for squarefree r, gcd(b, r) = 1: phi(r/d) when
+    gcd(n, r) = d and n == b (mod r/d), else 0."""
+    if math.gcd(b, r) != 1:
+        raise PreconditionError("reference needs gcd(b, r) = 1")
+    d = math.gcd(n, r)
+    m = r // d
+    if (n - b) % m == 0:
+        return unit_group(m).phi
+    return 0
 
 
 def test_primitive_orthogonality_squarefree():
