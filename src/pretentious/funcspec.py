@@ -9,11 +9,14 @@ serialize to a small textual grammar, and evaluate three ways:
   prime_values(spec, primes, ...) f at an array of primes
 
 The bulk paths matter: distance minimization and progression sums at
-x = 1e7 cannot afford per-n factorization loops.  `values_upto` has closed
-forms for the periodic and twist families (and their products) and one
-vectorized multiplicative filler for everything else: f at the primes from
-one `prime_values` call, f(p^k) for k >= 2 from `prime_power_value`, and
-no per-n Python loop.
+x = 1e7 cannot afford per-n factorization loops.  Bulk values come from one
+blockwise fill, `_fill_blocks`, which yields f on consecutive blocks of n,
+so that progression sums stream to x = 1e8 in bounded memory.  It has
+closed forms for the periodic and twist families (and their products) and
+one vectorized multiplicative filler for everything else: f at the primes
+from one `prime_values` call, f(p^k) for k >= 2 from `prime_power_value`,
+and no per-n Python loop.  `values_upto` is the one call that holds all of
+f(0..x); it fills its array block by block.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import PrimeTable, is_prime_small
+from .arith import FILL_BLOCK_WIDTH, SIGN_FILL_BLOCK_WIDTH, PrimeTable, is_prime_small
 from .characters import DirichletCharacter, character_by_index, character_row
 from .errors import PreconditionError, SpecParseError
 
@@ -281,6 +284,10 @@ class Threshold(FunctionSpec):
         return f"threshold:{self.x0}"
 
 
+# the families whose values are int8: signs, zero and the Legendre symbol
+_INT8_FAMILIES = (Mobius, Liouville, Threshold, One, Legendre)
+
+
 def make_prime_table_spec(values: dict, rule: str = "cm") -> PrimeTableSpec:
     """Normalize a {p: v} or {(p, k): v} dict into a PrimeTableSpec."""
     entries = []
@@ -318,71 +325,142 @@ def _legendre_row(p: int) -> np.ndarray:
     return row
 
 
-def _multiplicative_fill(spec: FunctionSpec, x: int, table: PrimeTable, dtype) -> np.ndarray:
-    """vals[n] = product of f(p^k) over p^k || n, for n = 0..x (f(0) := 0).
+def _fill_blocks(spec: FunctionSpec, x: int, table: PrimeTable, min_width: int = 1):
+    """Yield (lo, f(lo..hi-1)) for consecutive blocks [lo, hi) that cover
+    0..x, with f(0) := 0.  Every block is a fresh array the caller may write
+    to, and holds exactly the values one fill of all of 0..x would put
+    there, bit for bit.
 
-    Two vectorized passes.  Every n <= x has at most one prime factor
-    P > sqrt(x), and P divides n exactly once, so the first pass multiplies
-    in f(P) along each cofactor m.  The second walks the primes p <= sqrt(x)
-    in descending order and multiplies every multiple of p by f(p^k), k read
-    off a small exponent array.  Each product is thus formed as
-    ((1 * f(P)) * f(p_r^k_r)) * ... * f(p_1^k_1), largest prime first.
+    Blocks are FILL_BLOCK_WIDTH wide, SIGN_FILL_BLOCK_WIDTH for int8 values,
+    and never narrower than min_width.
     """
-    vals = np.ones(x + 1, dtype=dtype)
-    vals[0] = 0
+    int8 = isinstance(spec, _INT8_FAMILIES)
+    width = max(SIGN_FILL_BLOCK_WIDTH if int8 else FILL_BLOCK_WIDTH, min_width)
+    return _blocks(spec, x, table, width)
+
+
+def _blocks(spec: FunctionSpec, x: int, table: PrimeTable, width: int):
+    """`_fill_blocks` at a fixed width.  Periodic families slice their row at
+    the block offset, `Twist` takes the log of the block's n, `Product`
+    multiplies its factors' blocks, and every other spec goes through the
+    multiplicative filler."""
+    if isinstance(spec, Product):
+        first, *rest = (_blocks(g, x, table, width) for g in spec.factors)
+        for lo, out in first:
+            out = out.astype(np.complex128, copy=False)
+            for g in rest:
+                _multiply_in_place(out, next(g)[1])
+            yield lo, out
+            del out  # let the caller free this block before the next is built
+        return
+    if isinstance(spec, (One, Legendre, CharacterSpec, Twist)):
+        for lo in range(0, x + 1, width):
+            yield lo, _closed_form_block(spec, lo, min(lo + width, x + 1))
+        return
+    yield from _multiplicative_blocks(spec, x, table, width)
+
+
+def _multiply_in_place(a: np.ndarray, b: np.ndarray) -> None:
+    """a *= b, rounded as for two or more elements.  numpy multiplies a
+    single complex element in place on another path, which can round
+    differently, and a block may hold a single multiple of p."""
+    if len(a) > 1:
+        a *= b
+    else:
+        a[:] = a * b
+
+
+def _closed_form_block(spec: FunctionSpec, lo: int, hi: int) -> np.ndarray:
+    """f(lo..hi-1) for the periodic families and the twist."""
+    if isinstance(spec, Twist):
+        n = np.arange(lo, hi, dtype=np.float64)
+        vals = np.zeros(hi - lo, dtype=np.complex128)
+        if lo == 0:
+            n[0] = 1.0
+        np.multiply(np.log(n, out=n), spec.t, out=vals.imag)
+        np.exp(vals, out=vals)
+    elif isinstance(spec, One):
+        vals = np.ones(hi - lo, dtype=np.int8)
+    else:
+        row = _legendre_row(spec.p) if isinstance(spec, Legendre) else character_row(spec.character)
+        off = lo % len(row)
+        vals = np.tile(row, (off + hi - lo) // len(row) + 1)[off : off + hi - lo]
+    if lo == 0:
+        vals[0] = 0
+    return vals
+
+
+def _multiplicative_blocks(spec: FunctionSpec, x: int, table: PrimeTable, width: int):
+    """vals[n] = product of f(p^k) over p^k || n, one block of n at a time.
+
+    Every n <= x has at most one prime factor P > sqrt(x), and P divides n
+    exactly once.  Pass 1 multiplies f(P) into every n = m P of the block,
+    vectorized over m: the primes P of each cofactor m form one index range,
+    and repeat/cumsum lay all ranges out at once.  Pass 2 walks the primes
+    p <= sqrt(x) in descending order and multiplies the multiples of p in
+    the block by a factor array holding f(p^k), p^k || n, whose multiples of
+    p^2, p^3, ... are overwritten in turn.  Each product is thus formed as
+    ((1 * f(P)) * f(p_r^k_r)) * ... * f(p_1^k_1), largest prime first,
+    whatever the block width.  The Python work per block is one step per
+    prime p <= sqrt(x).
+    """
+    dtype = np.int8 if isinstance(spec, _INT8_FAMILIES) else np.complex128
     root = math.isqrt(x)
     primes = table.primes_upto(x)
     fp = prime_values(spec, primes, table).astype(dtype)
     split = np.searchsorted(primes, root, side="right")
-    large, f_large = primes[split:], fp[split:]
-    for m in range(1, x // (root + 1) + 1):
-        hi = np.searchsorted(large, x // m, side="right")
-        vals[m * large[:hi]] *= f_large[:hi]
+    # 1 * f(P) is the first product every n = m P takes; pass 1 stores it
+    large, f_large = primes[split:], np.ones(1, dtype=dtype) * fp[split:]
+    small = []  # (p, f(p^k) for k = 0, 1, ... while p^k <= x), p descending
     for i in range(split - 1, -1, -1):
         p = int(primes[i])
         f_pk = [0, fp[i]]
-        exps = np.ones(x // p, dtype=np.int8)  # exps[j] = k with p^k || (j + 1) p
         pk = p
         while pk <= x // p:
-            exps[pk - 1 :: pk] += 1
             pk *= p
             f_pk.append(spec.prime_power_value(p, len(f_pk)))
-        vals[p::p] *= np.array(f_pk, dtype=dtype)[exps]
-    return vals
+        small.append((p, np.array(f_pk, dtype=dtype)))
+    for lo in range(0, x + 1, width):
+        hi = min(lo + width, x + 1)
+        vals = np.ones(hi - lo, dtype=dtype)
+        if lo == 0:
+            vals[0] = 0
+        m = np.arange(1, (hi - 1) // (root + 1) + 1)
+        first = np.searchsorted(large, -(-lo // m))  # P >= lo / m
+        stop = np.searchsorted(large, (hi - 1) // m, side="right")
+        counts = np.maximum(stop - first, 0)
+        idx = np.arange(counts.sum()) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+        vals[np.repeat(m, counts) * large[idx] - lo] = f_large[idx]
+        for p, f_pk in small:
+            start = max(-(-lo // p), 1) * p  # the first multiple of p in [lo, hi), n > 0
+            if start >= hi:
+                continue
+            # f(p^k) with p^k || start + j p; higher powers overwrite lower ones
+            factor = np.full((hi - 1 - start) // p + 1, f_pk[1], dtype=dtype)
+            step, k = p, 2
+            while step <= (hi - 1) // p:
+                factor[-(start // p) % step :: step] = f_pk[k]
+                step, k = step * p, k + 1
+            _multiply_in_place(vals[start - lo :: p], factor)
+        yield lo, vals
+        del vals  # let the caller free this block before the next is built
 
 
 def values_upto(spec: FunctionSpec, x: int, table: PrimeTable) -> np.ndarray:
     """f(n) for n = 0..x as an array (f(0) := 0).
 
-    dtype is int8 for the sign-valued builtins, complex128 otherwise.
+    dtype is int8 for the sign-valued builtins, `One` and `Legendre`,
+    complex128 otherwise.  This is the one call that holds a length-x array:
+    it allocates the result once and fills it block by block.
     """
     if x > table.limit:
         raise PreconditionError(f"values_upto({x}) exceeds table limit {table.limit}")
-    if isinstance(spec, One):
-        vals = np.ones(x + 1, dtype=np.int8)
-        vals[0] = 0
-        return vals
-    if isinstance(spec, (Legendre, CharacterSpec)):
-        is_legendre = isinstance(spec, Legendre)
-        row = _legendre_row(spec.p) if is_legendre else character_row(spec.character)
-        vals = np.tile(row, x // len(row) + 1)[: x + 1]  # a view: one allocation, no copy
-        vals[0] = 0
-        return vals
-    if isinstance(spec, Twist):
-        n = np.arange(x + 1, dtype=np.float64)
-        n[0] = 1.0
-        vals = np.zeros(x + 1, dtype=np.complex128)
-        np.multiply(np.log(n, out=n), spec.t, out=vals.imag)
-        np.exp(vals, out=vals)
-        vals[0] = 0
-        return vals
-    if isinstance(spec, Product):
-        out = values_upto(spec.factors[0], x, table).astype(np.complex128, copy=False)
-        for f in spec.factors[1:]:
-            out *= values_upto(f, x, table)
-        return out
-    signs = isinstance(spec, (Mobius, Liouville, Threshold))
-    return _multiplicative_fill(spec, x, table, np.int8 if signs else np.complex128)
+    vals = None
+    for lo, block in _fill_blocks(spec, x, table):
+        if vals is None:
+            vals = np.empty(x + 1, dtype=block.dtype)
+        vals[lo : lo + len(block)] = block
+    return vals
 
 
 def prime_values(spec: FunctionSpec, primes: np.ndarray, table: PrimeTable) -> np.ndarray:

@@ -4,6 +4,12 @@ F(x; q, a) = sum of f(n) over n <= x, n == a (mod q).  The exact finite
 identity F(x;q,a) = (1/phi(q)) sum over chi mod q of chi(a) * sum f(n)conj(chi(n))
 holds for every x and gets tested to float accumulation error; everything
 else here is an upper bound or a main-term prediction to compare against.
+
+Sums over n <= x never hold f(0..x): `progression_sums` takes f from
+funcspec one block of n at a time and folds each block into the running
+class sums.  `twisted_sum`, `decompose_via_characters`, `coprime_mean_bound`,
+`progression_report` and the total in `halasz_bound` all go through it, so
+their memory is a few blocks plus O(q), whatever x.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .characters import (
     unit_group,
 )
 from .errors import PreconditionError
-from .funcspec import FunctionSpec, values_upto
+from .funcspec import FunctionSpec, _fill_blocks
 from .pretension import (
     ExceptionalReport,
     TwistObjective,
@@ -44,29 +50,44 @@ class ProgressionTable:
         return complex(np.sum(self.sums))
 
 
-def _class_sums(v: np.ndarray, r: int, start: int) -> np.ndarray:
-    """c[b] = sum of v[i] over i with start + i == b (mod r), for b < r.
+def _class_sums(v: np.ndarray, r: int, start: int, acc: np.ndarray | None = None) -> np.ndarray:
+    """c[b] = sum of v[i] over i with start + i == b (mod r), for b < r,
+    continued from the running sums acc[b] of earlier terms if given.
 
     The whole rows of v form an (N // r, r) view that is summed over axis 0,
-    so v is never copied (at x = 1e7 a complex copy is 160 MB); the short
-    tail is added after.  For r >= 2 each class is accumulated one term at
-    a time in index order, so float sums equal a sequential per-class loop
-    bit for bit.  Integer input sums in int64, so int8 values come back exact.
+    so v is not copied (at x = 1e7 a complex copy is 160 MB); the short tail
+    is added after.  For r >= 2 each class is accumulated one term at a time
+    in index order, so float sums equal a sequential per-class loop bit for
+    bit.  A float acc goes ahead of v as row 0 (a copy of v, which callers
+    keep to one block), so each class stays one such chain: for r >= 2 a
+    stream of blocks, each passed with the sums so far, gives the sums of
+    one call on their concatenation bit for bit, provided the first block
+    is at least r long.  Integer input sums in int64, so int8 values come
+    back exact, and an integer acc is simply added.
     """
+    if acc is not None and np.issubdtype(acc.dtype, np.inexact):
+        v = np.concatenate([np.roll(acc, -start), v])
+        acc = None
     full = len(v) // r * r
     c = v[:full].reshape(-1, r).sum(axis=0)
     c[: len(v) - full] += v[full:]
-    return np.roll(c, start)
+    c = np.roll(c, start)
+    return c if acc is None else acc + c
 
 
 def progression_sums(f: FunctionSpec, x: int, q: int, table: PrimeTable) -> ProgressionTable:
+    """F(x; q, a) for every class a mod q, from f streamed one block of n
+    at a time: no length-x array is ever held.  Blocks are at least q wide,
+    so for q >= 2 the sums equal those of the whole array bit for bit."""
     if not 1 <= q <= x:
         raise PreconditionError(f"need 1 <= q <= x, got q={q}, x={x}")
     if x > table.limit:
         raise PreconditionError(f"x={x} exceeds table limit {table.limit}")
-    vals = values_upto(f, x, table)
-    # vals[0] = 0, so class 0 needs no correction; int8 sums come back int64
-    sums = _class_sums(vals, q, 0)
+    sums = None
+    for lo, block in _fill_blocks(f, x, table, min_width=q):
+        # f(0) = 0, so class 0 needs no correction; int8 sums come back int64
+        sums = _class_sums(block, q, lo, sums)
+        del block  # freed before the next block is built
     if not np.iscomplexobj(sums):
         sums = sums.astype(np.float64)
     counts = (x - np.arange(q)) // q + 1
@@ -122,8 +143,7 @@ def halasz_bound(f: FunctionSpec, x: int, T: float, table: PrimeTable) -> Halasz
     obj = TwistObjective(f, trivial, x, table, r=1)
     t_star, d2 = minimize_twist(obj, T, x)
     bound = (1.0 + d2) * math.exp(-d2) + 1.0 / math.sqrt(T)
-    vals = values_upto(f, x, table)
-    measured = abs(complex(np.sum(vals))) / x
+    measured = abs(complex(progression_sums(f, x, 1, table).sums[0])) / x
     return HalaszBound(x=x, t_bound=T, t_star=t_star,
                        squared_distance=d2, bound=bound, measured=measured)
 
@@ -178,6 +198,29 @@ def _vanishes_on_higher_powers(f: FunctionSpec) -> bool:
     return False
 
 
+def _explicit_series(f: FunctionSpec, ps: np.ndarray, fp: np.ndarray, base: np.ndarray,
+                     x: int) -> np.ndarray:
+    """1 + sum over k with p^k <= x of f(p^k) base^k, for each prime p of ps
+    (base = conj(psi(p)) p^-(1+it)); f(p^k) is asked for only where p^k <= x."""
+    psc = ps.astype(np.float64)
+    series = np.ones(len(ps), dtype=np.complex128)
+    k = 1
+    zk = fp * base
+    active = np.ones(len(ps), dtype=bool)
+    pk = psc.copy()
+    while True:
+        series = series + np.where(active, zk, 0.0)
+        pk = pk * psc
+        nxt = pk <= x
+        if not nxt.any():
+            return series
+        k += 1
+        vals_k = np.zeros(len(ps), dtype=np.complex128)
+        vals_k[nxt] = [f.prime_power_value(int(p), k) for p in ps[nxt]]
+        zk = vals_k * base**k
+        active = nxt
+
+
 @dataclass(frozen=True)
 class EulerProductValue:
     x: int
@@ -223,31 +266,13 @@ def euler_product_mean(
     fp = prime_values(f, ps, table).astype(np.complex128)
     # z_p = f(p) conj(psi(p)) p^(-(1+it)); series = 1 + z + (f(p^2)/f(p)^2-ish terms)
     base = np.conj(psi_p) / psc * np.exp(-1j * t * np.log(psc))
-    series = np.ones(len(ps), dtype=np.complex128)
     if f.completely_multiplicative:
         z = fp * base
         series = 1.0 / (1.0 - z)
     elif _vanishes_on_higher_powers(f):
         series = 1.0 + fp * base
     else:
-        # explicit powers while p^k <= x, then the spec's own completion
-        k = 1
-        zk = fp * base
-        active = np.ones(len(ps), dtype=bool)
-        pk = psc.copy()
-        while True:
-            series = series + np.where(active, zk, 0.0)
-            pk = pk * psc
-            nxt = pk <= x
-            if not nxt.any():
-                break
-            k += 1
-            vals_k = np.array(
-                [f.prime_power_value(int(p), k) if a else 0.0 for p, a in zip(ps, nxt)],
-                dtype=np.complex128,
-            )
-            zk = vals_k * base**k
-            active = nxt
+        series = _explicit_series(f, ps, fp, base, x)
     factors = (1.0 - 1.0 / psc) * series
     log_abs = float(np.sum(np.log(np.abs(factors))))
     product = complex(np.prod(factors))

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pretentious.arith import PrimeTable
+from pretentious.characters import character_row
 from pretentious.errors import PreconditionError, SpecParseError
 from pretentious.funcspec import (
     CharacterSpec,
@@ -26,6 +27,7 @@ from pretentious.funcspec import (
     Product,
     Threshold,
     Twist,
+    _legendre_row,
     evaluate,
     make_prime_table_spec,
     parse_spec,
@@ -423,6 +425,97 @@ def test_fill_matches_per_n_loop(case):
     got = values_upto(spec, x, _table())
     assert got.dtype == np.complex128
     np.testing.assert_allclose(got, _values_upto_loop(spec, x), rtol=0, atol=1e-12)
+
+
+def _multiplicative_fill(spec, x: int, table: PrimeTable, dtype) -> np.ndarray:
+    """The whole-array filler that the blockwise one replaced, kept as its
+    oracle: pass 1 multiplies f(P) into m*P for the one prime P > sqrt(x)
+    of each n, looping over m; pass 2 multiplies every multiple of p <=
+    sqrt(x), p descending, by f(p^k) read off an exponent array."""
+    vals = np.ones(x + 1, dtype=dtype)
+    vals[0] = 0
+    root = math.isqrt(x)
+    primes = table.primes_upto(x)
+    fp = prime_values(spec, primes, table).astype(dtype)
+    split = np.searchsorted(primes, root, side="right")
+    large, f_large = primes[split:], fp[split:]
+    for m in range(1, x // (root + 1) + 1):
+        hi = np.searchsorted(large, x // m, side="right")
+        vals[m * large[:hi]] *= f_large[:hi]
+    for i in range(split - 1, -1, -1):
+        p = int(primes[i])
+        f_pk = [0, fp[i]]
+        exps = np.ones(x // p, dtype=np.int8)  # exps[j] = k with p^k || (j + 1) p
+        pk = p
+        while pk <= x // p:
+            exps[pk - 1 :: pk] += 1
+            pk *= p
+            f_pk.append(spec.prime_power_value(p, len(f_pk)))
+        vals[p::p] *= np.array(f_pk, dtype=dtype)[exps]
+    return vals
+
+
+def _values_upto_whole(spec, x: int, table: PrimeTable) -> np.ndarray:
+    """The whole-array values_upto that the blockwise fill replaced: closed
+    forms over all of 0..x, products in place, the filler above for the rest."""
+    if isinstance(spec, One):
+        vals = np.ones(x + 1, dtype=np.int8)
+        vals[0] = 0
+        return vals
+    if isinstance(spec, (Legendre, CharacterSpec)):
+        row = _legendre_row(spec.p) if isinstance(spec, Legendre) else character_row(spec.character)
+        vals = np.tile(row, x // len(row) + 1)[: x + 1]
+        vals[0] = 0
+        return vals
+    if isinstance(spec, Twist):
+        n = np.arange(x + 1, dtype=np.float64)
+        n[0] = 1.0
+        vals = np.zeros(x + 1, dtype=np.complex128)
+        np.multiply(np.log(n, out=n), spec.t, out=vals.imag)
+        np.exp(vals, out=vals)
+        vals[0] = 0
+        return vals
+    if isinstance(spec, Product):
+        out = _values_upto_whole(spec.factors[0], x, table).astype(np.complex128, copy=False)
+        for f in spec.factors[1:]:
+            out *= _values_upto_whole(f, x, table)
+        return out
+    signs = isinstance(spec, (Mobius, Liouville, Threshold))
+    return _multiplicative_fill(spec, x, table, np.int8 if signs else np.complex128)
+
+
+BLOCK_WIDTHS = (7, 64, 1000)
+NAMED_FILL_SPECS = ["mobius", "liouville", "threshold:5000", "one", "legendre:7", "char:12:1",
+                    "char:28:5", "nit:0.73", "prod(char:5:2,nit:1.0)", "prod(mobius,nit:0.5)",
+                    "prod(legendre:3,char:7:2,liouville)"]
+
+
+@st.composite
+def _fill_cases(draw):
+    width = draw(st.sampled_from(BLOCK_WIDTHS))
+    if draw(st.booleans()):
+        x, spec = draw(_table_specs())
+        if draw(st.booleans()):
+            spec = Product((spec, Twist(draw(st.floats(-3, 3)))))
+    else:
+        spec = parse_spec(draw(st.sampled_from(NAMED_FILL_SPECS)))
+        # besides any x, one whose last block is full and one where it is one long
+        k = draw(st.integers(1, 2 * 10**4 // width))
+        x = draw(st.sampled_from([draw(st.integers(1, 2 * 10**4)), k * width - 1, k * width]))
+    return width, x, spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fill_cases())
+def test_blockwise_fill_byte_identical_to_whole_array(block_width, case):
+    # widths below sqrt(x), prime powers straddling block edges, a last block
+    # that is full or one long: every block must hold the whole-array values
+    width, x, spec = case
+    want = _values_upto_whole(spec, x, _table())
+    with block_width(width):
+        got = values_upto(spec, x, _table())
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_sign_fills_byte_identical_to_sieves():

@@ -5,19 +5,38 @@ the twisted mobius sum; the published Mertens values for the summatory
 checks). Regression values were measured once on verified code and frozen.
 """
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
 
+import pretentious
 from pretentious.arith import PrimeTable
-from pretentious.characters import character_by_index, enumerate_characters, induce
+from pretentious.characters import character_by_index, character_row, enumerate_characters, induce
 from pretentious.errors import PreconditionError
-from pretentious.funcspec import CharacterSpec, Mobius, One, Product, Twist, parse_spec, values_upto
+from pretentious.funcspec import (
+    CharacterSpec,
+    Mobius,
+    One,
+    Product,
+    Twist,
+    make_prime_table_spec,
+    parse_spec,
+    prime_values,
+    values_upto,
+)
 from pretentious.meanvalues import (
+    _class_sums,
+    _explicit_series,
     coprime_mean_bound,
     decompose_via_characters,
     euler_product_mean,
@@ -146,6 +165,86 @@ def test_progression_sums_match_strided_slices():
             else:
                 assert got.dtype == np.float64
                 assert got.tolist() == want.tolist()
+
+
+def _whole_array_sums(vals: np.ndarray, q: int) -> np.ndarray:
+    """The sums progression_sums gave before it streamed: one class-sum call
+    on all of f(0..x), integer sums as float64."""
+    sums = _class_sums(vals, q, 0)
+    return sums if np.iscomplexobj(sums) else sums.astype(np.float64)
+
+
+@pytest.mark.parametrize("text", ["mobius", "legendre:7", "nit:0.5", "prod(char:5:2,nit:1.0)",
+                                  "prod(liouville,char:12:1)"])
+def test_streamed_sums_bit_identical_to_whole_array(block_width, text):
+    # the stream folds blocks of 1000 into the class sums; q = 1500 exceeds
+    # that width
+    x = 12345
+    f = parse_spec(text)
+    vals = values_upto(f, x, _table())
+    with block_width(1000):
+        for q in (1, 2, 3, 7, 997, 1500):
+            got = progression_sums(f, x, q, _table()).sums
+            want = _whole_array_sums(vals, q)
+            assert got.dtype == want.dtype
+            if q == 1 and np.iscomplexobj(want):
+                # one class: numpy sums a whole array pairwise and the stream
+                # block by block, so the last bits may move
+                np.testing.assert_allclose(got, want, rtol=1e-13)
+            else:
+                assert got.tobytes() == want.tobytes()
+    # x + 1 fits one default block, so q = 1 is bit-identical too
+    assert progression_sums(f, x, 1, _table()).sums.tobytes() == _whole_array_sums(vals, 1).tobytes()
+
+
+def test_streamed_sums_peak_at_a_few_blocks(block_width, table_medium):
+    # a complex f(0..x) alone is 16 MB here, and filling it whole traced
+    # about 40 MB; the stream holds a few 1 MB blocks (halasz_bound adds its
+    # twist objective over the primes)
+    x, width = 10**6, 1 << 16
+    f = parse_spec("prod(char:5:2,nit:1.0)")
+    block_bytes = 16 * width
+    with block_width(width):
+        for call, bound in ((lambda: progression_sums(f, x, 7, table_medium), 4 * block_bytes),
+                            (lambda: halasz_bound(f, x, 1.0, table_medium), 8 * x)):
+            call()  # warm the character and prime caches
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
+
+
+_AT_1E8 = """
+import json, resource
+from pretentious.arith import PrimeTable
+from pretentious.funcspec import parse_spec
+from pretentious.meanvalues import decompose_via_characters, progression_sums
+x = 10**8
+table = PrimeTable(x)
+f = parse_spec("prod(char:5:2,nit:1.0)")
+pt = progression_sums(f, x, 5, table)
+lhs, rhs = decompose_via_characters(f, x, 5, 2, table)
+print(json.dumps(dict(rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                      counts=int(pt.counts.sum()), gap=abs(lhs - rhs))))
+"""
+
+
+def test_progression_sums_at_1e8_in_bounded_memory():
+    # its own process, so ru_maxrss is this run's peak: building
+    # PrimeTable(1e8) peaks near 160 MB, and a complex f(0..1e8) alone would
+    # be 1.6 GB; the gap bound is acceptance criterion 03's
+    src = str(Path(pretentious.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _AT_1E8], capture_output=True, text=True,
+                          env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = json.loads(proc.stdout)
+    assert out["rss_mb"] <= 400
+    assert out["counts"] == 10**8
+    assert out["gap"] <= 1e-9
 
 
 def test_decompose_rejects_non_unit():
@@ -293,6 +392,48 @@ def test_euler_product_explicit_table_series():
         ref *= (1 - 1 / p) * series
     assert ev.product.real == pytest.approx(ref, rel=1e-12)
     assert abs(ev.product.imag) < 1e-15
+
+
+def _explicit_series_loop(f, ps, fp, base, x):
+    """The explicit-table power series as euler_product_mean summed it
+    before, asking f(p^k) of every prime for every k; kept as the oracle."""
+    psc = ps.astype(np.float64)
+    series = np.ones(len(ps), dtype=np.complex128)
+    k = 1
+    zk = fp * base
+    active = np.ones(len(ps), dtype=bool)
+    pk = psc.copy()
+    while True:
+        series = series + np.where(active, zk, 0.0)
+        pk = pk * psc
+        nxt = pk <= x
+        if not nxt.any():
+            return series
+        k += 1
+        vals_k = np.array(
+            [f.prime_power_value(int(p), k) if a else 0.0 for p, a in zip(ps, nxt)],
+            dtype=np.complex128,
+        )
+        zk = vals_k * base**k
+        active = nxt
+
+
+def test_explicit_series_byte_identical_to_per_prime_loop():
+    t = _table()
+    x = 2 * 10**4
+    rng = np.random.default_rng(11)
+    keys = [(p, k) for p in t.primes_upto(x).tolist() for k in range(1, 16) if p**k <= x]
+    values = np.exp(1j * rng.uniform(-np.pi, np.pi, len(keys)))
+    values[rng.random(len(keys)) < 0.05] = 0
+    spec = make_prime_table_spec(dict(zip(keys, values.tolist())), rule="explicit")
+    ps = t.primes_upto(x)
+    psc = ps.astype(np.float64)
+    fp = prime_values(spec, ps, t)
+    for psi, tw in ((None, 0.0), (character_by_index(7, 2), 1.5)):
+        psi_p = np.ones(len(ps)) if psi is None else character_row(psi)[ps % psi.q]
+        base = np.conj(psi_p) / psc * np.exp(-1j * tw * np.log(psc))
+        got = _explicit_series(spec, ps, fp, base, x)
+        assert got.tobytes() == _explicit_series_loop(spec, ps, fp, base, x).tobytes()
 
 
 def test_euler_product_truncation_and_tail():
