@@ -28,13 +28,15 @@ from .characters import (
     unit_group,
 )
 from .errors import PreconditionError
-from .funcspec import FunctionSpec, _fill_blocks
-from .pretension import (
-    ExceptionalReport,
-    TwistObjective,
-    find_exceptional,
-    minimize_twist,
+from .funcspec import (
+    FunctionSpec,
+    Mobius,
+    PrimeTableSpec,
+    Product,
+    _fill_blocks,
+    prime_values,
 )
+from .pretension import ExceptionalReport, find_exceptional, min_distance_over_t
 
 
 @dataclass(frozen=True)
@@ -139,9 +141,7 @@ def halasz_bound(f: FunctionSpec, x: int, T: float, table: PrimeTable) -> Halasz
     with D^2 the best unrestricted twist distance over |t| <= T."""
     if T < 1:
         raise PreconditionError(f"need T >= 1, got {T}")
-    trivial = DirichletCharacter(1, ())
-    obj = TwistObjective(f, trivial, x, table, r=1)
-    t_star, d2 = minimize_twist(obj, T, x)
+    t_star, d2 = min_distance_over_t(f, DirichletCharacter(1, ()), x, T, table, r=1)
     bound = (1.0 + d2) * math.exp(-d2) + 1.0 / math.sqrt(T)
     measured = abs(complex(progression_sums(f, x, 1, table).sums[0])) / x
     return HalaszBound(x=x, t_bound=T, t_star=t_star,
@@ -172,9 +172,7 @@ def coprime_mean_bound(
         raise PreconditionError(f"need 1 <= r <= sqrt(x), got r={r}, x={x}")
     if not 1 <= T <= math.sqrt(math.log(x)):
         raise PreconditionError(f"need 1 <= T <= sqrt(log x), got T={T}")
-    trivial = DirichletCharacter(1, ())
-    obj = TwistObjective(f, trivial, x, table, r=r)
-    t_star, d2 = minimize_twist(obj, T, x)
+    t_star, d2 = min_distance_over_t(f, DirichletCharacter(1, ()), x, T, table, r=r)
     bound = (1.0 + d2) * math.exp(-d2) + 1.0 / math.sqrt(T)
     bound_q = (1.0 + d2) * math.exp(-d2) + math.log(x) ** -0.25
     pt = progression_sums(f, x, r, table)
@@ -187,8 +185,6 @@ def coprime_mean_bound(
 
 
 def _vanishes_on_higher_powers(f: FunctionSpec) -> bool:
-    from .funcspec import Mobius, PrimeTableSpec, Product
-
     if isinstance(f, Mobius):
         return True
     if isinstance(f, PrimeTableSpec):
@@ -260,8 +256,6 @@ def euler_product_mean(
         psi_p = character_row(psi)[ps % psi.q]
     else:
         psi_p = np.ones(len(ps), np.complex128)
-
-    from .funcspec import prime_values  # local import to avoid cycle at module load
 
     fp = prime_values(f, ps, table).astype(np.complex128)
     # z_p = f(p) conj(psi(p)) p^(-(1+it)); series = 1 + z + (f(p^2)/f(p)^2-ish terms)

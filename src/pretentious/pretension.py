@@ -7,11 +7,13 @@ whole library leans on one minimization: over primitive characters psi of
 conductor r <= Q and |t| <= A, how close is f to psi(n) n^(it)?  The
 minimizer is the "exceptional" character that controls progression sums.
 
-Minimization in t runs on a grid of spacing pi/(4 log x) (the objective
-cannot oscillate faster than log x), over [0, A] alone when the objective is
-even in t, then on 17-point grids across the two cells around the best
-point until the spacing is at most 5e-7.  The reported distance is the
-direct cosine sum at the chosen t; the grids run on cell moments.
+Every minimization in t in the library (the scan, `min_distance_over_t`,
+`minimize_twist`, and through them the Halasz bounds) runs one loop,
+`_scan`: a grid of spacing pi/(4 log x) (the objective cannot oscillate
+faster than log x), over [0, A] alone when the objective is even in t, then
+17-point grids across the two cells around the best point until the spacing
+is at most 5e-7.  The reported distance is the direct cosine sum at the
+chosen t; the grids run on cell moments.
 
 Cell moments.  With w_p = f(p) conj(psi(p)) / p, the grids need
 S(t) = sum_p w_p e^(-it log p).  log p is binned into cells of width
@@ -28,15 +30,14 @@ TRUNCATION_BOUND * sum_{p <= x} 1/p of S(t), where TRUNCATION_BOUND =
 for x <= 1e8, sum 1/p < 3.2, so the bound is below 1e-14.  One pass over the
 primes builds a block's moments, and each grid point then costs a sum over
 about log(x)/delta cells instead of pi(x) primes.  psi(p) depends only on
-p mod r, so the scan keeps moments per residue class mod r and the
-unit-group transform turns them into every character mod r at once.
+p mod q, so `_CellMoments` keeps moments per residue class mod q and the
+unit-group transform turns them into every character mod q at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .characters import (
     unit_group_transform,
 )
 from .errors import PreconditionError
-from .funcspec import FunctionSpec, prime_values
+from .funcspec import CharacterSpec, FunctionSpec, One, Product, Twist, prime_values
 
 T_REFINE_TOL = 1e-6
 GRID_SPACING_FACTOR = math.pi / 4.0
@@ -142,50 +143,43 @@ class _PrimeData:
         self.logp = np.log(ps, dtype=np.float64)
         self.x = x
         self.r = r
-
-
-def _polar(amp: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    return amp * np.exp(1j * phase)
+        self.q = q
 
 
 class _CellMoments:
-    """base - Re sum_p w_p e^(-it log p) on grids of t, for one or more
-    columns of weights, from Taylor moments over cells of log p (see the
-    module docstring).
+    """base - Re sum_p f(p) conj(chi(p)) / p e^(-it log p) on grids of t, one
+    column per character chi in `chars` (characters mod data.q), from Taylor
+    moments over cells of log p (see the module docstring).
 
-    `weights()` returns a fresh array of w_p.  With `cls` given, moments are
-    kept per class p mod r and `columns` maps that class axis to the output
-    columns.  The moments of a t-block are built on first use; the last
-    _BLOCKS_KEPT blocks are kept.
+    Moments are kept per class p mod q, and the unit-group transform turns
+    them into the columns.  The moments of a t-block are built on first use;
+    the last _BLOCKS_KEPT blocks are kept.
     """
 
-    def __init__(self, logp, base, weights, cls=None, r=1, columns=None):
-        self.logp = logp
-        self.base = base
-        self.weights = weights
-        self.cls = cls
-        self.r = r
-        self.columns = columns
+    def __init__(self, data: _PrimeData, chars: list[DirichletCharacter]):
+        self.data = data
+        self.index = [chi.index for chi in chars]
+        logp = data.logp
         self.first = math.floor(logp[0] / CELL_WIDTH) if len(logp) else 0
         last = math.floor(logp[-1] / CELL_WIDTH) if len(logp) else -1
         self.centres = (np.arange(self.first, last + 1) + 0.5) * CELL_WIDTH
         self._blocks: dict[int, np.ndarray] = {}
 
     def _class_moments(self, j: int) -> np.ndarray:
-        """W[c, m, b] = sum over p in cell c with p = b (mod r) of
-        w_p e^(-i t_j v_p) v_p^m, where v_p = log p - u_c and t_j = 2j T_BLOCK.
+        """W[c, m, b] = sum over p in cell c with p = b (mod q) of
+        f(p)/p e^(-i t_j v_p) v_p^m, where v_p = log p - u_c and t_j = 2j T_BLOCK.
         The powers stream through one running array."""
-        cell = np.floor(self.logp / CELL_WIDTH).astype(np.intp)
+        data, q = self.data, self.data.q
+        cell = np.floor(data.logp / CELL_WIDTH).astype(np.intp)
         cell -= self.first
         v = self.centres[cell]
-        np.subtract(self.logp, v, out=v)
-        w = self.weights()
+        np.subtract(data.logp, v, out=v)
+        w = data.fv * data.inv_p
         if j:
             w = w * np.exp(-2j * T_BLOCK * j * v)
-        if self.cls is not None:
-            cell *= self.r
-            cell += self.cls
-        n = len(self.centres) * self.r
+        cell *= q
+        cell += data.cls
+        n = len(self.centres) * q
         W = np.zeros((MOMENTS, n), dtype=np.complex128)
         for m in range(MOMENTS):
             if m:
@@ -193,7 +187,7 @@ class _CellMoments:
             W[m].real = np.bincount(cell, w.real, n)
             if np.iscomplexobj(w):
                 W[m].imag = np.bincount(cell, w.imag, n)
-        return W.reshape(MOMENTS, -1, self.r).transpose(1, 0, 2)
+        return W.reshape(MOMENTS, -1, q).transpose(1, 0, 2)
 
     def moments(self, j: int) -> np.ndarray:
         """The moments of t-block j, shape (cells, MOMENTS, columns)."""
@@ -201,9 +195,9 @@ class _CellMoments:
         if W is None:
             if len(self._blocks) == _BLOCKS_KEPT:
                 del self._blocks[next(iter(self._blocks))]
-            W = self._class_moments(j)
-            if self.columns is not None:
-                W = self.columns(W)
+            q = self.data.q
+            W = self._class_moments(j)[..., unit_group(q).units]
+            W = unit_group_transform(W, q)[..., self.index]
             W = self._blocks[j] = np.ascontiguousarray(W)
         return W
 
@@ -232,7 +226,7 @@ class _CellMoments:
                 E = np.multiply.outer(t, self.centres) * -1j
                 np.exp(E, out=E)
                 R = (E @ W).reshape(len(idx), MOMENTS, k)
-                out[idx] = self.base - np.einsum("nm,nmk->nk", taylor, R).real
+                out[idx] = self.data.base - np.einsum("nm,nmk->nk", taylor, R).real
         return out if col is None else out[:, 0]
 
 
@@ -255,16 +249,13 @@ class TwistObjective:
         self._bind(_PrimeData(fv, x, r, psi.q, table), psi)
 
     @classmethod
-    def _on(cls, data: _PrimeData, psi: DirichletCharacter, kernel: _CellMoments,
-            col: int) -> "TwistObjective":
-        """psi's objective over shared prime data, with grids read from
-        column `col` of a kernel shared by the characters mod data.r."""
+    def _on(cls, data: _PrimeData, psi: DirichletCharacter) -> "TwistObjective":
+        """psi's objective over prime data shared with other characters."""
         obj = cls.__new__(cls)
-        obj._bind(data, psi, kernel, col)
+        obj._bind(data, psi)
         return obj
 
-    def _bind(self, data: _PrimeData, psi: DirichletCharacter,
-              kernel: _CellMoments | None = None, col: int = 0):
+    def _bind(self, data: _PrimeData, psi: DirichletCharacter):
         z = np.conj(character_row(psi))[data.cls]
         np.multiply(data.fv, z, out=z)
         self.base = data.base
@@ -276,8 +267,8 @@ class TwistObjective:
         self.x = data.x
         self.r = data.r
         self.prime_count = len(data.logp)
-        self._kernel = kernel
-        self._col = col
+        self._data = data
+        self._psi = psi
 
     def __call__(self, t: float) -> float:
         return self.base - float(np.sum(self.amp * np.cos(self.phase - t * self.logp)))
@@ -285,10 +276,7 @@ class TwistObjective:
     def grid(self, ts: np.ndarray) -> np.ndarray:
         """The objective at each of ts from cell moments, within
         TRUNCATION_BOUND * sum 1/p (plus rounding) of the direct sum."""
-        if self._kernel is None:
-            self._kernel = _CellMoments(self.logp, self.base,
-                                        partial(_polar, self.amp, self.phase))
-        return self._kernel.grid(ts, self._col)
+        return _CellMoments(self._data, [self._psi]).grid(ts, 0)
 
 
 def _coarse_grid(even: bool, A: float, x: int) -> np.ndarray:
@@ -297,29 +285,45 @@ def _coarse_grid(even: bool, A: float, x: int) -> np.ndarray:
     return np.linspace(lo, A, max(3, int(math.ceil((A - lo) / h)) + 1))
 
 
-def _refine(grid, ts: np.ndarray, vals: np.ndarray) -> float:
-    """Finer grids over the two cells around the best point, down to spacing
-    T_REFINE_TOL/2; returns the best point of the last grid."""
-    while True:
-        i = int(np.argmin(vals))
-        if ts[1] - ts[0] <= T_REFINE_TOL / 2:
-            return float(ts[i])
-        ts = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)], REFINE_POINTS)
-        vals = grid(ts)
+def _scan(data: _PrimeData, chars: list[DirichletCharacter],
+          A: float) -> list[tuple[float, float]]:
+    """(t, D^2) minimizing each character's objective over |t| <= A, in the
+    order of `chars` (characters mod data.q): a grid scan of [-A, A] ([0, A]
+    for an even objective), then finer grids over the two cells around the
+    best point down to spacing T_REFINE_TOL/2.  D^2 is the direct cosine sum
+    at the best point of the last grid.  Every grid runs on one set of class
+    moments that the unit-group transform turns into all of chars at once."""
+    if A < 0:
+        raise PreconditionError(f"twist bound A must be >= 0, got {A}")
+    kernel = _CellMoments(data, chars)
+    # both coarse grids, for every character, in one pass over the t-blocks
+    # and before any objective exists: each block's moments are then built
+    # once, while the fewest prime-length arrays live
+    if A > 0:
+        odd, even = _coarse_grid(False, A, data.x), _coarse_grid(True, A, data.x)
+        vals = kernel.grid(np.concatenate([odd, even]))
+        coarse = {False: (odd, vals[:len(odd)]), True: (even, vals[len(odd):])}
+    out = []
+    for col, psi in enumerate(chars):
+        obj = TwistObjective._on(data, psi)
+        t = 0.0
+        if A > 0:
+            ts, vals = coarse[obj.even]
+            vals = vals[:, col]
+            while ts[1] - ts[0] > T_REFINE_TOL / 2:
+                i = int(np.argmin(vals))
+                ts = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)],
+                                 REFINE_POINTS)
+                vals = kernel.grid(ts, col)
+            t = float(ts[np.argmin(vals)])
+        out.append((t, obj(t)))
+        del obj  # before the next character's arrays are built
+    return out
 
 
 def minimize_twist(obj: TwistObjective, A: float, x: int) -> tuple[float, float]:
-    """Grid scan of [-A, A] ([0, A] for an even objective), then finer grids
-    over the two cells around the best point down to spacing T_REFINE_TOL/2.
-
-    Returns the best point of the last grid and obj there."""
-    if A < 0:
-        raise PreconditionError(f"twist bound A must be >= 0, got {A}")
-    if A == 0:
-        return 0.0, obj(0.0)
-    ts = _coarse_grid(obj.even, A, x)
-    t = _refine(obj.grid, ts, obj.grid(ts))
-    return t, obj(t)
+    """`_scan` of obj's character over |t| <= A; x is obj's x."""
+    return _scan(obj._data, [obj._psi], A)[0]
 
 
 def min_distance_over_t(
@@ -332,8 +336,10 @@ def min_distance_over_t(
     fv: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """(t*, D^2 at t*) minimizing D_r(f, psi(n)n^(it); x)^2 over |t| <= A."""
-    obj = TwistObjective(f, psi, x, table, r=r, fv=fv)
-    return minimize_twist(obj, A, x)
+    if fv is None:
+        fv = prime_values(f, table.primes_upto(x), table)
+    data = _PrimeData(fv, x, psi.q if r is None else r, psi.q, table)
+    return _scan(data, [psi], A)[0]
 
 
 def _primitive_characters(r: int) -> list[DirichletCharacter]:
@@ -343,44 +349,6 @@ def _primitive_characters(r: int) -> list[DirichletCharacter]:
 def primitive_characters_upto(Q: int) -> list[DirichletCharacter]:
     """All primitive characters of conductor <= Q (conductor 1 included)."""
     return [chi for r in range(1, Q + 1) for chi in _primitive_characters(r)]
-
-
-def _character_kernel(data: _PrimeData) -> _CellMoments:
-    """A kernel with one column per primitive character mod data.r, in
-    canonical order: moments per class mod r, then the unit-group transform."""
-    r = data.r
-    units, mask = unit_group(r).units, primitive_mask(r)
-    return _CellMoments(data.logp, data.base, partial(np.multiply, data.fv, data.inv_p),
-                        data.cls, r, lambda W: unit_group_transform(W[..., units], r)[..., mask])
-
-
-def _scan_modulus(fv: np.ndarray, x: int, r: int, A: float,
-                  table: PrimeTable) -> list[SpectrumEntry]:
-    """minimize_twist for every primitive character mod r, on one set of
-    class moments that the unit-group transform turns into every
-    character's moments at once."""
-    chars = _primitive_characters(r)
-    if not chars:
-        return []
-    data = _PrimeData(fv, x, r, r, table)
-    kernel = _character_kernel(data)
-    # both coarse grids, for every character, before any objective exists:
-    # the moments are then built while the fewest prime-length arrays live
-    coarse = {}
-    if A > 0:
-        for even in (False, True):
-            ts = _coarse_grid(even, A, x)
-            coarse[even] = ts, kernel.grid(ts)
-    out = []
-    for col, psi in enumerate(chars):
-        obj = TwistObjective._on(data, psi, kernel, col)
-        t = 0.0
-        if A > 0:
-            ts, vals = coarse[obj.even]
-            t = _refine(obj.grid, ts, vals[:, col])
-        out.append(SpectrumEntry(psi, r, t, obj(t)))
-        del obj  # before the next character's arrays are built
-    return out
 
 
 def _spectrum_order(entries: list[SpectrumEntry]) -> list[SpectrumEntry]:
@@ -422,7 +390,10 @@ def find_exceptional(
     fv = prime_values(f, table.primes_upto(x), table)
     entries = []
     for r in range(1, Q + 1):
-        entries += _scan_modulus(fv, x, r, A, table)
+        chars = _primitive_characters(r)
+        if chars:
+            scan = _scan(_PrimeData(fv, x, r, r, table), chars, A)
+            entries += [SpectrumEntry(psi, r, t, d2) for psi, (t, d2) in zip(chars, scan)]
     entries = _spectrum_order(entries)
     best = entries[0]
     return ExceptionalReport(
@@ -465,15 +436,10 @@ def twist_distance_profile(
     q = chi.q
     if q < 3 or chi.is_principal():
         raise PreconditionError("profile needs a non-principal character, q >= 3")
-    out = []
-    for x in sorted(xs):
-        ps = _included_primes(x, q, table)
-        row = character_row(chi)
-        gv = row[ps % q] * np.exp(1j * t * np.log(ps.astype(np.float64)))
-        d2 = float(np.sum((1.0 - gv.real) / ps))
-        ref = 0.5 * math.log(math.log(x) / math.log(q * (1.0 + abs(t))))
-        out.append((x, d2, ref))
-    return out
+    g = Product((CharacterSpec(q, chi.index), Twist(t)))
+    return [(x, distance_squared(One(), g, x, table, r=q).squared_distance,
+             0.5 * math.log(math.log(x) / math.log(q * (1.0 + abs(t)))))
+            for x in sorted(xs)]
 
 
 @dataclass(frozen=True)

@@ -27,14 +27,17 @@ import numpy as np
 from .arith import PrimeTable, divisors
 from .characters import primitive_mask, unit_group, unit_group_transform
 from .errors import PreconditionError, TheoremViolation
-from .funcspec import FunctionSpec, _legendre_row, evaluate, values_upto
+from .funcspec import FunctionSpec, _fill_blocks, _legendre_row, evaluate
 from .meanvalues import _class_sums, progression_sums
 
 LARGE_SIEVE_SLACK = 1e-9
 
 
 def _class_values(f: FunctionSpec, x: int, q: int, a: int, table: PrimeTable) -> np.ndarray:
-    """f(nq + a) for n = 1..floor(x/q); a is normalized into [0, q)."""
+    """f(nq + a) for n = 1..floor(x/q); a is normalized into [0, q).
+
+    f streams through one fill block at a time and only every q-th value is
+    kept, so f(0..Nq + a) is never held whole."""
     a = a % q
     if math.gcd(a, q) != 1:
         raise PreconditionError(f"need gcd(a, q) = 1, got a={a}, q={q}")
@@ -46,11 +49,18 @@ def _class_values(f: FunctionSpec, x: int, q: int, a: int, table: PrimeTable) ->
         raise PreconditionError(
             f"scan needs values up to {top}; table stops at {table.limit}"
         )
-    vals = values_upto(f, top, table)
-    if not np.iscomplexobj(vals):
-        vals = vals.astype(np.float64)
-    out = vals[a + q :: q][:N]
-    assert len(out) == N
+    out = None
+    for lo, block in _fill_blocks(f, top, table):
+        if out is None:
+            out = np.empty(N, np.complex128 if np.iscomplexobj(block) else np.float64)
+        first = max(lo, a + q)
+        first += (a - first) % q
+        picked = block[first - lo :: q]
+        k = (first - a) // q - 1
+        out[k : k + len(picked)] = picked
+        k += len(picked)
+        del block, picked  # freed before the next block is built
+    assert k == N
     return out
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pretentious.arith import PrimeTable
-from pretentious.characters import character_by_index, enumerate_characters
+from pretentious.characters import DirichletCharacter, character_by_index, enumerate_characters
 from pretentious.errors import PreconditionError
 from pretentious.funcspec import (
     CharacterSpec,
@@ -25,14 +25,14 @@ from pretentious.funcspec import (
     parse_spec,
     prime_values,
 )
-from pretentious.meanvalues import halasz_bound
+from pretentious.meanvalues import coprime_mean_bound, halasz_bound
 from pretentious.pretension import (
     GRID_SPACING_FACTOR,
     REFINE_POINTS,
     T_REFINE_TOL,
     TIE_TOL,
     TwistObjective,
-    _character_kernel,
+    _CellMoments,
     _PrimeData,
     _primitive_characters,
     distance_squared,
@@ -267,6 +267,48 @@ def test_find_exceptional_matches_oracle_scan(text):
     assert oracle[rep.psi][1] <= best + 1e-12
 
 
+def _assert_matches_rotated_oracle(t, d2, obj, A, x):
+    t_o, d2_o = _rotated_minimize_twist(obj, A, x)
+    dt = abs(abs(t) - abs(t_o)) if obj.even else abs(t - t_o)
+    assert dt <= 1e-6, (t, t_o)
+    assert d2 <= d2_o + 1e-12, (d2, d2_o)
+    assert d2 == obj(t)
+
+
+@pytest.mark.parametrize("text", ORACLE_SCANS)
+def test_coprime_mean_bound_matches_oracle(text):
+    f, x, T = parse_spec(text), 10**5, 2.0
+    trivial = DirichletCharacter(1, ())
+    for r in (2, 6, 30):
+        cb = coprime_mean_bound(f, x, r, T, _table())
+        obj = TwistObjective(f, trivial, x, _table(), r=r)
+        _assert_matches_rotated_oracle(cb.t_star, cb.squared_distance, obj, T, x)
+
+
+@pytest.mark.parametrize("text", ORACLE_SCANS)
+def test_min_distance_over_t_excluding_another_modulus_matches_oracle(text):
+    # r = 1 keeps the primes dividing psi.q, where psi vanishes; r = 2 psi.q
+    # drops 2 as well
+    f, x, A = parse_spec(text), 10**5, 2.0
+    for psi in (character_by_index(5, 2), character_by_index(7, 3), character_by_index(12, 3)):
+        for r in (1, 2 * psi.q):
+            t, d2 = min_distance_over_t(f, psi, x, A, _table(), r=r)
+            obj = TwistObjective(f, psi, x, _table(), r=r)
+            _assert_matches_rotated_oracle(t, d2, obj, A, x)
+
+
+@pytest.mark.parametrize("text", ORACLE_SCANS)
+def test_min_distance_over_t_agrees_with_the_scan(text):
+    # one character's scan and the scan of its whole modulus give the same
+    # (t, D^2) for every primitive psi of conductor <= 12
+    f, x, Q, A = parse_spec(text), 10**5, 12, 2.0
+    rep = find_exceptional(f, x, Q, A, _table(), depth=10**3)
+    assert len(rep.spectrum) == len(primitive_characters_upto(Q))
+    for e in rep.spectrum:
+        got = min_distance_over_t(f, e.character, x, A, _table())
+        assert got == (e.t, e.squared_distance), e.character.serial
+
+
 def test_find_exceptional_evaluates_f_once_per_scan(monkeypatch):
     calls = []
 
@@ -411,7 +453,7 @@ def test_rotated_grid_drift_over_a_long_grid():
 def _character_grids(f, r, x, ts):
     """Every primitive character mod r on the grid ts, from one kernel."""
     data = _PrimeData(prime_values(f, _table().primes_upto(x), _table()), x, r, r, _table())
-    return _character_kernel(data).grid(ts)
+    return _CellMoments(data, _primitive_characters(r)).grid(ts)
 
 
 @settings(max_examples=80, deadline=None)

@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 from pretentious.arith import PrimeTable, divisors
 from pretentious.characters import enumerate_characters, is_primitive, unit_group
 from pretentious.errors import PreconditionError
-from pretentious.funcspec import Mobius, One, parse_spec
+from pretentious.funcspec import Mobius, One, parse_spec, values_upto
 from pretentious.sieve_experiments import (
     _class_sums,
+    _class_values,
     bad_moduli,
     legendre_progression_experiment,
     multiplicativity_defect,
@@ -218,6 +219,51 @@ def test_primitive_orthogonality_diagonal():
     # gcd(n, 30) = 5, n == b mod 6 requires b == 25 mod 6 == 1
     assert primitive_orthogonality_reference(30, 1, 25) == unit_group(6).phi
     assert primitive_orthogonality_reference(30, 11, 25) == 0
+
+
+# ------------------------------------------------------------ class values
+
+
+def _class_values_whole_array(f, x, q, a, table):
+    # oracle: the slice of the whole f(0..Nq + a) array that the stream replaced
+    a %= q
+    N = x // q
+    vals = values_upto(f, N * q + a, table)
+    if not np.iscomplexobj(vals):
+        vals = vals.astype(np.float64)
+    return vals[a + q :: q][:N]
+
+
+@pytest.mark.parametrize("text", ["mobius", "liouville", "legendre:7", "nit:0.5",
+                                  "prod(char:5:2,nit:1.0)"])
+def test_class_values_stream_matches_whole_array(text, block_width):
+    # 1000-wide blocks, so x sits on, next to and between block edges
+    f = parse_spec(text)
+    with block_width(1000):
+        for q, a in ((1, 0), (2, 1), (3, 2), (5, 3), (7, 4), (12, 5)):
+            for x in (q + a, 999, 1000, 1001, 2 * 1000 + q, 12345, 19_990):
+                got = _class_values(f, x, q, a, _table())
+                want = _class_values_whole_array(f, x, q, a, _table())
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (q, a, x)
+                for r in (2, 3, 12, 30):
+                    assert primitive_mass(got, r) == primitive_mass(want, r)
+
+
+def test_class_values_peak_is_the_result_plus_a_few_blocks(block_width, table_medium):
+    # a complex f(0..x) alone is 16 MB here; the stream keeps every fifth
+    # value (3.2 MB) and holds a few 1 MB blocks
+    x, q, width = 10**6, 5, 1 << 16
+    f = parse_spec("prod(char:5:2,nit:1.0)")
+    with block_width(width):
+        _class_values(f, x, q, 2, table_medium)  # warm the character caches
+        tracemalloc.start()
+        try:
+            cv = _class_values(f, x, q, 2, table_medium)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= cv.nbytes + 4 * 16 * width
 
 
 # ------------------------------------------------------------ bad moduli
