@@ -5,10 +5,14 @@ One executable, one report per run. Every subcommand emits a single object
     {"version", "command", "config", "timestamp", "result"}
 
 with sorted keys, so identical configs produce byte-identical output apart
-from the timestamp. Numeric parameters are validated before any sieving
-starts. Exit codes: 0 success, 2 malformed arguments or spec strings,
-3 precondition violations, 4 theorem-assertion failures (the latter always
-indicate an implementation bug, not bad input).
+from the timestamp. The parser is the only place that knows a command's
+parameters: `config.params` is every parsed flag except the ones in
+`STEERING`, which steer the run rather than parametrize it, and `config.seed`
+and `config.threads` sit beside it. Each `_cmd_*` only computes and returns
+its result; `main` writes the report. Numeric parameters are validated before
+any sieving starts. Exit codes: 0 success, 2 malformed arguments or spec
+strings, 3 precondition violations, 4 theorem-assertion failures (the latter
+always indicate an implementation bug, not bad input).
 """
 
 from __future__ import annotations
@@ -46,17 +50,8 @@ from .sieve_experiments import (
     multiplicativity_defect,
 )
 
-DEFAULT_SEED = 0
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Normalized run parameters, embedded verbatim in every report."""
-
-    command: str
-    params: dict
-    seed: int
-    threads: int
+# parsed attributes that are not part of config.params
+STEERING = ("command", "subcommand", "func", "out", "seed", "threads", "format", "verbose")
 
 
 def _jsonable(obj):
@@ -65,9 +60,7 @@ def _jsonable(obj):
     Complex numbers become {"re":, "im":}; characters serialize by their
     stable serial string; function specs by their round-trippable text form.
     """
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
@@ -90,15 +83,15 @@ def _jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit(args, config: RunConfig, result) -> None:
+def _emit(args, result) -> None:
+    command = args.command
+    if getattr(args, "subcommand", None):
+        command += " " + args.subcommand
+    params = {k: v for k, v in vars(args).items() if k not in STEERING}
     report = {
         "version": __version__,
-        "command": config.command,
-        "config": {
-            "params": _jsonable(config.params),
-            "seed": config.seed,
-            "threads": config.threads,
-        },
+        "command": command,
+        "config": {"params": _jsonable(params), "seed": args.seed, "threads": args.threads},
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "result": _jsonable(result),
     }
@@ -107,21 +100,11 @@ def _emit(args, config: RunConfig, result) -> None:
 
 
 def _write(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _config(args, command: str, **params) -> RunConfig:
-    return RunConfig(
-        command=command,
-        params=params,
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        threads=getattr(args, "threads", 1),
-    )
 
 
 def _positive_int(text: str) -> int:
@@ -131,53 +114,56 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _nonneg_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     value = float(text)
-    if not value >= 0:
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    return value
+
+
+def _nonneg_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text}")
     return value
+
+
+def _repulsion_order(text: str) -> str:
+    # kept as typed, so config.params.m reads as given; _cmd_constants converts
+    if text != "continuous":
+        try:
+            int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer or 'continuous', got {text}"
+            ) from None
+    return text
 
 
 # ---------------------------------------------------------------- constants
 
 
-def _cmd_constants(args) -> int:
+def _cmd_constants(args):
     if args.name is None:
-        result = all_constants(tolerance=args.tol)
-    elif args.name == "delta1":
-        result = delta1(tolerance=args.tol)
-    elif args.name == "delta0":
-        result = delta0(tolerance=args.tol)
-    elif args.name == "repulsion":
-        if args.m is None:
-            value, argmin = repulsion_minimum()
-            result = {
-                "minimum": value,
-                "argmin_m": argmin,
-                "continuous": repulsion_constant("continuous"),
-            }
-        else:
-            m = args.m if args.m == "continuous" else int(args.m)
-            result = {"m": m, "value": repulsion_constant(m)}
-    else:  # argparse choices make this unreachable
-        raise SpecParseError(f"unknown constant {args.name!r}")
-    config = _config(args, "constants", name=args.name, tol=args.tol, m=args.m)
-    _emit(args, config, result)
-    return 0
+        return all_constants(tolerance=args.tol)
+    if args.name == "delta1":
+        return delta1(tolerance=args.tol)
+    if args.name == "delta0":
+        return delta0(tolerance=args.tol)
+    if args.m is None:
+        value, argmin = repulsion_minimum()
+        return {"minimum": value, "argmin_m": argmin,
+                "continuous": repulsion_constant("continuous")}
+    m = args.m if args.m == "continuous" else int(args.m)
+    return {"m": m, "value": repulsion_constant(m)}
 
 
 # --------------------------------------------------------------- pretension
 
 
-def _cmd_pretension_find(args) -> int:
+def _cmd_pretension_find(args):
     f = parse_spec(args.f)
-    table = PrimeTable(args.x)
-    report = find_exceptional(f, args.x, args.Q, args.A, table, depth=args.depth)
-    config = _config(
-        args, "pretension find", f=args.f, x=args.x, Q=args.Q, A=args.A, depth=args.depth
-    )
-    _emit(args, config, report)
-    return 0
+    return find_exceptional(f, args.x, args.Q, args.A, PrimeTable(args.x), depth=args.depth)
 
 
 # --------------------------------------------------------------- meanvalues
@@ -194,106 +180,52 @@ def _report_csv(report) -> str:
     branchb = repr(report.error_ref_log_window)
     for row in report.rows:
         value = complex(row.value)
-        lines.append(
-            ",".join(
-                [
-                    str(row.a),
-                    repr(value.real),
-                    repr(value.imag),
-                    repr(abs(row.residual)),
-                    "" if row.main_term is None else repr(abs(row.main_term)),
-                    brancha,
-                    branchb,
-                ]
-            )
-        )
+        main_term = "" if row.main_term is None else repr(abs(row.main_term))
+        cells = [str(row.a), repr(value.real), repr(value.imag), repr(abs(row.residual)),
+                 main_term, brancha, branchb]
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
-def _cmd_meanvalues_report(args) -> int:
+def _cmd_meanvalues_report(args):
     f = parse_spec(args.f)
     table = PrimeTable(args.x)
     report = progression_report(f, args.x, args.q, args.Q, args.A, table)
     fmt = args.format
     if fmt is None:
-        out = getattr(args, "out", None)
-        fmt = "csv" if out and out.endswith(".csv") else "json"
-    if fmt == "csv":
-        _write(args, _report_csv(report))
-    else:
-        config = _config(
-            args, "meanvalues report", f=args.f, x=args.x, q=args.q, Q=args.Q, A=args.A
-        )
-        _emit(args, config, report)
-    return 0
+        fmt = "csv" if args.out and args.out.endswith(".csv") else "json"
+    return _report_csv(report) if fmt == "csv" else report
 
 
-def _cmd_meanvalues_halasz(args) -> int:
+def _cmd_meanvalues_halasz(args):
+    return halasz_bound(parse_spec(args.f), args.x, args.T, PrimeTable(args.x))
+
+
+def _cmd_meanvalues_euler(args):
     f = parse_spec(args.f)
-    table = PrimeTable(args.x)
-    result = halasz_bound(f, args.x, args.T, table)
-    config = _config(args, "meanvalues halasz", f=args.f, x=args.x, T=args.T)
-    _emit(args, config, result)
-    return 0
-
-
-def _cmd_meanvalues_euler(args) -> int:
-    f = parse_spec(args.f)
-    table = PrimeTable(args.x)
-    result = euler_product_mean(
-        f, args.x, table, t=args.t, q=args.q, truncation=args.truncation
-    )
-    config = _config(
-        args,
-        "meanvalues euler",
-        f=args.f,
-        x=args.x,
-        q=args.q,
-        t=args.t,
-        truncation=args.truncation,
-    )
-    _emit(args, config, result)
-    return 0
+    return euler_product_mean(f, args.x, PrimeTable(args.x), t=args.t, q=args.q,
+                              truncation=args.truncation)
 
 
 # - ------------------------------------------------------------------ sieve
 
 
-def _cmd_sieve_bad_moduli(args) -> int:
+def _cmd_sieve_bad_moduli(args):
     f = parse_spec(args.f)
     # class values reach n*q + a <= x + q, so sieve slightly past x
     table = PrimeTable(args.x + args.q)
-    report = bad_moduli(f, args.x, args.q, args.a, args.eta, table, keep_masses=args.verbose)
-    if not args.verbose:
-        report = dataclasses.replace(report, masses=None)
-    config = _config(
-        args, "sieve bad-moduli", f=args.f, x=args.x, q=args.q, a=args.a, eta=args.eta
-    )
-    _emit(args, config, report)
-    return 0
+    return bad_moduli(f, args.x, args.q, args.a, args.eta, table, keep_masses=args.verbose)
 
 
-def _cmd_sieve_defect(args) -> int:
-    f = parse_spec(args.f)
-    table = PrimeTable(args.x)
-    report = multiplicativity_defect(f, args.x, args.q, table)
-    if not args.verbose:
-        report = dataclasses.replace(report, pairs=())
-    config = _config(args, "sieve defect", f=args.f, x=args.x, q=args.q)
-    _emit(args, config, report)
-    return 0
+def _cmd_sieve_defect(args):
+    report = multiplicativity_defect(parse_spec(args.f), args.x, args.q, PrimeTable(args.x))
+    return report if args.verbose else dataclasses.replace(report, pairs=())
 
 
-def _cmd_sieve_legendre(args) -> int:
+def _cmd_sieve_legendre(args):
     table = PrimeTable(max(args.x, args.p_limit))
     report = legendre_progression_experiment(args.q, args.a, args.x, args.p_limit, table)
-    if not args.verbose:
-        report = dataclasses.replace(report, running=())
-    config = _config(
-        args, "sieve legendre", q=args.q, a=args.a, x=args.x, p_limit=args.p_limit
-    )
-    _emit(args, config, report)
-    return 0
+    return report if args.verbose else dataclasses.replace(report, running=())
 
 
 # ---------------------------------------------------------------- nearchar
@@ -323,12 +255,8 @@ def _parse_g_file(path: str, q: int) -> ApproxHomomorphism:
     return ApproxHomomorphism.from_values(q, values)
 
 
-def _cmd_nearchar_recover(args) -> int:
-    g = _parse_g_file(args.g, args.q)
-    result = nearest_character(g)
-    config = _config(args, "nearchar recover", q=args.q, g=args.g)
-    _emit(args, config, result)
-    return 0
+def _cmd_nearchar_recover(args):
+    return nearest_character(_parse_g_file(args.g, args.q))
 
 
 # ------------------------------------------------------------------- chars
@@ -346,60 +274,42 @@ def _char_summary(chi: DirichletCharacter) -> dict:
     }
 
 
-def _cmd_chars_list(args) -> int:
-    chars = enumerate_characters(args.q)
-    result = {
-        "q": args.q,
-        "phi": unit_group(args.q).phi,
-        "characters": [_char_summary(chi) for chi in chars],
-    }
-    config = _config(args, "chars list", q=args.q)
-    _emit(args, config, result)
-    return 0
+def _cmd_chars_list(args):
+    chars = [_char_summary(chi) for chi in enumerate_characters(args.q)]
+    return {"q": args.q, "phi": unit_group(args.q).phi, "characters": chars}
 
 
-def _cmd_chars_eval(args) -> int:
+def _cmd_chars_eval(args):
     chi = character_by_index(args.q, args.index)
-    angle = chi.angle(args.n)
-    result = {
-        "serial": chi.serial,
-        "n": args.n,
-        "value": chi(args.n),
-        "angle": angle,
-    }
-    config = _config(args, "chars eval", q=args.q, index=args.index, n=args.n)
-    _emit(args, config, result)
-    return 0
+    return {"serial": chi.serial, "n": args.n, "value": chi(args.n), "angle": chi.angle(args.n)}
 
 
-def _cmd_chars_conductor(args) -> int:
+def _cmd_chars_conductor(args):
     chi = character_by_index(args.q, args.index)
-    psi = primitive_part(chi)
-    result = {
-        "serial": chi.serial,
-        "conductor": conductor(chi),
-        "is_primitive": is_primitive(chi),
-        "primitive_part": psi.serial,
-    }
-    config = _config(args, "chars conductor", q=args.q, index=args.index)
-    _emit(args, config, result)
-    return 0
+    return {"serial": chi.serial, "conductor": conductor(chi), "is_primitive": is_primitive(chi),
+            "primitive_part": primitive_part(chi).serial}
 
 
 # ----------------------------------------------------------------- parsing
 
+# flags that several commands declare alike
+_F = ("--f", dict(required=True))
+_X = ("--x", dict(type=_positive_int, required=True))
+_Q = ("--q", dict(type=_positive_int, required=True))
+_INDEX = ("--index", dict(type=int, required=True))
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", help="write the report to this path instead of stdout")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help="recorded in the report config for reproducibility (default 0)",
-    )
-    parser.add_argument(
-        "--threads", type=_positive_int, default=1, help="recorded in the report config only"
-    )
+
+def _command(sub, name: str, help: str, func, *flags) -> None:
+    """Declare one subcommand: its (flag, add_argument kwargs) pairs, then the shared flags."""
+    p = sub.add_parser(name, help=help)
+    for flag, kwargs in flags:
+        p.add_argument(flag, **kwargs)
+    p.add_argument("--out", help="write the report to this path instead of stdout")
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the report config for reproducibility (default 0)")
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="recorded in the report config only")
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,113 +319,73 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("constants", help="named constants with error estimates")
-    p.add_argument("--name", choices=["delta1", "delta0", "repulsion"])
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--m", help="order for --name repulsion (integer >= 2 or 'continuous')")
-    _add_common(p)
-    p.set_defaults(func=_cmd_constants)
+    _command(sub, "constants", "named constants with error estimates", _cmd_constants,
+             ("--name", dict(choices=["delta1", "delta0", "repulsion"])),
+             ("--tol", dict(type=_finite_float, default=1e-10)),
+             ("--m", dict(type=_repulsion_order,
+                          help="order for --name repulsion (integer >= 2 or 'continuous')")))
 
     pret = sub.add_parser("pretension", help="distance minimization over characters")
     pret_sub = pret.add_subparsers(dest="subcommand", required=True)
-    p = pret_sub.add_parser("find", help="scan primitive characters for the best twist")
-    p.add_argument("--f", required=True, help="function spec, e.g. mobius or prod(char:5:2,nit:1.0)")
-    p.add_argument("--x", type=_positive_int, required=True)
-    p.add_argument("--Q", type=_positive_int, required=True, help="conductor bound")
-    p.add_argument("--A", type=_nonneg_float, required=True, help="twist bound |t| <= A")
-    p.add_argument("--depth", type=_positive_int, default=10, help="spectrum entries kept")
-    _add_common(p)
-    p.set_defaults(func=_cmd_pretension_find)
+    _command(pret_sub, "find", "scan primitive characters for the best twist",
+             _cmd_pretension_find,
+             ("--f", dict(required=True,
+                          help="function spec, e.g. mobius or prod(char:5:2,nit:1.0)")),
+             _X,
+             ("--Q", dict(type=_positive_int, required=True, help="conductor bound")),
+             ("--A", dict(type=_nonneg_float, required=True, help="twist bound |t| <= A")),
+             ("--depth", dict(type=_positive_int, default=10, help="spectrum entries kept")))
 
     mv = sub.add_parser("meanvalues", help="progression sums, bounds, Euler products")
     mv_sub = mv.add_subparsers(dest="subcommand", required=True)
-
-    p = mv_sub.add_parser("report", help="residuals against the best character model")
-    p.add_argument("--f", required=True)
-    p.add_argument("--x", type=_positive_int, required=True)
-    p.add_argument("--q", type=_positive_int, required=True)
-    p.add_argument("--Q", type=_positive_int, required=True)
-    p.add_argument("--A", type=_nonneg_float, required=True)
-    p.add_argument("--format", choices=["json", "csv"], help="default json, or csv if --out ends in .csv")
-    _add_common(p)
-    p.set_defaults(func=_cmd_meanvalues_report)
-
-    p = mv_sub.add_parser("halasz", help="mean value bound from the best twist")
-    p.add_argument("--f", required=True)
-    p.add_argument("--x", type=_positive_int, required=True)
-    p.add_argument("--T", type=_nonneg_float, default=1.0, help="twist scan bound, >= 1")
-    _add_common(p)
-    p.set_defaults(func=_cmd_meanvalues_halasz)
-
-    p = mv_sub.add_parser("euler", help="Euler product prediction for the mean")
-    p.add_argument("--f", required=True)
-    p.add_argument("--x", type=_positive_int, required=True)
-    p.add_argument("--q", type=_positive_int, default=1)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--truncation", type=_positive_int, default=None,
-                   help="prime cutoff P: multiply over p <= P (default x) and "
-                        "report the tail bound sum_{P < p <= x} 2/p")
-    _add_common(p)
-    p.set_defaults(func=_cmd_meanvalues_euler)
+    _command(mv_sub, "report", "residuals against the best character model",
+             _cmd_meanvalues_report, _F, _X, _Q,
+             ("--Q", dict(type=_positive_int, required=True)),
+             ("--A", dict(type=_nonneg_float, required=True)),
+             ("--format", dict(choices=["json", "csv"],
+                               help="default json, or csv if --out ends in .csv")))
+    _command(mv_sub, "halasz", "mean value bound from the best twist", _cmd_meanvalues_halasz,
+             _F, _X,
+             ("--T", dict(type=_nonneg_float, default=1.0, help="twist scan bound, >= 1")))
+    _command(mv_sub, "euler", "Euler product prediction for the mean", _cmd_meanvalues_euler,
+             _F, _X,
+             ("--q", dict(type=_positive_int, default=1)),
+             ("--t", dict(type=_finite_float, default=0.0)),
+             ("--truncation", dict(type=_positive_int,
+                                   help="prime cutoff P: multiply over p <= P (default x) and "
+                                        "report the tail bound sum_{P < p <= x} "
+                                        "log(p/(p-2))")))
 
     sv = sub.add_parser("sieve", help="bad moduli, defect, and symbol scans")
     sv_sub = sv.add_subparsers(dest="subcommand", required=True)
-
-    p = sv_sub.add_parser("bad-moduli", help="primitive-character mass scan over moduli")
-    p.add_argument("--f", required=True)
-    p.add_argument("--x", type=_positive_int, required=True)
-    p.add_argument("--q", type=_positive_int, required=True)
-    p.add_argument("--a", type=_positive_int, required=True)
-    p.add_argument("--eta", type=_nonneg_float, required=True)
-    p.add_argument("--verbose", action="store_true", help="include per-modulus masses")
-    _add_common(p)
-    p.set_defaults(func=_cmd_sieve_bad_moduli)
-
-    p = sv_sub.add_parser("defect", help="multiplicativity defect over unit pairs")
-    p.add_argument("--f", required=True)
-    p.add_argument("--x", type=_positive_int, required=True)
-    p.add_argument("--q", type=_positive_int, required=True)
-    p.add_argument("--verbose", action="store_true", help="include the full pairwise table")
-    _add_common(p)
-    p.set_defaults(func=_cmd_sieve_defect)
-
-    p = sv_sub.add_parser("legendre", help="quadratic-symbol means over a progression")
-    p.add_argument("--q", type=_positive_int, required=True)
-    p.add_argument("--a", type=_positive_int, required=True)
-    p.add_argument("--x", type=_positive_int, required=True)
-    p.add_argument("--p-limit", dest="p_limit", type=_positive_int, required=True)
-    p.add_argument("--verbose", action="store_true", help="include the running-infimum trace")
-    _add_common(p)
-    p.set_defaults(func=_cmd_sieve_legendre)
+    _command(sv_sub, "bad-moduli", "primitive-character mass scan over moduli",
+             _cmd_sieve_bad_moduli, _F, _X, _Q,
+             ("--a", dict(type=_positive_int, required=True)),
+             ("--eta", dict(type=_nonneg_float, required=True)),
+             ("--verbose", dict(action="store_true", help="include per-modulus masses")))
+    _command(sv_sub, "defect", "multiplicativity defect over unit pairs", _cmd_sieve_defect,
+             _F, _X, _Q,
+             ("--verbose", dict(action="store_true", help="include the full pairwise table")))
+    _command(sv_sub, "legendre", "quadratic-symbol means over a progression",
+             _cmd_sieve_legendre, _Q,
+             ("--a", dict(type=_positive_int, required=True)),
+             _X,
+             ("--p-limit", dict(dest="p_limit", type=_positive_int, required=True)),
+             ("--verbose", dict(action="store_true", help="include the running-infimum trace")))
 
     nc = sub.add_parser("nearchar", help="approximate-character recovery")
     nc_sub = nc.add_subparsers(dest="subcommand", required=True)
-    p = nc_sub.add_parser("recover", help="identify the character a unit function approximates")
-    p.add_argument("--q", type=_positive_int, required=True)
-    p.add_argument("--g", required=True, help="file of 'a: re,im' lines, one per unit mod q")
-    _add_common(p)
-    p.set_defaults(func=_cmd_nearchar_recover)
+    _command(nc_sub, "recover", "identify the character a unit function approximates",
+             _cmd_nearchar_recover, _Q,
+             ("--g", dict(required=True, help="file of 'a: re,im' lines, one per unit mod q")))
 
     ch = sub.add_parser("chars", help="character tables and diagnostics")
     ch_sub = ch.add_subparsers(dest="subcommand", required=True)
-
-    p = ch_sub.add_parser("list", help="all characters mod q")
-    p.add_argument("--q", type=_positive_int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_chars_list)
-
-    p = ch_sub.add_parser("eval", help="evaluate one character at one point")
-    p.add_argument("--q", type=_positive_int, required=True)
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_chars_eval)
-
-    p = ch_sub.add_parser("conductor", help="conductor and primitive part")
-    p.add_argument("--q", type=_positive_int, required=True)
-    p.add_argument("--index", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_chars_conductor)
+    _command(ch_sub, "list", "all characters mod q", _cmd_chars_list, _Q)
+    _command(ch_sub, "eval", "evaluate one character at one point", _cmd_chars_eval,
+             _Q, _INDEX, ("--n", dict(type=int, required=True)))
+    _command(ch_sub, "conductor", "conductor and primitive part", _cmd_chars_conductor,
+             _Q, _INDEX)
 
     return parser
 
@@ -524,7 +394,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)
+        if isinstance(result, str):
+            _write(args, result)
+        else:
+            _emit(args, result)
+        return 0
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -83,7 +83,7 @@ def _romberg(f, a: float, b: float, tol: float, max_level: int = 24) -> float:
 
 def delta1(tolerance: float = DEFAULT_TOLERANCE) -> ConstantValue:
     """The square-class infimum constant, two quadratures deep."""
-    if tolerance < _MIN_TOLERANCE:
+    if not tolerance >= _MIN_TOLERANCE:  # NaN fails this too
         raise PreconditionError(f"tolerance must be >= {_MIN_TOLERANCE}")
     lo, hi = 1.0, math.sqrt(math.e)
     i1 = _adaptive_simpson(_integrand, lo, hi, tolerance / 64.0)

@@ -25,7 +25,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -146,6 +146,10 @@ class Twist(FunctionSpec):
     t: float
     completely_multiplicative = True
 
+    def __post_init__(self):
+        if not math.isfinite(self.t):
+            raise PreconditionError(f"twist exponent must be finite, got {self.t}")
+
     @property
     def real_valued(self):  # type: ignore[override]
         return self.t == 0.0
@@ -205,7 +209,7 @@ class PrimeTableSpec(FunctionSpec):
         for (p, k), v in self.entries:
             if p < 2 or not is_prime_small(p) or k < 1:
                 raise PreconditionError(f"table key {p}^{k} is not a prime power")
-            if abs(v) > 1 + _VALUE_TOL:
+            if not abs(v) <= 1 + _VALUE_TOL:  # NaN fails this too
                 raise PreconditionError(f"|f({p}^{k})| = {abs(v):.6f} exceeds 1")
 
     @property
@@ -216,26 +220,18 @@ class PrimeTableSpec(FunctionSpec):
     def real_valued(self):  # type: ignore[override]
         return all(complex(v).imag == 0 for _, v in self.entries)
 
-    @property
+    @cached_property
     def _map(self):
         # memoized on the instance: keying an lru_cache by the entries tuple
         # would re-hash every entry on each lookup
-        m = self.__dict__.get("_map_cache")
-        if m is None:
-            m = dict(self.entries)
-            object.__setattr__(self, "_map_cache", m)
-        return m
+        return dict(self.entries)
 
-    @property
+    @cached_property
     def _prime_arrays(self):
-        # sorted primes with a k = 1 entry and their values, memoized like _map
-        a = self.__dict__.get("_prime_arrays_cache")
-        if a is None:
-            ones = sorted((p, v) for (p, k), v in self._map.items() if k == 1)
-            a = (np.array([p for p, _ in ones], dtype=np.int64),
-                 np.array([v for _, v in ones], dtype=np.complex128))
-            object.__setattr__(self, "_prime_arrays_cache", a)
-        return a
+        # sorted primes with a k = 1 entry and their values
+        ones = sorted((p, v) for (p, k), v in self._map.items() if k == 1)
+        return (np.array([p for p, _ in ones], dtype=np.int64),
+                np.array([v for _, v in ones], dtype=np.complex128))
 
     def prime_power_value(self, p, k):
         m = self._map

@@ -245,6 +245,9 @@ def euler_product_mean(
     geometric tail when the spec is completely multiplicative (or finitely
     supported on powers); only explicit tables are genuinely truncated.
     The caller multiplies the prediction by psi(a) for a target class a.
+    With P < x, tail_log_bound = sum_{P < p <= x} log(p/(p-2)) bounds the
+    log |product| of the dropped factors: each is (1 - 1/p)(1 + w) with
+    |w| <= 1/(p-1).
     """
     P = x if truncation is None else truncation
     if not 2 <= P <= x:
@@ -275,7 +278,7 @@ def euler_product_mean(
     if P < x:
         tail_ps = table.primes_upto(x)
         tail_ps = tail_ps[tail_ps > P]
-        tail = float(np.sum(2.0 / tail_ps))
+        tail = float(np.sum(np.log1p(2.0 / (tail_ps - 2))))
     else:
         tail = 0.0
     return EulerProductValue(x=x, q=q, t=t, truncation=P, product=product,

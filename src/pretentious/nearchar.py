@@ -56,6 +56,8 @@ class ApproxHomomorphism:
                 raise PreconditionError(
                     f"expected {G.phi} unit values for q={q}, got shape {garr.shape}"
                 )
+        if not np.isfinite(garr).all():
+            raise PreconditionError(f"unit values mod {q} must be finite")
         one = int(np.searchsorted(G.units, 1 % q))
         if abs(garr[one] - 1.0) > 1e-12:
             raise PreconditionError(

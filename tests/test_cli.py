@@ -1,6 +1,9 @@
 """Command line reports: schema, determinism, formats, exit codes."""
 
+import argparse
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from pretentious.characters import character_by_index, character_row, unit_group
 from pretentious.errors import TheoremViolation
 
 TOP_KEYS = {"version", "command", "config", "timestamp", "result"}
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, argv):
@@ -204,6 +208,36 @@ def test_argparse_rejects_bad_numbers(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["meanvalues", "euler", "--f", "mobius", "--x", "1000", "--t", "nan"],
+    ["constants", "--name", "delta1", "--tol", "nan"],
+    ["pretension", "find", "--f", "mobius", "--x", "1000", "--Q", "5", "--A", "inf"],
+    ["constants", "--name", "repulsion", "--m", "abc"],
+])
+def test_argparse_rejects_non_finite_and_malformed_flags(capsys, argv):
+    # NaN would reach the report, a NaN tolerance never converges, inf overflows the
+    # scan grid, and abc is no order
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
+def test_repulsion_order_recorded_as_given(capsys):
+    rep = run_json(capsys, ["constants", "--name", "repulsion", "--m", "3"])
+    assert rep["config"]["params"]["m"] == "3"
+    assert rep["result"]["m"] == 3
+
+
+@pytest.mark.parametrize("spec, want", [("table:{2:nan,3:1;rule=cm}", 3), ("nit:nan", 2)])
+def test_non_finite_spec_value_is_refused(capsys, spec, want):
+    # a NaN value fails the |f(p)| <= 1 precondition; a NaN twist is a bad spec
+    code, out, err = run_cli(capsys, ["meanvalues", "euler", "--f", spec, "--x", "3"])
+    assert code == want
+    assert out == ""
+    assert "error:" in err
+
+
 def test_exit_0_is_returned_not_raised(capsys):
     assert cli.main(["constants"]) == 0
     capsys.readouterr()
@@ -239,6 +273,14 @@ def test_nearchar_malformed_line(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["nearchar", "recover", "--q", "5", "--g", str(gfile)])
     assert code == 2
     assert ":2:" in err  # diagnostic names the offending line
+
+
+def test_nearchar_non_finite_value(tmp_path, capsys):
+    gfile = tmp_path / "g.txt"
+    gfile.write_text("1: nan,0\n2: 1,0\n3: 1,0\n4: 1,0\n")
+    code, _, err = run_cli(capsys, ["nearchar", "recover", "--q", "5", "--g", str(gfile)])
+    assert code == 3
+    assert "finite" in err
 
 
 def test_nearchar_missing_unit(tmp_path, capsys):
@@ -318,3 +360,76 @@ def test_meanvalues_euler_truncation_is_prime_cutoff(capsys):
     ])
     assert rep["result"]["truncation"] == 1000
     assert rep["result"]["tail_log_bound"] > 0
+
+
+# ------------------------------------------------------- README and config
+
+
+def _readme_cli_commands():
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return [shlex.split(line)[1:] for line in section.splitlines()
+            if line.startswith("pretentious ")]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in the report")
+
+
+@pytest.mark.parametrize("argv", _readme_cli_commands(), ids=" ".join)
+def test_readme_cli_command_runs(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_g_file(tmp_path / "units.txt", 15, 3, perturb=0.05)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    if "--out" in argv:
+        out = (tmp_path / argv[argv.index("--out") + 1]).read_text()
+    if out.startswith(cli._CSV_HEADER + "\n"):
+        return
+    rep = json.loads(out, parse_constant=_reject_constant)
+    assert set(rep) == TOP_KEYS
+    assert rep["command"] == " ".join(argv[:1] if argv[0] == "constants" else argv[:2])
+
+
+def _leaf_parsers(parser, prefix=()):
+    """(command name, parser) for every runnable subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_parsers(sub, prefix + (name,))
+            return
+    yield " ".join(prefix), parser
+
+
+SMALL_RUNS = {
+    "constants": ["--name", "repulsion", "--m", "3"],
+    "pretension find": ["--f", "mobius", "--x", "1000", "--Q", "3", "--A", "1"],
+    "meanvalues report": ["--f", "one", "--x", "1000", "--q", "4", "--Q", "4", "--A", "1"],
+    "meanvalues halasz": ["--f", "mobius", "--x", "1000"],
+    "meanvalues euler": ["--f", "mobius", "--x", "1000"],
+    "sieve bad-moduli": ["--f", "mobius", "--x", "1000", "--q", "3", "--a", "1", "--eta", "0.5"],
+    "sieve defect": ["--f", "mobius", "--x", "1000", "--q", "5"],
+    "sieve legendre": ["--q", "4", "--a", "3", "--x", "1000", "--p-limit", "50"],
+    "nearchar recover": ["--q", "5", "--g", "g.txt"],
+    "chars list": ["--q", "8"],
+    "chars eval": ["--q", "5", "--index", "1", "--n", "2"],
+    "chars conductor": ["--q", "9", "--index", "0"],
+}
+
+
+def test_small_runs_cover_every_subcommand():
+    assert set(SMALL_RUNS) == {name for name, _ in _leaf_parsers(cli.build_parser())}
+
+
+# the flags the README leaves out of config.params
+STEERING_FLAGS = {"out", "seed", "threads", "format", "verbose"}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_config_params_are_the_declared_flags(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_g_file(tmp_path / "g.txt", 5, 2)
+    parser = dict(_leaf_parsers(cli.build_parser()))[command]
+    declared = {a.dest for a in parser._actions if a.option_strings} - {"help"}
+    rep = run_json(capsys, command.split() + SMALL_RUNS[command])
+    assert rep["command"] == command
+    assert set(rep["config"]["params"]) == declared - STEERING_FLAGS

@@ -51,6 +51,12 @@ def test_delta1_rejects_tolerance_below_floor():
         delta1(1e-13)
 
 
+def test_delta1_rejects_nan_tolerance():
+    # a NaN tolerance slips past a plain `< floor` check and never converges
+    with pytest.raises(PreconditionError):
+        delta1(math.nan)
+
+
 def test_delta0_is_midpoint():
     d0 = delta0()
     d1 = delta1()

@@ -113,6 +113,9 @@ def test_parse_prime_power_keys():
         "table:{4:1;rule=cm}",  # 4 is not prime
         "table:{2:1;rule=nonsense}",
         "table:{2:2;rule=cm}",  # |value| > 1
+        "table:{2:nan,3:1;rule=cm}",
+        "nit:nan",
+        "nit:inf",
         "",
     ],
 )
@@ -244,6 +247,15 @@ def test_table_completion_rules():
 def test_value_bound_enforced():
     with pytest.raises(PreconditionError):
         make_prime_table_spec({2: 1.5})
+
+
+def test_table_memo_built_once_and_outside_eq_hash():
+    spec = make_prime_table_spec({2: -1, 3: 0.5j, 5: 1})
+    twin = make_prime_table_spec({2: -1, 3: 0.5j, 5: 1})
+    assert spec._map is spec._map
+    assert spec._prime_arrays is spec._prime_arrays
+    assert spec._prime_arrays[0].tolist() == [2, 3, 5]
+    assert spec == twin and hash(spec) == hash(twin)
 
 
 # ------------------------------------------------------------- sieving

@@ -445,14 +445,28 @@ def test_euler_product_truncation_and_tail():
     small = ps[ps <= 50]
     ref = float(np.prod((1 - 1 / small) / (1 + 1 / small)))
     assert cut.product.real == pytest.approx(ref, rel=1e-12)
-    # tail estimate is sum of 2/p over the dropped primes; the true dropped
-    # log mass is 2/p + 2/(3p^3) + ... per prime, so they agree to ~3e-5 here
-    expected_tail = float(np.sum(2.0 / ps[ps > 50]))
+    # the tail bound is sum of log(p/(p-2)) over the dropped primes; the true
+    # dropped log mass is 2/p + 2/(3p^3) + ... per prime, so it lies within
+    # ~3e-5 of the first-order sum of 2/p and below the bound
+    expected_tail = float(np.sum(np.log(ps[ps > 50] / (ps[ps > 50] - 2))))
     assert cut.tail_log_bound == pytest.approx(expected_tail, rel=1e-12)
     dropped = abs(math.log(abs(full.product)) - math.log(abs(cut.product)))
-    assert dropped == pytest.approx(cut.tail_log_bound, abs=1e-4)
+    assert dropped == pytest.approx(float(np.sum(2.0 / ps[ps > 50])), abs=1e-4)
+    assert dropped <= cut.tail_log_bound
     with pytest.raises(PreconditionError):
         euler_product_mean(parse_spec("liouville"), 100, t, truncation=1)
+
+
+@pytest.mark.parametrize("text", ["mobius", "liouville", "one", "char:5:2", "legendre:7"])
+@pytest.mark.parametrize("P", [100, 1000])
+def test_euler_tail_bounds_the_dropped_factors(table_medium, text, P):
+    # the first-order sum of 2/p over the dropped primes is exceeded for mobius
+    # and liouville (1.80673 dropped against 1.80491 for mobius at P = 100)
+    f = parse_spec(text)
+    full = euler_product_mean(f, 10**5, table_medium)
+    cut = euler_product_mean(f, 10**5, table_medium, truncation=P)
+    dropped = abs(full.log_abs_product - cut.log_abs_product)
+    assert dropped <= cut.tail_log_bound
 
 
 # --------------------------------------------------- progression report

@@ -76,6 +76,17 @@ def test_rejects_wrong_shape_and_missing_keys():
         ApproxHomomorphism.from_values(5, {1: 1, 2: 1, 3: 1})  # no value at 4
 
 
+@pytest.mark.parametrize("unit", [1, 2])
+def test_rejects_non_finite_values(unit):
+    # NaN at unit 1 slips past a plain |g(1) - 1| > tol check
+    values = {1: 1, 2: 1, 3: 1, 4: 1}
+    values[unit] = math.nan
+    with pytest.raises(PreconditionError, match="finite"):
+        ApproxHomomorphism.from_values(5, values)
+    with pytest.raises(PreconditionError, match="finite"):
+        ApproxHomomorphism.from_values(5, list(values.values()))
+
+
 def test_dict_and_array_agree():
     _, row = _char_units(8, 3)
     ga = ApproxHomomorphism.from_values(8, row)
