@@ -14,6 +14,7 @@ import argparse
 import sys
 
 from pretentious.arith import PrimeTable
+from pretentious.cli import _finite_float
 from pretentious.constants import delta1
 from pretentious.sieve_experiments import legendre_progression_experiment
 
@@ -22,8 +23,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--q", type=int, default=4)
     ap.add_argument("--a", type=int, default=3)
-    ap.add_argument("--x", type=float, default=1e4)
-    ap.add_argument("--p-limit", dest="p_limit", type=float, default=1e4)
+    ap.add_argument("--x", type=_finite_float, default=1e4)
+    ap.add_argument("--p-limit", dest="p_limit", type=_finite_float, default=1e4)
     ap.add_argument("--out", default=None, help="CSV path (default stdout)")
     args = ap.parse_args()
 

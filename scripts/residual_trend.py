@@ -13,6 +13,7 @@ import sys
 import time
 
 from pretentious.arith import PrimeTable
+from pretentious.cli import _finite_float, _nonneg_float
 from pretentious.funcspec import parse_spec
 from pretentious.meanvalues import progression_report
 
@@ -21,9 +22,9 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--f", default="mobius")
     ap.add_argument("--qs", default="3,4,5,8", help="comma-separated moduli")
-    ap.add_argument("--xmax", type=float, default=1e6)
+    ap.add_argument("--xmax", type=_finite_float, default=1e6)
     ap.add_argument("--Q", type=int, default=10, help="conductor bound for the scan")
-    ap.add_argument("--A", type=float, default=2.0, help="twist bound")
+    ap.add_argument("--A", type=_nonneg_float, default=2.0, help="twist bound")
     ap.add_argument("--out", default=None, help="CSV path (default stdout)")
     args = ap.parse_args()
 

@@ -144,6 +144,7 @@ def unit_group_transform(values, q: int) -> np.ndarray:
     lead = np.shape(values)[:-1]
     grid = np.zeros(lead + G.orders, dtype=np.complex128)
     grid.reshape(lead + (G.phi,))[..., G.ravel] = values
+    del values  # a temporary argument is freed before the FFT
     axes = tuple(range(len(lead), grid.ndim))
     return np.fft.fftn(grid, s=G.orders, axes=axes).reshape(lead + (G.phi,))
 

@@ -315,8 +315,8 @@ def _legendre_row(p: int) -> np.ndarray:
     """(n|p) for n = 0..p-1 as int8 (read-only); numpy sums int8 in int64."""
     row = -np.ones(p, dtype=np.int8)
     row[0] = 0
-    sq = np.unique(np.arange(1, p, dtype=np.int64) ** 2 % p)
-    row[sq] = 1
+    h = np.arange(1, p // 2 + 1, dtype=np.int64)  # h and p - h square alike
+    row[h * h % p] = 1
     row.flags.writeable = False
     return row
 

@@ -9,11 +9,14 @@ minimizer is the "exceptional" character that controls progression sums.
 
 Every minimization in t in the library (the scan, `min_distance_over_t`,
 `minimize_twist`, and through them the Halasz bounds) runs one loop,
-`_scan`: a grid of spacing pi/(4 log x) (the objective cannot oscillate
-faster than log x), over [0, A] alone when the objective is even in t, then
-17-point grids across the two cells around the best point until the spacing
-is at most 5e-7.  The reported distance is the direct cosine sum at the
-chosen t; the grids run on cell moments.
+`_scan`, on one kernel for all its characters: a grid of spacing
+pi/(4 log x) (the objective cannot oscillate faster than log x), over
+[0, A] alone for the characters whose objective is even in t and over
+[-A, A] for the rest, then rounds of 17-point grids across the two cells
+around each best point until its spacing is at most 5e-7; a round
+evaluates the grids of all characters still refining in one batched call
+per t-block (see below).  The reported distance
+is the direct cosine sum at the chosen t; the grids run on cell moments.
 
 Cell moments.  With w_p = f(p) conj(psi(p)) / p, the grids need
 S(t) = sum_p w_p e^(-it log p).  log p is binned into cells of width
@@ -30,12 +33,19 @@ TRUNCATION_BOUND * sum_{p <= x} 1/p of S(t), where TRUNCATION_BOUND =
 for x <= 1e8, sum 1/p < 3.2, so the bound is below 1e-14.  One pass over the
 primes builds a block's moments, and each grid point then costs a sum over
 about log(x)/delta cells instead of pi(x) primes.  psi(p) depends only on
-p mod q, so `_CellMoments` keeps moments per residue class mod q and the
-unit-group transform turns them into every character mod q at once.
+p mod q, so `_CellMoments` sums per residue class mod q and the unit-group
+transform turns the sums into every character mod q at once.  The scan
+over conductors r <= Q builds one kernel for all of them: every cell starts
+at log 2, so all columns share the cell centres, and the primes dividing r
+fall into the classes mod r that the transform drops.  The phases
+e^(-itu_c) come from a two-level table, e^(-itu_aL) e^(-it(c - aL) delta)
+with L = PHASE_SPLIT: one complex exp per L cells plus L per point instead
+of one per cell, and no recurrence, so nothing drifts along a grid.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -57,12 +67,15 @@ T_REFINE_TOL = 1e-6
 GRID_SPACING_FACTOR = math.pi / 4.0
 REFINE_POINTS = 17
 CELL_WIDTH = 0.05
+FIRST_CELL = math.floor(math.log(2.0) / CELL_WIDTH)
+PHASE_SPLIT = 16
 MOMENTS = 9
 T_BLOCK = 4.0
 TRUNCATION_BOUND = (T_BLOCK * CELL_WIDTH / 2) ** MOMENTS / math.factorial(MOMENTS)
 TIE_TOL = 1e-12
 _GRID_CHUNK = 64
 _BLOCKS_KEPT = 4
+_PRIME_CHUNK = 2**13
 
 
 @dataclass(frozen=True)
@@ -130,14 +143,17 @@ def distance_squared(
 
 class _PrimeData:
     """The primes p <= x not dividing r, with what every twist objective
-    that excludes r shares: f(p), 1/p and its sum, log p, and p mod q."""
+    that excludes r shares: f(p), 1/p and its sum, log p, and p mod q.  With
+    q = 0 the classes are the primes themselves, for characters of several
+    moduli."""
 
     def __init__(self, fv: np.ndarray, x: int, r: int, q: int, table: PrimeTable):
         ps = table.primes_upto(x)
-        keep = r % ps != 0
-        ps = ps[keep]
-        self.fv = fv[keep]
-        self.cls = (ps % q).astype(np.min_scalar_type(q))
+        if r > 1:
+            keep = r % ps != 0
+            ps, fv = ps[keep], fv[keep]
+        self.fv = fv
+        self.cls = (ps % q).astype(np.min_scalar_type(q)) if q else ps
         self.inv_p = 1.0 / ps
         self.base = float(np.sum(self.inv_p))
         self.logp = np.log(ps, dtype=np.float64)
@@ -146,88 +162,171 @@ class _PrimeData:
         self.q = q
 
 
+def _twisted(fv: np.ndarray, cls: np.ndarray, psi: DirichletCharacter) -> np.ndarray:
+    """z_p = f(p) conj(psi(p)) at primes whose classes mod psi.q are cls."""
+    z = np.conj(character_row(psi))[cls]
+    np.multiply(fv, z, out=z)
+    return z
+
+
+def _is_even(data: _PrimeData, psi: DirichletCharacter) -> bool:
+    """Whether psi's objective on data is even in t: every z_p is real.  A
+    prime dividing psi.q has z_p = 0, so data may hold it.  A real f against
+    a real character needs no look at the primes; otherwise they go through
+    in chunks, and the first complex z_p ends the search."""
+    if np.isrealobj(data.fv) and not character_row(psi).imag.any():
+        return True
+    return not any(_twisted(data.fv[lo:lo + _PRIME_CHUNK],
+                            data.cls[lo:lo + _PRIME_CHUNK] % psi.q, psi).imag.any()
+                   for lo in range(0, len(data.fv), _PRIME_CHUNK))
+
+
 class _CellMoments:
     """base - Re sum_p f(p) conj(chi(p)) / p e^(-it log p) on grids of t, one
-    column per character chi in `chars` (characters mod data.q), from Taylor
-    moments over cells of log p (see the module docstring).
+    column per character chi in `chars`, from Taylor moments over cells of
+    log p (see the module docstring).
 
-    Moments are kept per class p mod q, and the unit-group transform turns
-    them into the columns.  The moments of a t-block are built on first use;
-    the last _BLOCKS_KEPT blocks are kept.
+    The characters are mod data.q, and each excludes the primes dividing
+    data.r, as its objective on data does.  With data.q = 0 they may have
+    any moduli, and a character mod r excludes the primes dividing r, as
+    find_exceptional's objective for conductor r does: data then holds every
+    prime (data.r = 1), and the primes dividing r fall into the classes mod
+    r that the unit-group transform drops.
+
+    The moments of a t-block are built on first use, one modulus at a time
+    into one array for all the columns; the last _BLOCKS_KEPT blocks are
+    kept.
     """
 
     def __init__(self, data: _PrimeData, chars: list[DirichletCharacter]):
         self.data = data
-        self.index = [chi.index for chi in chars]
-        logp = data.logp
-        self.first = math.floor(logp[0] / CELL_WIDTH) if len(logp) else 0
-        last = math.floor(logp[-1] / CELL_WIDTH) if len(logp) else -1
-        self.centres = (np.arange(self.first, last + 1) + 0.5) * CELL_WIDTH
+        by_modulus: dict[int, list[int]] = {}
+        for col, chi in enumerate(chars):
+            by_modulus.setdefault(chi.q, []).append(col)
+        self._groups = []
+        self.base = np.empty((len(chars), 1))
+        for q, cols in by_modulus.items():
+            # the bin of each class within a cell: its place among the
+            # units, or one spare bin for the classes of primes dividing q
+            units = unit_group(q).units
+            bins = np.full(q, len(units))
+            bins[units] = np.arange(len(units))
+            self._groups.append((q, cols, [chars[col].index for col in cols], bins))
+            self.base[cols] = (data.base if data.q else
+                               float(np.sum(data.inv_p[q % data.cls != 0])))
+        # the primes go through the class sums in chunks of whole cells
+        cell = np.floor(data.logp / CELL_WIDTH).astype(np.intp)
+        self._cells = int(cell[-1]) + 1 - FIRST_CELL if len(cell) else 0
+        starts = np.searchsorted(cell, cell[::_PRIME_CHUNK])
+        self._edges = np.append(np.unique(starts), len(cell)).tolist()
+        padded = -(-self._cells // PHASE_SPLIT) * PHASE_SPLIT
+        self.centres = (np.arange(FIRST_CELL, FIRST_CELL + padded) + 0.5) * CELL_WIDTH
+        self._offsets = np.arange(PHASE_SPLIT) * CELL_WIDTH
         self._blocks: dict[int, np.ndarray] = {}
 
-    def _class_moments(self, j: int) -> np.ndarray:
-        """W[c, m, b] = sum over p in cell c with p = b (mod q) of
-        f(p)/p e^(-i t_j v_p) v_p^m, where v_p = log p - u_c and t_j = 2j T_BLOCK.
-        The powers stream through one running array."""
-        data, q = self.data, self.data.q
-        cell = np.floor(data.logp / CELL_WIDTH).astype(np.intp)
-        cell -= self.first
-        v = self.centres[cell]
-        np.subtract(data.logp, v, out=v)
-        w = data.fv * data.inv_p
-        if j:
-            w = w * np.exp(-2j * T_BLOCK * j * v)
-        cell *= q
-        cell += data.cls
-        n = len(self.centres) * q
-        W = np.zeros((MOMENTS, n), dtype=np.complex128)
-        for m in range(MOMENTS):
-            if m:
-                w *= v
-            W[m].real = np.bincount(cell, w.real, n)
-            if np.iscomplexobj(w):
-                W[m].imag = np.bincount(cell, w.imag, n)
-        return W.reshape(MOMENTS, -1, q).transpose(1, 0, 2)
+    def _class_sums(self, j: int, q: int, bins: np.ndarray) -> np.ndarray:
+        """C[m, c, b] = sum over p in cell c with p = b (mod q) of
+        f(p)/p e^(-i t_j v_p) v_p^m for the units b, where v_p = log p - u_c
+        and t_j = 2j T_BLOCK.  Each cell lies in one chunk of primes, so its
+        sums do not depend on the chunking; the powers of v stream through
+        one running array."""
+        data = self.data
+        width = unit_group(q).phi + 1
+        C = np.zeros((MOMENTS, self._cells * width), dtype=np.complex128)
+        for lo, hi in zip(self._edges, self._edges[1:]):
+            logp = data.logp[lo:hi]
+            key = np.floor(logp / CELL_WIDTH).astype(np.intp)
+            key -= FIRST_CELL
+            v = self.centres[key]
+            np.subtract(logp, v, out=v)
+            key *= width
+            key += bins[data.cls[lo:hi] % q]
+            w = data.fv[lo:hi] * data.inv_p[lo:hi]
+            if j:
+                w = w * np.exp(-2j * T_BLOCK * j * v)
+            for m in range(MOMENTS):
+                if m:
+                    w *= v
+                C[m].real += np.bincount(key, w.real, C.shape[1])
+                if np.iscomplexobj(w):
+                    C[m].imag += np.bincount(key, w.imag, C.shape[1])
+        return C.reshape(MOMENTS, self._cells, width)[..., :-1]
+
+    def _build(self, j: int) -> np.ndarray:
+        """The moments of t-block j: the unit-group transform of each
+        modulus's class sums, written column by column into one array."""
+        W = np.zeros((len(self.base), len(self.centres), MOMENTS), dtype=np.complex128)
+        for q, cols, index, bins in self._groups:
+            T = unit_group_transform(self._class_sums(j, q, bins), q)
+            for col, i in zip(cols, index):
+                W[col, :self._cells] = T[..., i].T
+        return W
 
     def moments(self, j: int) -> np.ndarray:
-        """The moments of t-block j, shape (cells, MOMENTS, columns)."""
+        """The moments of t-block j, shape (columns, cells, MOMENTS); the
+        cells past the last prime's pad the phase table and hold zeros."""
         W = self._blocks.get(j)
         if W is None:
             if len(self._blocks) == _BLOCKS_KEPT:
                 del self._blocks[next(iter(self._blocks))]
-            q = self.data.q
-            W = self._class_moments(j)[..., unit_group(q).units]
-            W = unit_group_transform(W, q)[..., self.index]
-            W = self._blocks[j] = np.ascontiguousarray(W)
+            W = self._blocks[j] = self._build(j)
         return W
 
-    def grid(self, ts: np.ndarray, col: int | None = None) -> np.ndarray:
-        """Values at ts, shape (len(ts), columns), or (len(ts),) for one
-        `col`.  A point t in block j = round(t / 2 T_BLOCK) is
-        base - Re sum_c e^(-itu_c) sum_m (-is)^m / m! W_j[c, m], s = t - t_j."""
-        ts = np.asarray(ts, dtype=np.float64)
-        blocks = np.rint(ts / (2.0 * T_BLOCK)).astype(np.intp)
-        out = None
-        for j in sorted(set(blocks.tolist())):
+    def _phases(self, t: np.ndarray) -> np.ndarray:
+        """e^(-itu_c) for every cell c = aL + b, shape t.shape + (cells,), as
+        e^(-itu_aL) e^(-itb delta) with L = PHASE_SPLIT: one complex exp per
+        L cells plus L per point, and no recurrence to drift."""
+        head = np.exp(np.multiply.outer(t, self.centres[::PHASE_SPLIT]) * -1j)
+        tail = np.exp(np.multiply.outer(t, self._offsets) * -1j)
+        E = head[..., :, None] * tail[..., None, :]
+        return E.reshape(t.shape + (len(self.centres),))
+
+    def _values(self, j: int, t: np.ndarray, W: np.ndarray, base: np.ndarray) -> np.ndarray:
+        """base - Re sum_c e^(-itu_c) sum_m (-is)^m / m! W[k, c, m], s = t - t_j,
+        at points t of block j, shape (k, n): t of shape (n,) is every
+        column's grid, t of shape (k, n) holds one grid per column."""
+        steps = np.empty(t.shape + (MOMENTS,), dtype=np.complex128)
+        steps[..., 0] = 1.0
+        steps[..., 1:] = (-1j * (t - 2.0 * T_BLOCK * j))[..., None] / np.arange(1, MOMENTS)
+        R = self._phases(t) @ W
+        R *= np.cumprod(steps, axis=-1)
+        return base - R.sum(axis=-1).real
+
+    def grids(self, requests: list[tuple[np.ndarray, slice | np.ndarray]]) -> list[np.ndarray]:
+        """For each (ts, cols) in requests, the values of the columns cols: ts
+        of shape (n,) is one grid for all of them, with cols a slice, and
+        gives shape (columns, n); ts of shape (columns, n) holds one grid per
+        column and gives ts.shape.  A point t is in block
+        j = round(t / 2 T_BLOCK); one pass over the blocks serves every
+        request, so each block's moments are built once.  Points go through
+        in chunks whose phase tables have about _GRID_CHUNK rows."""
+        todo = []
+        for ts, cols in requests:
+            ts = np.asarray(ts, dtype=np.float64)
+            base = self.base[cols]
+            todo.append((ts, np.rint(ts / (2.0 * T_BLOCK)).astype(np.intp), cols, base,
+                         np.empty((len(base), ts.shape[-1]))))
+        for j in np.unique(np.concatenate([b.ravel() for _, b, *_ in todo])).tolist():
             W = self.moments(j)
-            if col is not None:
-                W = W[..., col:col + 1]
-            k = W.shape[-1]
-            W = W.reshape(len(self.centres), MOMENTS * k)
-            if out is None:
-                out = np.empty((len(ts), k))
-            rows = np.flatnonzero(blocks == j)
-            for lo in range(0, len(rows), _GRID_CHUNK):
-                idx = rows[lo:lo + _GRID_CHUNK]
-                t = ts[idx]
-                steps = np.ones((len(idx), MOMENTS), dtype=np.complex128)
-                steps[:, 1:] = (-1j * (t - 2.0 * T_BLOCK * j))[:, None] / np.arange(1, MOMENTS)
-                taylor = np.cumprod(steps, axis=1)
-                E = np.multiply.outer(t, self.centres) * -1j
-                np.exp(E, out=E)
-                R = (E @ W).reshape(len(idx), MOMENTS, k)
-                out[idx] = self.data.base - np.einsum("nm,nmk->nk", taylor, R).real
-        return out if col is None else out[:, 0]
+            for ts, blocks, cols, base, out in todo:
+                hit = blocks == j
+                if ts.ndim == 1:
+                    idx = np.flatnonzero(hit)
+                    for lo in range(0, len(idx), _GRID_CHUNK):
+                        pts = idx[lo:lo + _GRID_CHUNK]
+                        out[:, pts] = self._values(j, ts[pts], W[cols], base)
+                    continue
+                rows = np.flatnonzero(hit.any(axis=1))
+                step = -(-_GRID_CHUNK // ts.shape[1])
+                for lo in range(0, len(rows), step):
+                    k = rows[lo:lo + step]
+                    vals = self._values(j, ts[k], W[cols[k]], base[k])
+                    out[k] = np.where(hit[k], vals, out[k])
+        return [out for *_, out in todo]
+
+    def grid(self, ts: np.ndarray) -> np.ndarray:
+        """Every column at ts, shape (len(ts), columns)."""
+        return self.grids([(ts, slice(None))])[0].T
 
 
 class TwistObjective:
@@ -256,8 +355,7 @@ class TwistObjective:
         return obj
 
     def _bind(self, data: _PrimeData, psi: DirichletCharacter):
-        z = np.conj(character_row(psi))[data.cls]
-        np.multiply(data.fv, z, out=z)
+        z = _twisted(data.fv, data.cls, psi)
         self.base = data.base
         self.amp = np.abs(z)
         self.amp *= data.inv_p
@@ -276,7 +374,7 @@ class TwistObjective:
     def grid(self, ts: np.ndarray) -> np.ndarray:
         """The objective at each of ts from cell moments, within
         TRUNCATION_BOUND * sum 1/p (plus rounding) of the direct sum."""
-        return _CellMoments(self._data, [self._psi]).grid(ts, 0)
+        return _CellMoments(self._data, [self._psi]).grid(ts)[:, 0]
 
 
 def _coarse_grid(even: bool, A: float, x: int) -> np.ndarray:
@@ -285,45 +383,79 @@ def _coarse_grid(even: bool, A: float, x: int) -> np.ndarray:
     return np.linspace(lo, A, max(3, int(math.ceil((A - lo) / h)) + 1))
 
 
-def _scan(data: _PrimeData, chars: list[DirichletCharacter],
-          A: float) -> list[tuple[float, float]]:
-    """(t, D^2) minimizing each character's objective over |t| <= A, in the
-    order of `chars` (characters mod data.q): a grid scan of [-A, A] ([0, A]
-    for an even objective), then finer grids over the two cells around the
-    best point down to spacing T_REFINE_TOL/2.  D^2 is the direct cosine sum
-    at the best point of the last grid.  Every grid runs on one set of class
-    moments that the unit-group transform turns into all of chars at once."""
-    if A < 0:
-        raise PreconditionError(f"twist bound A must be >= 0, got {A}")
-    kernel = _CellMoments(data, chars)
-    # both coarse grids, for every character, in one pass over the t-blocks
-    # and before any objective exists: each block's moments are then built
-    # once, while the fewest prime-length arrays live
-    if A > 0:
-        odd, even = _coarse_grid(False, A, data.x), _coarse_grid(True, A, data.x)
-        vals = kernel.grid(np.concatenate([odd, even]))
-        coarse = {False: (odd, vals[:len(odd)]), True: (even, vals[len(odd):])}
-    out = []
-    for col, psi in enumerate(chars):
-        obj = TwistObjective._on(data, psi)
-        t = 0.0
-        if A > 0:
-            ts, vals = coarse[obj.even]
-            vals = vals[:, col]
-            while ts[1] - ts[0] > T_REFINE_TOL / 2:
-                i = int(np.argmin(vals))
-                ts = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)],
-                                 REFINE_POINTS)
-                vals = kernel.grid(ts, col)
-            t = float(ts[np.argmin(vals)])
-        out.append((t, obj(t)))
-        del obj  # before the next character's arrays are built
-    return out
+def _check_twist_bound(A: float):
+    if not 0 <= A < math.inf:
+        raise PreconditionError(f"twist bound A must be finite and >= 0, got {A}")
+
+
+def _scan(data: _PrimeData, chars: list[DirichletCharacter], A: float) -> list[float]:
+    """The t minimizing each character's objective over |t| <= A, in the
+    order of `chars` (characters as _CellMoments takes them on data): a grid
+    scan of [-A, A], or of [0, A] for an even objective, then finer grids
+    over the two cells around the best point down to spacing
+    T_REFINE_TOL/2; t is the best point of the last grid.  All of it runs on
+    one kernel: each coarse grid once, on the columns of its parity, and
+    each refine round once per t-block for every character still refining
+    there."""
+    _check_twist_bound(A)
+    t = np.zeros(len(chars))
+    if A == 0:
+        return t.tolist()
+    # odd objectives first, so that each parity is a slice of the columns
+    even = np.array([_is_even(data, chi) for chi in chars])
+    order = np.argsort(even, kind="stable")
+    kernel = _CellMoments(data, [chars[k] for k in order])
+    n_odd = len(chars) - int(np.count_nonzero(even))
+    grids = [(_coarse_grid(par, A, data.x), cols) for par, cols in
+             ((False, slice(0, n_odd)), (True, slice(n_odd, len(chars))))
+             if cols.stop > cols.start]
+    cols, lo, hi = [], [], []
+    for (ts, c), vals in zip(grids, kernel.grids(grids)):
+        i = np.argmin(vals, axis=1)
+        c = np.arange(c.start, c.stop)
+        if ts[1] - ts[0] > T_REFINE_TOL / 2:
+            cols.append(c)
+            lo.append(ts[np.maximum(i - 1, 0)])
+            hi.append(ts[np.minimum(i + 1, len(ts) - 1)])
+        else:
+            t[order[c]] = ts[i]
+    if cols:
+        cols, lo, hi = np.concatenate(cols), np.concatenate(lo), np.concatenate(hi)
+        # refine one t-block at a time, so that each block's moments are
+        # built at most once more; from the highest block down, as the
+        # coarse pass ended there and its moments are still kept
+        home = np.rint((lo + hi) / (4.0 * T_BLOCK))
+        for j in np.unique(home)[::-1]:
+            mine = home == j
+            t[order[cols[mine]]] = _refine(kernel, cols[mine], lo[mine], hi[mine])
+    return t.tolist()
+
+
+def _refine(kernel: _CellMoments, cols: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray) -> np.ndarray:
+    """The best point of each column in cols within its bracket [lo, hi]: a
+    grid of REFINE_POINTS points across every bracket still refining, in one
+    call, then the two cells around each best point, until a column's
+    spacing is at most T_REFINE_TOL/2."""
+    t = np.empty(len(cols))
+    left = np.arange(len(cols))
+    while len(left):
+        ts = np.linspace(lo, hi, REFINE_POINTS, axis=1)
+        i = np.argmin(kernel.grids([(ts, cols[left])])[0], axis=1)
+        rows = np.arange(len(left))
+        done = ts[:, 1] - ts[:, 0] <= T_REFINE_TOL / 2
+        t[left[done]] = ts[rows, i][done]
+        go = ~done
+        lo = ts[rows, np.maximum(i - 1, 0)][go]
+        hi = ts[rows, np.minimum(i + 1, REFINE_POINTS - 1)][go]
+        left = left[go]
+    return t
 
 
 def minimize_twist(obj: TwistObjective, A: float, x: int) -> tuple[float, float]:
     """`_scan` of obj's character over |t| <= A; x is obj's x."""
-    return _scan(obj._data, [obj._psi], A)[0]
+    t = _scan(obj._data, [obj._psi], A)[0]
+    return t, obj(t)
 
 
 def min_distance_over_t(
@@ -339,7 +471,8 @@ def min_distance_over_t(
     if fv is None:
         fv = prime_values(f, table.primes_upto(x), table)
     data = _PrimeData(fv, x, psi.q if r is None else r, psi.q, table)
-    return _scan(data, [psi], A)[0]
+    t = _scan(data, [psi], A)[0]
+    return t, TwistObjective._on(data, psi)(t)
 
 
 def _primitive_characters(r: int) -> list[DirichletCharacter]:
@@ -385,15 +518,16 @@ def find_exceptional(
         raise PreconditionError(f"need 3 <= x <= table limit {table.limit}, got {x}")
     if Q < 1:
         raise PreconditionError(f"conductor bound must be >= 1, got {Q}")
-    if A < 0:
-        raise PreconditionError(f"twist bound A must be >= 0, got {A}")
+    _check_twist_bound(A)
     fv = prime_values(f, table.primes_upto(x), table)
+    chars = primitive_characters_upto(Q)
+    ts = _scan(_PrimeData(fv, x, 1, 0, table), chars, A)
     entries = []
-    for r in range(1, Q + 1):
-        chars = _primitive_characters(r)
-        if chars:
-            scan = _scan(_PrimeData(fv, x, r, r, table), chars, A)
-            entries += [SpectrumEntry(psi, r, t, d2) for psi, (t, d2) in zip(chars, scan)]
+    for r, group in itertools.groupby(zip(chars, ts), key=lambda c: c[0].q):
+        data = _PrimeData(fv, x, r, r, table)
+        entries += [SpectrumEntry(psi, r, t, TwistObjective._on(data, psi)(t))
+                    for psi, t in group]
+        del data  # before the next conductor's arrays are built
     entries = _spectrum_order(entries)
     best = entries[0]
     return ExceptionalReport(

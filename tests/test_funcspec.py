@@ -196,6 +196,22 @@ def test_legendre_matches_sympy():
             assert evaluate(spec, n, t) == expected
 
 
+def test_legendre_row_is_eulers_criterion():
+    # (n|p) = n^((p-1)/2) mod p, by square-and-multiply over all n at once
+    for p in PrimeTable(10**4).primes_upto(10**4)[1:].tolist():
+        n = np.arange(p, dtype=np.int64)
+        power, base, e = np.ones(p, dtype=np.int64), n.copy(), (p - 1) // 2
+        while e:
+            if e & 1:
+                power = power * base % p
+            base = base * base % p
+            e >>= 1
+        power[power == p - 1] = -1
+        row = _legendre_row(p)
+        assert row.dtype == np.int8 and not row.flags.writeable
+        assert np.array_equal(row, power), p
+
+
 def test_character_spec_is_character():
     t = _table()
     spec = parse_spec("char:7:2")

@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pretentious.arith import PrimeTable
-from pretentious.characters import DirichletCharacter, character_by_index, enumerate_characters
+from pretentious.characters import (
+    DirichletCharacter,
+    character_by_index,
+    enumerate_characters,
+    unit_group,
+    unit_group_transform,
+)
 from pretentious.errors import PreconditionError
 from pretentious.funcspec import (
     CharacterSpec,
@@ -27,12 +33,16 @@ from pretentious.funcspec import (
 )
 from pretentious.meanvalues import coprime_mean_bound, halasz_bound
 from pretentious.pretension import (
+    CELL_WIDTH,
     GRID_SPACING_FACTOR,
+    MOMENTS,
     REFINE_POINTS,
+    T_BLOCK,
     T_REFINE_TOL,
     TIE_TOL,
     TwistObjective,
     _CellMoments,
+    _coarse_grid,
     _PrimeData,
     _primitive_characters,
     distance_squared,
@@ -521,3 +531,210 @@ def test_scan_peak_memory_within_the_per_character_scan(table_medium):
     peak = _traced_peak(lambda: find_exceptional(f, x, Q, A, table_medium))
     oracle_peak = _traced_peak(oracle_scan)
     assert peak <= oracle_peak, (peak, oracle_peak)
+
+
+def test_scan_peak_memory_within_the_per_character_scan_at_q_20(table_medium):
+    # one kernel holds the moments of all 80 characters of conductor <= 20
+    f, x, Q, A = Mobius(), 10**6, 20, 2.0
+
+    def oracle_scan():
+        fv = prime_values(f, table_medium.primes_upto(x), table_medium)
+        for psi in primitive_characters_upto(Q):
+            _rotated_minimize_twist(TwistObjective(f, psi, x, table_medium, fv=fv), A, x)
+
+    find_exceptional(f, 10**4, Q, A, table_medium)  # warm the character caches
+    peak = _traced_peak(lambda: find_exceptional(f, x, Q, A, table_medium))
+    oracle_peak = _traced_peak(oracle_scan)
+    assert peak <= oracle_peak, (peak, oracle_peak)
+
+
+# The scan that one kernel for all conductors replaced, kept as the oracle:
+# one kernel per conductor r on the primes not dividing r, cells from the
+# first of those primes, phases from one complex exp per cell, and each
+# character refined on its own column.
+class _ConductorCellMoments:
+    def __init__(self, data, chars):
+        self.data = data
+        self.index = [chi.index for chi in chars]
+        logp = data.logp
+        self.first = math.floor(logp[0] / CELL_WIDTH) if len(logp) else 0
+        last = math.floor(logp[-1] / CELL_WIDTH) if len(logp) else -1
+        self.centres = (np.arange(self.first, last + 1) + 0.5) * CELL_WIDTH
+        self._blocks = {}
+
+    def _class_moments(self, j):
+        data, q = self.data, self.data.q
+        cell = np.floor(data.logp / CELL_WIDTH).astype(np.intp)
+        cell -= self.first
+        v = self.centres[cell]
+        np.subtract(data.logp, v, out=v)
+        w = data.fv * data.inv_p
+        if j:
+            w = w * np.exp(-2j * T_BLOCK * j * v)
+        cell *= q
+        cell += data.cls
+        n = len(self.centres) * q
+        W = np.zeros((MOMENTS, n), dtype=np.complex128)
+        for m in range(MOMENTS):
+            if m:
+                w *= v
+            W[m].real = np.bincount(cell, w.real, n)
+            if np.iscomplexobj(w):
+                W[m].imag = np.bincount(cell, w.imag, n)
+        return W.reshape(MOMENTS, -1, q).transpose(1, 0, 2)
+
+    def moments(self, j):
+        if j not in self._blocks:
+            q = self.data.q
+            W = self._class_moments(j)[..., unit_group(q).units]
+            self._blocks[j] = np.ascontiguousarray(unit_group_transform(W, q)[..., self.index])
+        return self._blocks[j]
+
+    def grid(self, ts, col=None):
+        ts = np.asarray(ts, dtype=np.float64)
+        blocks = np.rint(ts / (2.0 * T_BLOCK)).astype(np.intp)
+        out = None
+        for j in sorted(set(blocks.tolist())):
+            W = self.moments(j)
+            if col is not None:
+                W = W[..., col:col + 1]
+            k = W.shape[-1]
+            W = W.reshape(len(self.centres), MOMENTS * k)
+            if out is None:
+                out = np.empty((len(ts), k))
+            rows = np.flatnonzero(blocks == j)
+            t = ts[rows]
+            steps = np.ones((len(rows), MOMENTS), dtype=np.complex128)
+            steps[:, 1:] = (-1j * (t - 2.0 * T_BLOCK * j))[:, None] / np.arange(1, MOMENTS)
+            E = np.exp(np.multiply.outer(t, self.centres) * -1j)
+            R = (E @ W).reshape(len(rows), MOMENTS, k)
+            out[rows] = self.data.base - np.einsum("nm,nmk->nk", np.cumprod(steps, axis=1),
+                                                   R).real
+        return out if col is None else out[:, 0]
+
+
+def _conductor_scan(data, chars, A):
+    kernel = _ConductorCellMoments(data, chars)
+    if A > 0:
+        odd, even = _coarse_grid(False, A, data.x), _coarse_grid(True, A, data.x)
+        vals = kernel.grid(np.concatenate([odd, even]))
+        coarse = {False: (odd, vals[:len(odd)]), True: (even, vals[len(odd):])}
+    out = []
+    for col, psi in enumerate(chars):
+        obj = TwistObjective._on(data, psi)
+        t = 0.0
+        if A > 0:
+            ts, vals = coarse[obj.even]
+            vals = vals[:, col]
+            while ts[1] - ts[0] > T_REFINE_TOL / 2:
+                i = int(np.argmin(vals))
+                ts = np.linspace(ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)],
+                                 REFINE_POINTS)
+                vals = kernel.grid(ts, col)
+            t = float(ts[np.argmin(vals)])
+        out.append((t, obj(t)))
+    return out
+
+
+def _conductor_oracle(f, x, Q, A):
+    fv = prime_values(f, _table().primes_upto(x), _table())
+    out = {}
+    for r in range(1, Q + 1):
+        chars = _primitive_characters(r)
+        if chars:
+            out.update(zip(chars, _conductor_scan(_PrimeData(fv, x, r, r, _table()), chars, A)))
+    return out
+
+
+@pytest.mark.parametrize("A", [3.0, 12.0])  # 12 spans the t-blocks centred at 0, +-8, +-16
+@pytest.mark.parametrize("text", ORACLE_SCANS)
+def test_find_exceptional_matches_per_conductor_scan(text, A):
+    f, x, Q = parse_spec(text), 10**5, 20
+    rep = find_exceptional(f, x, Q, A, _table(), depth=10**3)
+    oracle = _conductor_oracle(f, x, Q, A)
+    assert sorted(e.character.serial for e in rep.spectrum) == sorted(c.serial for c in oracle)
+    for e in rep.spectrum:
+        t_o, d2_o = oracle[e.character]
+        assert abs(e.t - t_o) <= 1e-6, (e.character.serial, e.t, t_o)
+        assert abs(e.squared_distance - d2_o) <= 1e-12, (e.character.serial,
+                                                         e.squared_distance, d2_o)
+
+
+@pytest.mark.parametrize("text", ["mobius", "prod(char:5:2,nit:1.0)"])
+def test_all_conductor_kernel_matches_each_conductor_kernel(text):
+    # one kernel over every prime, each column excluding its own modulus,
+    # gives each conductor's own kernel bit for bit
+    f, x, Q = parse_spec(text), 10**5, 20
+    fv = prime_values(f, _table().primes_upto(x), _table())
+    ts = np.linspace(-20.0, 20.0, 301)
+    chars = primitive_characters_upto(Q)
+    vals = _CellMoments(_PrimeData(fv, x, 1, 0, _table()), chars).grid(ts)
+    col = 0
+    for r in range(1, Q + 1):
+        own = _primitive_characters(r)
+        if own:
+            kernel = _CellMoments(_PrimeData(fv, x, r, r, _table()), own)
+            assert np.array_equal(vals[:, col:col + len(own)], kernel.grid(ts)), r
+            col += len(own)
+    assert col == len(chars)
+
+
+def test_per_column_grids_across_t_blocks():
+    # each column's own grid spans several t-blocks; every point is taken
+    # from the moments of its own block
+    f, x = parse_spec("prod(char:5:2,nit:1.0)"), 10**5
+    fv = prime_values(f, _table().primes_upto(x), _table())
+    chars = primitive_characters_upto(12)
+    kernel = _CellMoments(_PrimeData(fv, x, 1, 0, _table()), chars)
+    ts = np.sort(np.random.default_rng(7).uniform(-30.0, 30.0, (len(chars), 17)), axis=1)
+    vals = kernel.grids([(ts, np.arange(len(chars)))])[0]
+    for k, psi in enumerate(chars):
+        obj = TwistObjective(f, psi, x, _table())
+        assert np.max(np.abs(vals[k] - [obj(float(t)) for t in ts[k]])) <= 1e-12, psi.serial
+
+
+def test_phase_table_matches_exp():
+    # e^(-itu_aL) e^(-itb delta) against one exp per cell; both round the
+    # phase t u_c, so they agree to a few ulp of |t u_c|
+    fv = prime_values(Mobius(), _table().primes_upto(10**5), _table())
+    kernel = _CellMoments(_PrimeData(fv, 10**5, 1, 0, _table()), [DirichletCharacter(1, ())])
+    for T in (0.01, 1.0, 12.0, 100.0):
+        ts = np.linspace(-T, T, 501)
+        tu = np.multiply.outer(ts, kernel.centres)
+        err = np.abs(kernel._phases(ts) - np.exp(tu * -1j))
+        assert np.all(err <= 1e-15 * np.maximum(1.0, np.abs(tu))), (T, float(err.max()))
+
+
+def test_coarse_grids_run_only_for_the_parities_present(monkeypatch, table_medium):
+    asked = []
+
+    def recording(even, A, x):
+        asked.append(even)
+        return _coarse_grid(even, A, x)
+
+    monkeypatch.setattr("pretentious.pretension._coarse_grid", recording)
+    trivial = DirichletCharacter(1, ())
+    min_distance_over_t(Mobius(), trivial, 10**6, 100.0, table_medium)
+    assert asked == [True]
+    asked.clear()
+    min_distance_over_t(parse_spec("prod(char:5:2,nit:0.7)"), trivial, 10**5, 3.0, _table())
+    assert asked == [False]
+    asked.clear()
+    find_exceptional(parse_spec("prod(char:7:2,nit:0.5)"), 10**5, 20, 3.0, _table())
+    assert asked == [False]
+    asked.clear()
+    find_exceptional(Mobius(), 10**5, 20, 3.0, _table())
+    assert asked == [False, True]
+
+
+@pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+def test_non_finite_twist_bound_refused(bound):
+    f, trivial = Mobius(), DirichletCharacter(1, ())
+    with pytest.raises(PreconditionError):
+        find_exceptional(f, 1000, 5, bound, _table())
+    with pytest.raises(PreconditionError):
+        min_distance_over_t(f, trivial, 1000, bound, _table())
+    with pytest.raises(PreconditionError):
+        minimize_twist(TwistObjective(f, trivial, 1000, _table()), bound, 1000)
+    with pytest.raises(PreconditionError):
+        halasz_bound(f, 1000, bound, _table())

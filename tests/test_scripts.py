@@ -16,13 +16,17 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_script(name: str, *args: str) -> list[dict]:
+def _launch(name: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+def _run_script(name: str, *args: str) -> list[dict]:
+    proc = _launch(name, *args)
     assert proc.returncode == 0, proc.stderr
     return list(csv.DictReader(io.StringIO(proc.stdout)))
 
@@ -47,3 +51,18 @@ def test_legendre_infimum_smallest_scan(q, a):
     lows = [float(r["record_low"]) for r in rows]
     assert lows == sorted(lows, reverse=True)  # each row is a new record low
     assert all(int(r["p"]) % 2 == 1 for r in rows)
+
+
+@pytest.mark.parametrize("name,flag,value", [
+    ("residual_trend.py", "--A", "inf"),
+    ("residual_trend.py", "--A", "nan"),
+    ("residual_trend.py", "--xmax", "inf"),
+    ("legendre_infimum.py", "--x", "inf"),
+    ("legendre_infimum.py", "--p-limit", "nan"),
+])
+def test_scripts_refuse_non_finite_bounds(name, flag, value):
+    # an infinite --xmax used to sweep without end, --A inf to end in an
+    # OverflowError, and --A nan to scan quietly
+    proc = _launch(name, flag, value)
+    assert proc.returncode == 2, proc.stderr
+    assert "expected a finite number" in proc.stderr
