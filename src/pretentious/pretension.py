@@ -73,6 +73,7 @@ MOMENTS = 9
 T_BLOCK = 4.0
 TRUNCATION_BOUND = (T_BLOCK * CELL_WIDTH / 2) ** MOMENTS / math.factorial(MOMENTS)
 TIE_TOL = 1e-12
+KERNEL_TOL = 1e-10
 _GRID_CHUNK = 64
 _BLOCKS_KEPT = 4
 _PRIME_CHUNK = 2**13
@@ -388,19 +389,22 @@ def _check_twist_bound(A: float):
         raise PreconditionError(f"twist bound A must be finite and >= 0, got {A}")
 
 
-def _scan(data: _PrimeData, chars: list[DirichletCharacter], A: float) -> list[float]:
+def _scan(data: _PrimeData, chars: list[DirichletCharacter],
+          A: float) -> tuple[list[float], np.ndarray | None]:
     """The t minimizing each character's objective over |t| <= A, in the
-    order of `chars` (characters as _CellMoments takes them on data): a grid
-    scan of [-A, A], or of [0, A] for an even objective, then finer grids
-    over the two cells around the best point down to spacing
-    T_REFINE_TOL/2; t is the best point of the last grid.  All of it runs on
-    one kernel: each coarse grid once, on the columns of its parity, and
-    each refine round once per t-block for every character still refining
-    there."""
+    order of `chars` (characters as _CellMoments takes them on data), with
+    the kernel's value at each t: a grid scan of [-A, A], or of [0, A] for
+    an even objective, then finer grids over the two cells around the best
+    point down to spacing T_REFINE_TOL/2; t is the best point of the last
+    grid, and its value is that grid's.  All of it runs on one kernel: each
+    coarse grid once, on the columns of its parity, and each refine round
+    once per t-block for every character still refining there.  With A = 0
+    every t is 0 and no kernel is built, so there are no values."""
     _check_twist_bound(A)
     t = np.zeros(len(chars))
     if A == 0:
-        return t.tolist()
+        return t.tolist(), None
+    value = np.empty(len(chars))
     # odd objectives first, so that each parity is a slice of the columns
     even = np.array([_is_even(data, chi) for chi in chars])
     order = np.argsort(even, kind="stable")
@@ -419,6 +423,7 @@ def _scan(data: _PrimeData, chars: list[DirichletCharacter], A: float) -> list[f
             hi.append(ts[np.minimum(i + 1, len(ts) - 1)])
         else:
             t[order[c]] = ts[i]
+            value[order[c]] = vals[np.arange(len(c)), i]
     if cols:
         cols, lo, hi = np.concatenate(cols), np.concatenate(lo), np.concatenate(hi)
         # refine one t-block at a time, so that each block's moments are
@@ -427,34 +432,38 @@ def _scan(data: _PrimeData, chars: list[DirichletCharacter], A: float) -> list[f
         home = np.rint((lo + hi) / (4.0 * T_BLOCK))
         for j in np.unique(home)[::-1]:
             mine = home == j
-            t[order[cols[mine]]] = _refine(kernel, cols[mine], lo[mine], hi[mine])
-    return t.tolist()
+            k = order[cols[mine]]
+            t[k], value[k] = _refine(kernel, cols[mine], lo[mine], hi[mine])
+    return t.tolist(), value
 
 
 def _refine(kernel: _CellMoments, cols: np.ndarray, lo: np.ndarray,
-            hi: np.ndarray) -> np.ndarray:
-    """The best point of each column in cols within its bracket [lo, hi]: a
-    grid of REFINE_POINTS points across every bracket still refining, in one
-    call, then the two cells around each best point, until a column's
-    spacing is at most T_REFINE_TOL/2."""
+            hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The best point of each column in cols within its bracket [lo, hi],
+    and its value: a grid of REFINE_POINTS points across every bracket still
+    refining, in one call, then the two cells around each best point, until
+    a column's spacing is at most T_REFINE_TOL/2."""
     t = np.empty(len(cols))
+    value = np.empty(len(cols))
     left = np.arange(len(cols))
     while len(left):
         ts = np.linspace(lo, hi, REFINE_POINTS, axis=1)
-        i = np.argmin(kernel.grids([(ts, cols[left])])[0], axis=1)
+        vals = kernel.grids([(ts, cols[left])])[0]
+        i = np.argmin(vals, axis=1)
         rows = np.arange(len(left))
         done = ts[:, 1] - ts[:, 0] <= T_REFINE_TOL / 2
         t[left[done]] = ts[rows, i][done]
+        value[left[done]] = vals[rows, i][done]
         go = ~done
         lo = ts[rows, np.maximum(i - 1, 0)][go]
         hi = ts[rows, np.minimum(i + 1, REFINE_POINTS - 1)][go]
         left = left[go]
-    return t
+    return t, value
 
 
 def minimize_twist(obj: TwistObjective, A: float, x: int) -> tuple[float, float]:
     """`_scan` of obj's character over |t| <= A; x is obj's x."""
-    t = _scan(obj._data, [obj._psi], A)[0]
+    (t,), _ = _scan(obj._data, [obj._psi], A)
     return t, obj(t)
 
 
@@ -471,7 +480,7 @@ def min_distance_over_t(
     if fv is None:
         fv = prime_values(f, table.primes_upto(x), table)
     data = _PrimeData(fv, x, psi.q if r is None else r, psi.q, table)
-    t = _scan(data, [psi], A)[0]
+    (t,), _ = _scan(data, [psi], A)
     return t, TwistObjective._on(data, psi)(t)
 
 
@@ -509,21 +518,49 @@ def find_exceptional(
     table: PrimeTable,
     depth: int = 10,
 ) -> ExceptionalReport:
-    """Scan primitive characters of conductor <= Q for the best twist.
+    """Scan primitive characters of conductor <= Q for the best twist, and
+    report the `depth` nearest.
 
     Distances within TIE_TOL of each other tie; ties break toward smaller
     conductor, then smaller canonical index, then smaller |t|, then t >= 0.
+
+    The reported D^2 is the direct cosine sum at the scan's t, taken only
+    for the characters the spectrum can hold.  The scan's kernel value k at
+    each character's t is within eps = KERNEL_TOL of the direct value d
+    there (TRUNCATION_BOUND * sum 1/p plus rounding; see the module
+    docstring); with A = 0 the kernel is read at t = 0.  Let m be the
+    depth-th smallest k and v the depth-th smallest d.  The depth characters
+    with k <= m have d <= m + eps, so v <= m + eps.  An entry in the first
+    depth places of the full spectrum is in a tie run that starts at or
+    before place depth, so its d is at most v + TIE_TOL, and its k at most
+    m + TIE_TOL + 2 eps: the characters with k up to there hold every entry
+    the full scan would report.  Every character left out has
+    d > v + TIE_TOL, so it can neither enter those places nor extend their
+    tie runs, and the sorted prefix, its tie order, `best` and every D^2 are
+    those of the full scan bit for bit.  With depth >= the number of
+    characters, all of them are evaluated.
     """
     if x < 3 or x > table.limit:
         raise PreconditionError(f"need 3 <= x <= table limit {table.limit}, got {x}")
     if Q < 1:
         raise PreconditionError(f"conductor bound must be >= 1, got {Q}")
+    if depth < 1:
+        raise PreconditionError(f"spectrum depth must be >= 1, got {depth}")
     _check_twist_bound(A)
     fv = prime_values(f, table.primes_upto(x), table)
     chars = primitive_characters_upto(Q)
-    ts = _scan(_PrimeData(fv, x, 1, 0, table), chars, A)
+    data = _PrimeData(fv, x, 1, 0, table)
+    ts, k = _scan(data, chars, A)
+    chosen = range(len(chars))
+    if depth < len(chars):
+        if k is None:
+            k = _CellMoments(data, chars).grid(np.zeros(1))[0]
+        m = np.partition(k, depth - 1)[depth - 1]
+        chosen = np.flatnonzero(k <= m + TIE_TOL + 2 * KERNEL_TOL)
+    del data  # before the conductors' arrays are built
     entries = []
-    for r, group in itertools.groupby(zip(chars, ts), key=lambda c: c[0].q):
+    for r, group in itertools.groupby(((chars[i], ts[i]) for i in chosen),
+                                      key=lambda c: c[0].q):
         data = _PrimeData(fv, x, r, r, table)
         entries += [SpectrumEntry(psi, r, t, TwistObjective._on(data, psi)(t))
                     for psi, t in group]
@@ -597,7 +634,7 @@ def real_function_check(
     minimizer's character must be real and t must sit at scale 1/sqrt(log x)."""
     if not f.real_valued:
         raise PreconditionError("real_function_check needs a real-valued spec")
-    report = find_exceptional(f, x, Q, A, table)
+    report = find_exceptional(f, x, Q, A, table, depth=1)
     threshold = math.log(math.log(x)) / 16.0
     applicable = report.squared_distance <= threshold
     return RealCheckResult(

@@ -5,6 +5,7 @@ Small-x distances are frozen from hand computation (the p <= 10 terms are
 character twist and recovering it.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -40,11 +41,14 @@ from pretentious.pretension import (
     T_BLOCK,
     T_REFINE_TOL,
     TIE_TOL,
+    SpectrumEntry,
     TwistObjective,
     _CellMoments,
     _coarse_grid,
     _PrimeData,
     _primitive_characters,
+    _scan,
+    _spectrum_order,
     distance_squared,
     find_exceptional,
     min_distance_over_t,
@@ -738,3 +742,90 @@ def test_non_finite_twist_bound_refused(bound):
         minimize_twist(TwistObjective(f, trivial, 1000, _table()), bound, 1000)
     with pytest.raises(PreconditionError):
         halasz_bound(f, 1000, bound, _table())
+
+
+# The scan's last stage before it kept to the characters the spectrum can
+# hold, kept as the oracle: the direct D^2 of every primitive character of
+# conductor <= Q at the t the scan chose, one _PrimeData per conductor, and
+# the whole spectrum in order.
+def _direct_spectrum(f, x, Q, A):
+    fv = prime_values(f, _table().primes_upto(x), _table())
+    chars = primitive_characters_upto(Q)
+    ts, _ = _scan(_PrimeData(fv, x, 1, 0, _table()), chars, A)
+    entries = []
+    for r, group in itertools.groupby(zip(chars, ts), key=lambda c: c[0].q):
+        data = _PrimeData(fv, x, r, r, _table())
+        entries += [SpectrumEntry(psi, r, t, TwistObjective._on(data, psi)(t))
+                    for psi, t in group]
+    return _spectrum_order(entries)
+
+
+def _assert_matches_direct_spectrum(rep, oracle, depth):
+    assert rep.spectrum == tuple(oracle[:depth])
+    best = oracle[0]
+    assert (rep.psi, rep.conductor, rep.t, rep.squared_distance) == (
+        best.character, best.conductor, best.t, best.squared_distance)
+
+
+@pytest.mark.parametrize("A", [3.0, 12.0])
+@pytest.mark.parametrize("text", ORACLE_SCANS)
+def test_find_exceptional_matches_the_direct_spectrum(text, A):
+    f, x, Q = parse_spec(text), 10**5, 20
+    oracle = _direct_spectrum(f, x, Q, A)
+    for depth in (1, 10, len(oracle)):
+        rep = find_exceptional(f, x, Q, A, _table(), depth=depth)
+        _assert_matches_direct_spectrum(rep, oracle, depth)
+
+
+def test_tie_across_the_depth_boundary_matches_the_direct_spectrum(monkeypatch):
+    # the conjugate pair char:9:2, char:9:4 ties at places 10 and 11
+    f, x, Q, A, depth = Mobius(), 10**5, 20, 0.0, 10
+    oracle = _direct_spectrum(f, x, Q, A)
+    assert [e.character.serial for e in oracle[depth - 1:depth + 1]] == ["char:9:2",
+                                                                         "char:9:4"]
+    tied = [e for e in oracle[depth:]
+            if e.squared_distance - oracle[depth - 1].squared_distance <= TIE_TOL]
+    assert tied
+    calls = []
+    on = TwistObjective._on
+
+    def counting(cls, data, psi):
+        calls.append(psi)
+        return on(data, psi)
+
+    monkeypatch.setattr(TwistObjective, "_on", classmethod(counting))
+    rep = find_exceptional(f, x, Q, A, _table(), depth=depth)
+    _assert_matches_direct_spectrum(rep, oracle, depth)
+    assert len(calls) <= depth + len(tied), [psi.serial for psi in calls]
+    # with room for every character, each gets its direct D^2 once
+    for A in (0.0, 3.0):
+        calls.clear()
+        rep = find_exceptional(f, x, Q, A, _table(), depth=len(oracle))
+        assert sorted(psi.serial for psi in calls) == sorted(e.character.serial
+                                                             for e in rep.spectrum)
+        assert len(calls) == len(oracle)
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_find_exceptional_refuses_a_depth_below_one(depth):
+    with pytest.raises(PreconditionError):
+        find_exceptional(Mobius(), 1000, 5, 1.0, _table(), depth=depth)
+
+
+@pytest.mark.parametrize("text", ORACLE_SCANS)
+def test_scan_values_within_the_selection_margin_of_the_direct_sum(text):
+    # the selection rests on |kernel value - direct D^2| <= KERNEL_TOL at
+    # every character's t; with A = 0, find_exceptional reads the kernel at
+    # 0, and with A = 2e-7 the coarse grid is already fine enough to stop
+    f, x, Q = parse_spec(text), 10**5, 20
+    fv = prime_values(f, _table().primes_upto(x), _table())
+    chars = primitive_characters_upto(Q)
+    data = _PrimeData(fv, x, 1, 0, _table())
+    for A in (0.0, 2e-7, 3.0, 12.0):
+        ts, vals = _scan(data, chars, A)
+        if A == 0:
+            assert vals is None
+            vals = _CellMoments(data, chars).grid(np.zeros(1))[0]
+        for psi, t, v in zip(chars, ts, vals):
+            d2 = TwistObjective(f, psi, x, _table(), fv=fv)(t)
+            assert abs(v - d2) <= 1e-12, (psi.serial, A, t, v, d2)
