@@ -149,15 +149,7 @@ class PrimeTable:
     def smallest_prime_factor(self, n: int) -> int:
         if n < 2:
             raise PreconditionError("smallest_prime_factor needs n >= 2")
-        if n > self.limit:
-            raise PreconditionError(f"{n} exceeds table limit {self.limit}")
-        for p in self.primes:
-            p = int(p)
-            if p * p > n:
-                break
-            if n % p == 0:
-                return p
-        return n
+        return self.factorize(n).factors[0][0]
 
     def factorize(self, n: int) -> FactoredInteger:
         """Exact factorization for 1 <= n <= limit, by trial division."""

@@ -7,8 +7,8 @@ One executable, one report per run. Every subcommand emits a single object
 with sorted keys, so identical configs produce byte-identical output apart
 from the timestamp. The parser is the only place that knows a command's
 parameters: `config.params` is every parsed flag except the ones in
-`STEERING`, which steer the run rather than parametrize it, and `config.seed`
-and `config.threads` sit beside it. Each `_cmd_*` only computes and returns
+`STEERING`, which steer the run rather than parametrize it, and
+`config.threads` sits beside it. Each `_cmd_*` only computes and returns
 its result; `main` writes the report. Numeric parameters are validated before
 any sieving starts. Exit codes: 0 success, 2 malformed arguments or spec
 strings, 3 precondition violations, 4 theorem-assertion failures (the latter
@@ -51,7 +51,7 @@ from .sieve_experiments import (
 )
 
 # parsed attributes that are not part of config.params
-STEERING = ("command", "subcommand", "func", "out", "seed", "threads", "format", "verbose")
+STEERING = ("command", "subcommand", "func", "out", "threads", "format", "verbose")
 
 
 def _jsonable(obj):
@@ -91,7 +91,7 @@ def _emit(args, result) -> None:
     report = {
         "version": __version__,
         "command": command,
-        "config": {"params": _jsonable(params), "seed": args.seed, "threads": args.threads},
+        "config": {"params": _jsonable(params), "threads": args.threads},
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "result": _jsonable(result),
     }
@@ -305,8 +305,6 @@ def _command(sub, name: str, help: str, func, *flags) -> None:
     for flag, kwargs in flags:
         p.add_argument(flag, **kwargs)
     p.add_argument("--out", help="write the report to this path instead of stdout")
-    p.add_argument("--seed", type=int, default=0,
-                   help="recorded in the report config for reproducibility (default 0)")
     p.add_argument("--threads", type=_positive_int, default=1,
                    help="recorded in the report config only")
     p.set_defaults(func=func)

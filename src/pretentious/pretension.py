@@ -8,15 +8,15 @@ conductor r <= Q and |t| <= A, how close is f to psi(n) n^(it)?  The
 minimizer is the "exceptional" character that controls progression sums.
 
 Every minimization in t in the library (the scan, `min_distance_over_t`,
-`minimize_twist`, and through them the Halasz bounds) runs one loop,
-`_scan`, on one kernel for all its characters: a grid of spacing
-pi/(4 log x) (the objective cannot oscillate faster than log x), over
-[0, A] alone for the characters whose objective is even in t and over
-[-A, A] for the rest, then rounds of 17-point grids across the two cells
-around each best point until its spacing is at most 5e-7; a round
-evaluates the grids of all characters still refining in one batched call
-per t-block (see below).  The reported distance
-is the direct cosine sum at the chosen t; the grids run on cell moments.
+and through it the Halasz bounds) runs one loop, `_scan`, on one kernel
+for all its characters: a grid of spacing pi/(4 log x) (the objective
+cannot oscillate faster than log x), over [0, A] alone for the characters
+whose objective is even in t and over [-A, A] for the rest, then rounds of
+17-point grids across the two cells around each best point until its
+spacing is at most 5e-7; a round evaluates the grids of all characters
+still refining in one batched call per t-block (see below).  The reported
+distance is the direct cosine sum at the chosen t (`TwistObjective`); the
+grids run on cell moments.
 
 Cell moments.  With w_p = f(p) conj(psi(p)) / p, the grids need
 S(t) = sum_p w_p e^(-it log p).  log p is binned into cells of width
@@ -77,6 +77,7 @@ KERNEL_TOL = 1e-10
 _GRID_CHUNK = 64
 _BLOCKS_KEPT = 4
 _PRIME_CHUNK = 2**13
+_EVEN_PROBE = 64
 
 
 @dataclass(frozen=True)
@@ -174,12 +175,14 @@ def _is_even(data: _PrimeData, psi: DirichletCharacter) -> bool:
     """Whether psi's objective on data is even in t: every z_p is real.  A
     prime dividing psi.q has z_p = 0, so data may hold it.  A real f against
     a real character needs no look at the primes; otherwise they go through
-    in chunks, and the first complex z_p ends the search."""
+    in chunks, and the first complex z_p ends the search.  A few primes
+    settle most characters, so the first chunk holds only _EVEN_PROBE of
+    them and the rest hold _PRIME_CHUNK."""
     if np.isrealobj(data.fv) and not character_row(psi).imag.any():
         return True
-    return not any(_twisted(data.fv[lo:lo + _PRIME_CHUNK],
-                            data.cls[lo:lo + _PRIME_CHUNK] % psi.q, psi).imag.any()
-                   for lo in range(0, len(data.fv), _PRIME_CHUNK))
+    edges = [0, *range(_EVEN_PROBE, len(data.fv), _PRIME_CHUNK), len(data.fv)]
+    return not any(_twisted(data.fv[lo:hi], data.cls[lo:hi] % psi.q, psi).imag.any()
+                   for lo, hi in zip(edges, edges[1:]))
 
 
 class _CellMoments:
@@ -331,31 +334,15 @@ class _CellMoments:
 
 
 class TwistObjective:
-    """t -> D_r(f, psi(n) n^(it); x)^2 from precomputed prime data.
+    """t -> D_r(f, psi(n) n^(it); x)^2 over prime data that excludes r.
 
     Writing z_p = f(p) conj(psi(p)), the objective is
     sum 1/p - sum |z_p|/p * cos(arg z_p - t log p); it is even in t when
-    every z_p is real.  `fv` is f at table.primes_upto(x), when the caller
-    already has it.  Calls evaluate that cosine sum directly; `grid` runs on
-    cell moments.
+    every z_p is real.  Calls evaluate that cosine sum directly; it defines
+    every reported D^2.
     """
 
-    def __init__(self, f, psi: DirichletCharacter, x: int, table: PrimeTable,
-                 r: int | None = None, fv: np.ndarray | None = None):
-        if r is None:
-            r = psi.q
-        if fv is None:
-            fv = prime_values(f, table.primes_upto(x), table)
-        self._bind(_PrimeData(fv, x, r, psi.q, table), psi)
-
-    @classmethod
-    def _on(cls, data: _PrimeData, psi: DirichletCharacter) -> "TwistObjective":
-        """psi's objective over prime data shared with other characters."""
-        obj = cls.__new__(cls)
-        obj._bind(data, psi)
-        return obj
-
-    def _bind(self, data: _PrimeData, psi: DirichletCharacter):
+    def __init__(self, data: _PrimeData, psi: DirichletCharacter):
         z = _twisted(data.fv, data.cls, psi)
         self.base = data.base
         self.amp = np.abs(z)
@@ -363,19 +350,10 @@ class TwistObjective:
         self.phase = np.angle(z)
         self.logp = data.logp
         self.even = bool(np.all(z.imag == 0))
-        self.x = data.x
-        self.r = data.r
         self.prime_count = len(data.logp)
-        self._data = data
-        self._psi = psi
 
     def __call__(self, t: float) -> float:
         return self.base - float(np.sum(self.amp * np.cos(self.phase - t * self.logp)))
-
-    def grid(self, ts: np.ndarray) -> np.ndarray:
-        """The objective at each of ts from cell moments, within
-        TRUNCATION_BOUND * sum 1/p (plus rounding) of the direct sum."""
-        return _CellMoments(self._data, [self._psi]).grid(ts)[:, 0]
 
 
 def _coarse_grid(even: bool, A: float, x: int) -> np.ndarray:
@@ -461,12 +439,6 @@ def _refine(kernel: _CellMoments, cols: np.ndarray, lo: np.ndarray,
     return t, value
 
 
-def minimize_twist(obj: TwistObjective, A: float, x: int) -> tuple[float, float]:
-    """`_scan` of obj's character over |t| <= A; x is obj's x."""
-    (t,), _ = _scan(obj._data, [obj._psi], A)
-    return t, obj(t)
-
-
 def min_distance_over_t(
     f: FunctionSpec,
     psi: DirichletCharacter,
@@ -474,14 +446,12 @@ def min_distance_over_t(
     A: float,
     table: PrimeTable,
     r: int | None = None,
-    fv: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """(t*, D^2 at t*) minimizing D_r(f, psi(n)n^(it); x)^2 over |t| <= A."""
-    if fv is None:
-        fv = prime_values(f, table.primes_upto(x), table)
+    fv = prime_values(f, table.primes_upto(x), table)
     data = _PrimeData(fv, x, psi.q if r is None else r, psi.q, table)
     (t,), _ = _scan(data, [psi], A)
-    return t, TwistObjective._on(data, psi)(t)
+    return t, TwistObjective(data, psi)(t)
 
 
 def _primitive_characters(r: int) -> list[DirichletCharacter]:
@@ -562,7 +532,7 @@ def find_exceptional(
     for r, group in itertools.groupby(((chars[i], ts[i]) for i in chosen),
                                       key=lambda c: c[0].q):
         data = _PrimeData(fv, x, r, r, table)
-        entries += [SpectrumEntry(psi, r, t, TwistObjective._on(data, psi)(t))
+        entries += [SpectrumEntry(psi, r, t, TwistObjective(data, psi)(t))
                     for psi, t in group]
         del data  # before the next conductor's arrays are built
     entries = _spectrum_order(entries)

@@ -41,7 +41,12 @@ from pretentious.nearchar import (
     fourier_transform,
     nearest_character,
 )
-from pretentious.pretension import TwistObjective, _included_primes, distance_squared
+from pretentious.pretension import (
+    TwistObjective,
+    _included_primes,
+    _PrimeData,
+    distance_squared,
+)
 from pretentious.sieve_experiments import transfer_check
 
 MODULI = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 24, 36, 40, 60]
@@ -317,7 +322,8 @@ def mod1():
 
 
 def _q1_twist_objective(c):
-    got = TwistObjective(Mobius(), c.chi, 10**4, c.table)(0.7)
+    fv = prime_values(Mobius(), c.table.primes_upto(10**4), c.table)
+    got = TwistObjective(_PrimeData(fv, 10**4, 1, 1, c.table), c.chi)(0.7)
     ref = distance_squared(Mobius(), Twist(0.7), 10**4, c.table).squared_distance
     return got == pytest.approx(ref, abs=1e-12)
 

@@ -37,8 +37,7 @@ def test_report_schema(capsys):
     assert set(rep.keys()) == TOP_KEYS
     assert rep["version"] == __version__
     assert rep["command"] == "constants"
-    assert set(rep["config"].keys()) == {"params", "seed", "threads"}
-    assert rep["config"]["seed"] == 0
+    assert set(rep["config"].keys()) == {"params", "threads"}
     assert rep["config"]["threads"] == 1
     assert rep["result"]["value"] == pytest.approx(-0.6569990137169279, abs=1e-9)
     assert rep["result"]["name"] == "delta1"
@@ -47,11 +46,10 @@ def test_report_schema(capsys):
 def test_config_round_trip(capsys):
     rep = run_json(capsys, [
         "meanvalues", "halasz", "--f", "mobius", "--x", "2000", "--T", "1.5",
-        "--seed", "7", "--threads", "2",
+        "--threads", "2",
     ])
     assert rep["command"] == "meanvalues halasz"
     assert rep["config"]["params"] == {"f": "mobius", "x": 2000, "T": 1.5}
-    assert rep["config"]["seed"] == 7
     assert rep["config"]["threads"] == 2
 
 
@@ -421,7 +419,7 @@ def test_small_runs_cover_every_subcommand():
 
 
 # the flags the README leaves out of config.params
-STEERING_FLAGS = {"out", "seed", "threads", "format", "verbose"}
+STEERING_FLAGS = {"out", "threads", "format", "verbose"}
 
 
 @pytest.mark.parametrize("command", sorted(SMALL_RUNS))

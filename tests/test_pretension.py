@@ -27,6 +27,7 @@ from pretentious.funcspec import (
     CharacterSpec,
     Mobius,
     One,
+    PrimeTableSpec,
     Product,
     Twist,
     parse_spec,
@@ -45,14 +46,15 @@ from pretentious.pretension import (
     TwistObjective,
     _CellMoments,
     _coarse_grid,
+    _is_even,
     _PrimeData,
     _primitive_characters,
     _scan,
     _spectrum_order,
+    _twisted,
     distance_squared,
     find_exceptional,
     min_distance_over_t,
-    minimize_twist,
     primitive_characters_upto,
     real_function_check,
     repulsion_spectrum,
@@ -66,6 +68,14 @@ def _table():
     if "t" not in _TABLE:
         _TABLE["t"] = PrimeTable(2 * 10**5)
     return _TABLE["t"]
+
+
+def _objective(f, psi, x, table, r=None, fv=None):
+    """psi's objective for f on the primes up to x not dividing r (psi.q
+    unless given); fv is f at table.primes_upto(x), when the caller has it."""
+    if fv is None:
+        fv = prime_values(f, table.primes_upto(x), table)
+    return TwistObjective(_PrimeData(fv, x, psi.q if r is None else r, psi.q, table), psi)
 
 
 def test_distance_hand_value():
@@ -115,7 +125,7 @@ def test_twist_objective_matches_distance():
     # objective(t) must equal the distance to psi(n) n^{it} computed directly
     f = parse_spec("prod(mobius,nit:0.25)")
     psi = character_by_index(5, 2)
-    obj = TwistObjective(f, psi, 10**4, _table())
+    obj = _objective(f, psi, 10**4, _table())
     for t in (-1.5, -0.3, 0.0, 0.7, 2.0):
         direct = distance_squared(
             f, Product((CharacterSpec(5, 2), Twist(t))), 10**4, _table(), r=5
@@ -124,16 +134,15 @@ def test_twist_objective_matches_distance():
 
 
 def test_minimize_twist_flat_objective():
-    obj = TwistObjective(One(), character_by_index(1, 0), 1000, _table())
-    t, v = minimize_twist(obj, 0.0, 1000)
+    trivial = character_by_index(1, 0)
+    t, v = min_distance_over_t(One(), trivial, 1000, 0.0, _table())
     assert t == 0.0
-    assert v == pytest.approx(obj(0.0))
+    assert v == pytest.approx(_objective(One(), trivial, 1000, _table())(0.0))
 
 
 def test_minimize_twist_negative_bound_rejected():
-    obj = TwistObjective(One(), character_by_index(1, 0), 1000, _table())
     with pytest.raises(PreconditionError):
-        minimize_twist(obj, -1.0, 1000)
+        min_distance_over_t(One(), character_by_index(1, 0), 1000, -1.0, _table())
 
 
 @pytest.mark.parametrize("t0", [-1.75, -0.5, 0.0, 0.5, 2.5])
@@ -264,7 +273,7 @@ def test_find_exceptional_matches_oracle_scan(text):
     rep = find_exceptional(f, x, Q, A, _table(), depth=10**3)
     oracle = {}
     for psi in primitive_characters_upto(Q):
-        obj = TwistObjective(f, psi, x, _table())
+        obj = _objective(f, psi, x, _table())
         oracle[psi] = (*_oracle_minimize_twist(obj, A, x), obj.even)
     assert sorted(e.character.serial for e in rep.spectrum) == sorted(c.serial for c in oracle)
     for e in rep.spectrum:
@@ -272,7 +281,7 @@ def test_find_exceptional_matches_oracle_scan(text):
         dt = abs(abs(e.t) - abs(t_o)) if even else abs(e.t - t_o)
         assert dt <= 1e-6, (e.character.serial, e.t, t_o)
         assert e.squared_distance <= d2_o + 1e-12, (e.character.serial, e.squared_distance, d2_o)
-        assert e.squared_distance == TwistObjective(f, e.character, x, _table())(e.t)
+        assert e.squared_distance == _objective(f, e.character, x, _table())(e.t)
     # the order is the oracle's, except that characters whose distances tie
     # up to rounding (a conjugate pair for real f) may come in either order
     d2_o = [oracle[e.character][1] for e in rep.spectrum]
@@ -295,7 +304,7 @@ def test_coprime_mean_bound_matches_oracle(text):
     trivial = DirichletCharacter(1, ())
     for r in (2, 6, 30):
         cb = coprime_mean_bound(f, x, r, T, _table())
-        obj = TwistObjective(f, trivial, x, _table(), r=r)
+        obj = _objective(f, trivial, x, _table(), r=r)
         _assert_matches_rotated_oracle(cb.t_star, cb.squared_distance, obj, T, x)
 
 
@@ -307,7 +316,7 @@ def test_min_distance_over_t_excluding_another_modulus_matches_oracle(text):
     for psi in (character_by_index(5, 2), character_by_index(7, 3), character_by_index(12, 3)):
         for r in (1, 2 * psi.q):
             t, d2 = min_distance_over_t(f, psi, x, A, _table(), r=r)
-            obj = TwistObjective(f, psi, x, _table(), r=r)
+            obj = _objective(f, psi, x, _table(), r=r)
             _assert_matches_rotated_oracle(t, d2, obj, A, x)
 
 
@@ -346,6 +355,52 @@ def test_even_objective_reports_nonnegative_t():
     rep = find_exceptional(parse_spec("prod(char:5:1,nit:-0.5)"), 10**5, 10, 2.0, _table())
     assert rep.psi == character_by_index(5, 1)
     assert abs(rep.t + 0.5) <= 1e-6
+
+
+# The parity test that _is_even shortcuts: every z_p = f(p) conj(psi(p)) real.
+def _is_even_oracle(data, psi):
+    return bool(np.all(_twisted(data.fv, data.cls % psi.q, psi).imag == 0))
+
+
+def _assert_is_even_matches_oracle(f, x, chars):
+    """_is_even against the oracle on the scan's data (q = 0) and on each
+    character's own conductor data; returns the oracle's answers."""
+    fv = prime_values(f, _table().primes_upto(x), _table())
+    scan = _PrimeData(fv, x, 1, 0, _table())
+    out = []
+    for psi in chars:
+        want = _is_even_oracle(scan, psi)
+        assert _is_even(scan, psi) == want, psi.serial
+        own = _PrimeData(fv, x, psi.q, psi.q, _table())
+        assert _is_even(own, psi) == _is_even_oracle(own, psi) == want, psi.serial
+        out.append(want)
+    return out
+
+
+@pytest.mark.parametrize("text", ORACLE_SCANS)
+def test_is_even_matches_the_direct_test(text):
+    _assert_is_even_matches_oracle(parse_spec(text), 10**5, primitive_characters_upto(20))
+
+
+def test_is_even_complex_f_against_its_own_character():
+    # z_p = |psi(p)|^2 is real although f is complex: every chunk is read
+    psi = character_by_index(5, 1)
+    assert _assert_is_even_matches_oracle(parse_spec("char:5:1"), 10**5, [psi]) == [True]
+
+
+def test_is_even_finds_a_complex_value_in_the_last_chunk():
+    # a real table but for one value at the last prime below x, so a real
+    # character's search runs to the last chunk of primes
+    x = 10**5
+    ps = _table().primes_upto(x).tolist()
+    f = PrimeTableSpec(tuple(((p, 1), -1.0 if p % 4 == 3 else 1.0) for p in ps[:-1])
+                       + (((ps[-1], 1), 1j),))
+    chars = primitive_characters_upto(20)
+    even = _assert_is_even_matches_oracle(f, x, chars)
+    assert not any(even[k] for k, psi in enumerate(chars) if psi.is_real())
+    g = PrimeTableSpec(f.entries[:-1] + (((ps[-1], 1), 1.0),))
+    again = _assert_is_even_matches_oracle(g, x, chars)
+    assert all(again[k] for k, psi in enumerate(chars) if psi.is_real())
 
 
 def test_trivial_character_twist_only():
@@ -445,23 +500,26 @@ def test_triangle_inequality(fa, fb, fc, x):
     st.integers(1, 120),
 )
 def test_rotated_grid_matches_direct_objective(text, psi, x, A, t0, n):
-    obj = TwistObjective(parse_spec(text), psi, x, _table())
+    fv = prime_values(parse_spec(text), _table().primes_upto(x), _table())
+    data = _PrimeData(fv, x, psi.q, psi.q, _table())
+    obj = TwistObjective(data, psi)
     ts = np.linspace(t0, t0 + A, n)
     direct = np.array([obj(float(t)) for t in ts])
-    assert np.max(np.abs(obj.grid(ts) - direct)) <= 1e-12
+    assert np.max(np.abs(_CellMoments(data, [psi]).grid(ts)[:, 0] - direct)) <= 1e-12
 
 
 def test_rotated_grid_drift_over_a_long_grid():
     # T = 100 at x = 1e5: 2,933 grid points, so the rounding of each
     # rotation step compounds over 2,932 multiplications
-    x, T = 10**5, 100.0
-    obj = TwistObjective(parse_spec("prod(char:5:2,nit:1.0)"), character_by_index(7, 3),
-                         x, _table())
+    x, T, psi = 10**5, 100.0, character_by_index(7, 3)
+    fv = prime_values(parse_spec("prod(char:5:2,nit:1.0)"), _table().primes_upto(x), _table())
+    data = _PrimeData(fv, x, psi.q, psi.q, _table())
+    obj = TwistObjective(data, psi)
     h = GRID_SPACING_FACTOR / math.log(x)
     ts = np.linspace(-T, T, int(math.ceil(2 * T / h)) + 1)
     assert len(ts) > 2900
     direct = np.array([obj(float(t)) for t in ts])
-    assert np.max(np.abs(obj.grid(ts) - direct)) <= 1e-12
+    assert np.max(np.abs(_CellMoments(data, [psi]).grid(ts)[:, 0] - direct)) <= 1e-12
 
 
 def _character_grids(f, r, x, ts):
@@ -483,7 +541,7 @@ def test_character_kernel_matches_direct_objective(text, psi, x, A, n):
     ts = np.linspace(-A, A, n)
     col = _primitive_characters(psi.q).index(psi)
     got = _character_grids(f, psi.q, x, ts)[:, col]
-    obj = TwistObjective(f, psi, x, _table())
+    obj = _objective(f, psi, x, _table())
     assert np.max(np.abs(got - [obj(float(t)) for t in ts])) <= 1e-12
 
 
@@ -495,7 +553,7 @@ def test_character_kernel_far_t_blocks():
         f = parse_spec(text)
         vals = _character_grids(f, r, x, ts)
         for col, psi in enumerate(_primitive_characters(r)):
-            obj = TwistObjective(f, psi, x, _table())
+            obj = _objective(f, psi, x, _table())
             assert np.max(np.abs(vals[:, col] - [obj(float(t)) for t in ts])) <= 1e-12
 
 
@@ -529,7 +587,9 @@ def test_scan_peak_memory_within_the_per_character_scan(table_medium):
     def oracle_scan():
         fv = prime_values(f, table_medium.primes_upto(x), table_medium)
         for psi in primitive_characters_upto(Q):
-            _rotated_minimize_twist(TwistObjective(f, psi, x, table_medium, fv=fv), A, x)
+            # each character's prime data stays alive while its objective runs
+            data = _PrimeData(fv, x, psi.q, psi.q, table_medium)
+            _rotated_minimize_twist(TwistObjective(data, psi), A, x)
 
     find_exceptional(f, 10**4, Q, A, table_medium)  # warm the character caches
     peak = _traced_peak(lambda: find_exceptional(f, x, Q, A, table_medium))
@@ -544,7 +604,9 @@ def test_scan_peak_memory_within_the_per_character_scan_at_q_20(table_medium):
     def oracle_scan():
         fv = prime_values(f, table_medium.primes_upto(x), table_medium)
         for psi in primitive_characters_upto(Q):
-            _rotated_minimize_twist(TwistObjective(f, psi, x, table_medium, fv=fv), A, x)
+            # each character's prime data stays alive while its objective runs
+            data = _PrimeData(fv, x, psi.q, psi.q, table_medium)
+            _rotated_minimize_twist(TwistObjective(data, psi), A, x)
 
     find_exceptional(f, 10**4, Q, A, table_medium)  # warm the character caches
     peak = _traced_peak(lambda: find_exceptional(f, x, Q, A, table_medium))
@@ -625,7 +687,7 @@ def _conductor_scan(data, chars, A):
         coarse = {False: (odd, vals[:len(odd)]), True: (even, vals[len(odd):])}
     out = []
     for col, psi in enumerate(chars):
-        obj = TwistObjective._on(data, psi)
+        obj = TwistObjective(data, psi)
         t = 0.0
         if A > 0:
             ts, vals = coarse[obj.even]
@@ -693,7 +755,7 @@ def test_per_column_grids_across_t_blocks():
     ts = np.sort(np.random.default_rng(7).uniform(-30.0, 30.0, (len(chars), 17)), axis=1)
     vals = kernel.grids([(ts, np.arange(len(chars)))])[0]
     for k, psi in enumerate(chars):
-        obj = TwistObjective(f, psi, x, _table())
+        obj = _objective(f, psi, x, _table())
         assert np.max(np.abs(vals[k] - [obj(float(t)) for t in ts[k]])) <= 1e-12, psi.serial
 
 
@@ -739,8 +801,6 @@ def test_non_finite_twist_bound_refused(bound):
     with pytest.raises(PreconditionError):
         min_distance_over_t(f, trivial, 1000, bound, _table())
     with pytest.raises(PreconditionError):
-        minimize_twist(TwistObjective(f, trivial, 1000, _table()), bound, 1000)
-    with pytest.raises(PreconditionError):
         halasz_bound(f, 1000, bound, _table())
 
 
@@ -755,7 +815,7 @@ def _direct_spectrum(f, x, Q, A):
     entries = []
     for r, group in itertools.groupby(zip(chars, ts), key=lambda c: c[0].q):
         data = _PrimeData(fv, x, r, r, _table())
-        entries += [SpectrumEntry(psi, r, t, TwistObjective._on(data, psi)(t))
+        entries += [SpectrumEntry(psi, r, t, TwistObjective(data, psi)(t))
                     for psi, t in group]
     return _spectrum_order(entries)
 
@@ -787,13 +847,13 @@ def test_tie_across_the_depth_boundary_matches_the_direct_spectrum(monkeypatch):
             if e.squared_distance - oracle[depth - 1].squared_distance <= TIE_TOL]
     assert tied
     calls = []
-    on = TwistObjective._on
+    init = TwistObjective.__init__
 
-    def counting(cls, data, psi):
+    def counting(self, data, psi):
         calls.append(psi)
-        return on(data, psi)
+        init(self, data, psi)
 
-    monkeypatch.setattr(TwistObjective, "_on", classmethod(counting))
+    monkeypatch.setattr(TwistObjective, "__init__", counting)
     rep = find_exceptional(f, x, Q, A, _table(), depth=depth)
     _assert_matches_direct_spectrum(rep, oracle, depth)
     assert len(calls) <= depth + len(tied), [psi.serial for psi in calls]
@@ -827,5 +887,5 @@ def test_scan_values_within_the_selection_margin_of_the_direct_sum(text):
             assert vals is None
             vals = _CellMoments(data, chars).grid(np.zeros(1))[0]
         for psi, t, v in zip(chars, ts, vals):
-            d2 = TwistObjective(f, psi, x, _table(), fv=fv)(t)
+            d2 = _objective(f, psi, x, _table(), fv=fv)(t)
             assert abs(v - d2) <= 1e-12, (psi.serial, A, t, v, d2)

@@ -2,8 +2,9 @@
 
 `perfbench/tracing.py` wraps pretentious functions and methods by name, so a
 renamed or removed name breaks traced benchmark runs; this test installs
-the tracer, runs one Halasz bound and one exceptional-character scan, and
-checks that uninstalling puts every attribute back.
+the tracer, runs one Halasz bound and one exceptional-character scan, checks
+that the scan's direct D^2 evaluations are traced, and checks that
+uninstalling puts every attribute back.
 """
 
 import importlib
@@ -50,12 +51,19 @@ def test_tracer_installs_runs_and_restores():
         assert pretension.find_exceptional is not before[("pretentious.pretension",
                                                           "find_exceptional")]
         meanvalues.halasz_bound(Mobius(), 10**4, 1.0, table)
-        pretension.find_exceptional(Mobius(), 10**4, 5, 1.0, table)
+        rep = pretension.find_exceptional(Mobius(), 10**4, 5, 1.0, table)
     finally:
         tracer.uninstall()
-    names = {s[0] for s in tracer.spans}
+    spans = tracer.spans
+    names = {s[0] for s in spans}
     assert {"meanvalues.halasz_bound", "pretension.find_exceptional",
             "funcspec.prime_values"} <= names
+    # every character of conductor <= 5 fits the default depth, so each gets
+    # one objective built and evaluated inside the scan
+    in_scan = [s[0] for i, s in enumerate(spans)
+               if tracing._has_ancestor(spans, i, "pretension.find_exceptional")]
+    assert in_scan.count("pretension.objective.build") == len(rep.spectrum) == 6
+    assert in_scan.count("pretension.objective.eval") == len(rep.spectrum)
     after = _attributes(tracing)
     assert after.keys() == before.keys()
     assert all(after[k] is v for k, v in before.items())
