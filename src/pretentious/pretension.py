@@ -160,7 +160,6 @@ class _PrimeData:
         self.base = float(np.sum(self.inv_p))
         self.logp = np.log(ps, dtype=np.float64)
         self.x = x
-        self.r = r
         self.q = q
 
 
@@ -190,12 +189,13 @@ class _CellMoments:
     column per character chi in `chars`, from Taylor moments over cells of
     log p (see the module docstring).
 
-    The characters are mod data.q, and each excludes the primes dividing
-    data.r, as its objective on data does.  With data.q = 0 they may have
-    any moduli, and a character mod r excludes the primes dividing r, as
-    find_exceptional's objective for conductor r does: data then holds every
-    prime (data.r = 1), and the primes dividing r fall into the classes mod
-    r that the unit-group transform drops.
+    The characters are mod data.q, and each excludes the primes that data
+    left out (those dividing the modulus it was built to exclude), as its
+    objective on data does.  With data.q = 0 they may have any moduli, and a
+    character mod r excludes the primes dividing r, as find_exceptional's
+    objective for conductor r does: data then holds every prime (built to
+    exclude 1), and the primes dividing r fall into the classes mod r that
+    the unit-group transform drops.
 
     The moments of a t-block are built on first use, one modulus at a time
     into one array for all the columns; the last _BLOCKS_KEPT blocks are
@@ -222,7 +222,7 @@ class _CellMoments:
         cell = np.floor(data.logp / CELL_WIDTH).astype(np.intp)
         self._cells = int(cell[-1]) + 1 - FIRST_CELL if len(cell) else 0
         starts = np.searchsorted(cell, cell[::_PRIME_CHUNK])
-        self._edges = np.append(np.unique(starts), len(cell)).tolist()
+        self._edges = [*sorted(set(starts.tolist())), len(cell)]
         padded = -(-self._cells // PHASE_SPLIT) * PHASE_SPLIT
         self.centres = (np.arange(FIRST_CELL, FIRST_CELL + padded) + 0.5) * CELL_WIDTH
         self._offsets = np.arange(PHASE_SPLIT) * CELL_WIDTH
@@ -310,7 +310,7 @@ class _CellMoments:
             base = self.base[cols]
             todo.append((ts, np.rint(ts / (2.0 * T_BLOCK)).astype(np.intp), cols, base,
                          np.empty((len(base), ts.shape[-1]))))
-        for j in np.unique(np.concatenate([b.ravel() for _, b, *_ in todo])).tolist():
+        for j in sorted(set(np.concatenate([b.ravel() for _, b, *_ in todo]).tolist())):
             W = self.moments(j)
             for ts, blocks, cols, base, out in todo:
                 hit = blocks == j
@@ -408,7 +408,7 @@ def _scan(data: _PrimeData, chars: list[DirichletCharacter],
         # built at most once more; from the highest block down, as the
         # coarse pass ended there and its moments are still kept
         home = np.rint((lo + hi) / (4.0 * T_BLOCK))
-        for j in np.unique(home)[::-1]:
+        for j in sorted(set(home.tolist()), reverse=True):
             mine = home == j
             k = order[cols[mine]]
             t[k], value[k] = _refine(kernel, cols[mine], lo[mine], hi[mine])

@@ -11,9 +11,14 @@ theorem check on every scan.  Good squarefree r coprime to q admit the
 transfer identity F(x;q,a) ~ r f(r) F(x/r; q, a r^{-1}) up to a budget
 (x/q)(eta d(r) + 1 - phi(r)/r).
 
-Per-modulus masses are computed from residue-class partial sums (one
-reshape-and-sum per r, `_class_sums`) followed by the unit-group transform
-in exponent coordinates, so nothing ever loops over characters times terms.
+Per-modulus masses are computed from residue-class partial sums
+(`_class_sums`) followed by the unit-group transform in exponent
+coordinates, so nothing ever loops over characters times terms.  The scan
+sums the values into classes only for the moduli m in (R/2, R]; every
+r <= R folds the class sums of its largest multiple m <= R, which costs
+O(m) instead of O(x/q).  For integer-valued f the fold is exact; for
+complex f it reorders the additions, so masses agree with a per-r sum to
+rounding.
 """
 
 from __future__ import annotations
@@ -119,14 +124,16 @@ def bad_moduli(
     N = len(cv)
     R = math.isqrt(x // q)
     threshold = eta * (x / q)
-    bad = []
-    masses = []
-    for r in range(2, R + 1):
-        m = _mass_from_classes(_class_sums(cv, r, start=1), r)
-        if keep_masses:
-            masses.append((r, m))
-        if m >= threshold:
-            bad.append((r, m))
+    # each r <= R folds its class sums from those of its largest multiple
+    # m = r floor(R/r), which lies in (R/2, R]: only those m read cv
+    mass = {}
+    for m in range(max(2, R // 2 + 1), R + 1):
+        c_m = _class_sums(cv, m, start=1)
+        for r in divisors(m):
+            if r > 1 and R // r * r == m:
+                mass[r] = _mass_from_classes(_class_sums(c_m, r, 0), r)
+    masses = sorted(mass.items())
+    bad = [(r, m) for r, m in masses if m >= threshold]
     s = sum(1.0 / unit_group(r).phi for r, _ in bad)
     bound = 2.0 / eta**2
     if s > bound + LARGE_SIEVE_SLACK:

@@ -7,13 +7,18 @@ character twist and recovering it.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pretentious
 from pretentious.arith import PrimeTable
 from pretentious.characters import (
     DirichletCharacter,
@@ -889,3 +894,26 @@ def test_scan_values_within_the_selection_margin_of_the_direct_sum(text):
         for psi, t, v in zip(chars, ts, vals):
             d2 = _objective(f, psi, x, _table(), fv=fv)(t)
             assert abs(v - d2) <= 1e-12, (psi.serial, A, t, v, d2)
+
+
+_SCAN_IMPORTS = """
+import sys
+from pretentious.arith import PrimeTable
+from pretentious.funcspec import parse_spec
+from pretentious.pretension import find_exceptional
+table = PrimeTable(10**5)
+for text in ("mobius", "prod(char:5:2,nit:1.0)"):
+    find_exceptional(parse_spec(text), 10**5, 20, 3, table)
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+
+
+def test_scan_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on first use, about 13 ms of every CLI
+    # process; a fresh process shows whether the scan pulls it in
+    src = str(Path(pretentious.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _SCAN_IMPORTS], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

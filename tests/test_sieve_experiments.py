@@ -1,8 +1,9 @@
 """Sieve-side experiments: primitive masses, bad moduli, transfer, Legendre scans.
 
 The mass pipeline (reshape-and-sum class sums + unit-group DFT) is checked
-against a direct character-enumeration oracle, and the class sums against
-the bincount code they replaced and the strided slices of progression_sums.
+against a direct character-enumeration oracle, the class sums against
+the bincount code they replaced and the strided slices of progression_sums,
+and bad_moduli's folded class sums against the per-r loop they replaced.
 Numeric fixtures were measured once on verified code and frozen as
 regressions.
 """
@@ -21,9 +22,11 @@ from pretentious.arith import PrimeTable, divisors
 from pretentious.characters import enumerate_characters, is_primitive, unit_group
 from pretentious.errors import PreconditionError
 from pretentious.funcspec import Mobius, One, parse_spec, values_upto
+from pretentious import sieve_experiments
 from pretentious.sieve_experiments import (
     _class_sums,
     _class_values,
+    _mass_from_classes,
     bad_moduli,
     legendre_progression_experiment,
     multiplicativity_defect,
@@ -340,6 +343,68 @@ def test_bad_moduli_preconditions():
     with pytest.raises(PreconditionError):
         # needs f up to n q + a past the table limit
         bad_moduli(Mobius(), 4 * 10**4, 2, 1, 0.1, _table())
+
+
+def _bad_moduli_direct(f, x, q, a, eta, table):
+    # oracle: the per-r loop that the fold replaced, one class sum of all
+    # x/q values for every r = 2..R
+    cv = _class_values(f, x, q, a, table)
+    R = math.isqrt(x // q)
+    masses = [(r, _mass_from_classes(_class_sums(cv, r, start=1), r)) for r in range(2, R + 1)]
+    return masses, [(r, m) for r, m in masses if m >= eta * (x / q)]
+
+
+# (x, q, a) with R = floor(sqrt(x/q)) = 2, 3, 3, 4, 12, 99, 100, 141, 173, 447
+FOLD_SCANS = [(8, 1, 0), (15, 1, 0), (20, 2, 1), (16, 1, 0), (150, 1, 0), (9999, 1, 0),
+              (10**4, 1, 1), (10**5, 5, 2), (9 * 10**4, 3, 2), (2 * 10**5, 1, 0)]
+
+
+@pytest.mark.parametrize("text", ["mobius", "liouville", "threshold:100", "legendre:7", "one"])
+def test_bad_moduli_fold_bit_identical_for_int8_families(text, table_medium):
+    f = parse_spec(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # small eta at small x
+        for x, q, a in FOLD_SCANS:
+            rep = bad_moduli(f, x, q, a, 0.2, table_medium, keep_masses=True)
+            masses, bad = _bad_moduli_direct(f, x, q, a, 0.2, table_medium)
+            assert rep.modulus_bound == math.isqrt(x // q)
+            assert list(rep.masses) == masses, (x, q, a)
+            assert list(rep.bad) == bad, (x, q, a)
+
+
+@pytest.mark.parametrize("text", ["prod(char:5:2,nit:1.0)", "nit:0.5", "char:7:1"])
+def test_bad_moduli_fold_matches_direct_for_complex_f(text, table_medium):
+    f = parse_spec(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for x, q, a in FOLD_SCANS:
+            for eta in (0.05, 0.5):
+                rep = bad_moduli(f, x, q, a, eta, table_medium, keep_masses=True)
+                masses, bad = _bad_moduli_direct(f, x, q, a, eta, table_medium)
+                assert [r for r, _ in rep.masses] == [r for r, _ in masses]
+                worst = max((abs(m - d) for (_, m), (_, d) in zip(rep.masses, masses)),
+                            default=0.0)
+                assert worst <= 1e-12 * (x / q), (x, q, a)
+                assert [r for r, _ in rep.bad] == [r for r, _ in bad], (x, q, a, eta)
+
+
+@pytest.mark.parametrize("x", [8, 15, 16, 150, 10**4, 2 * 10**5])
+def test_bad_moduli_reads_the_values_once_per_modulus_above_half(x, table_medium,
+                                                                 monkeypatch):
+    # only the moduli in (R/2, R] sum all x values; every r <= R then folds
+    # the class sums of one of them, whose length is at most R, once
+    seen = []
+
+    def counting(v, r, start, acc=None):
+        seen.append(len(v))
+        return _class_sums(v, r, start, acc)
+
+    monkeypatch.setattr(sieve_experiments, "_class_sums", counting)
+    rep = bad_moduli(Mobius(), x, 1, 0, 0.9, table_medium)
+    R = rep.modulus_bound
+    assert seen.count(x) == R - R // 2
+    assert all(n == x or n <= R for n in seen)
+    assert len(seen) == (R - R // 2) + (R - 1)
 
 
 # --------------------------------------------------------------- transfer
