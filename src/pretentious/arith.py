@@ -3,10 +3,10 @@
 Desk scale: PrimeTable(1e7) takes about 0.07 s and PrimeTable(1e8) about
 1.1 s at a peak RSS of 162 MB (2-CPU Xeon, numpy 2.4.6).  The sieve runs in
 fixed-width segments, so its working memory stays flat, and a PrimeTable
-holds nothing but the primes: every pointwise caller (is_prime, factorize)
-uses binary search or trial division by them.  Small integers (moduli,
-group orders, table keys) are factored without a table by
-`factorize_small`.
+holds nothing but the primes: `is_prime` is a binary search in them.  Every
+factorization, of table entries and of small integers (moduli, group
+orders, table keys) alike, is `factorize_small`'s trial division by 2 and
+the odd numbers.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ class FactoredInteger:
 
 
 def factorize_small(n: int) -> tuple[tuple[int, int], ...]:
-    """(prime, exponent) pairs of n by trial division, increasing primes;
-    () for n < 2."""
+    """(prime, exponent) pairs of n by trial division by 2 and the odd
+    numbers, increasing primes; () for n < 2."""
     out = []
     m = n
     p = 2
@@ -66,7 +66,7 @@ def factorize_small(n: int) -> tuple[tuple[int, int], ...]:
                 m //= p
                 e += 1
             out.append((p, e))
-        p += 1
+        p += 1 if p == 2 else 2
     if m > 1:
         out.append((m, 1))
     return tuple(out)
@@ -155,21 +155,7 @@ class PrimeTable:
         """Exact factorization for 1 <= n <= limit, by trial division."""
         if not 1 <= n <= self.limit:
             raise PreconditionError(f"factorize needs 1 <= n <= {self.limit}, got {n}")
-        m = n
-        out = []
-        for p in self.primes:
-            p = int(p)
-            if p * p > m:
-                break
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                out.append((p, e))
-        if m > 1:
-            out.append((m, 1))  # survived trial division past sqrt: prime
-        return FactoredInteger(n, tuple(out))
+        return FactoredInteger(n, factorize_small(n))
 
 
 def factorize(n: int, table: PrimeTable) -> FactoredInteger:

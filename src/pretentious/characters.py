@@ -1,7 +1,10 @@
 """Dirichlet characters with exact root-of-unity values.
 
 The unit group mod q is decomposed into cyclic components (one per odd
-prime power, the 2-part split as {-1} x <5> for 8 | q).  A character is an
+prime power, the 2-part split as {-1} x <5> for 8 | q).  One numpy walk of
+the exponent grid, the products of generator powers in C order, gives every
+table of the group: the units, their exponent tuples and their grid
+positions, and the discrete logarithms read from those.  A character is an
 exponent tuple against the component generators, and its value at n is the
 exact rational angle  sum_i e_i * dlog_i(n) / d_i  (mod 1).  Keeping angles
 as Fractions makes orthogonality and multiplicativity checks exact; floats
@@ -60,7 +63,14 @@ def _crt_lift(residue: int, pe: int, q: int) -> int:
 
 
 class UnitGroupStructure:
-    """Cyclic decomposition of (Z/qZ)* with discrete-log tables."""
+    """Cyclic decomposition of (Z/qZ)* and its exponent grid.
+
+    The grid starts as [1 % q]; each generator g of order d replaces it by
+    its outer product with g^0, ..., g^(d-1) (mod q), ravelled.  Position i
+    of the final grid then holds the unit whose exponent tuple is the i-th
+    in C order, and sorting the grid gives every table: `ravel` (the grid
+    position of each unit), `units`, `exponents` and `unit_index`.
+    """
 
     def __init__(self, q: int):
         if not 1 <= q <= MAX_MODULUS:
@@ -86,44 +96,33 @@ class UnitGroupStructure:
                 orders.append(pe // p * (p - 1))
         self.generators = tuple(gens)
         self.orders = tuple(orders)
-        self.phi = 1
-        for d in orders:
-            self.phi *= d
+        self.phi = prod(orders)
 
-        # dlog[a] = exponent tuple of unit a; built by walking the product.
-        dlog: dict[int, tuple[int, ...]] = {1 % q: ()}
+        grid = np.array([1 % q], dtype=np.int64)
         for g, d in zip(gens, orders):
-            nxt = {}
-            gp = 1
-            for j in range(d):
-                for u, t in dlog.items():
-                    nxt[(u * gp) % q] = t + (j,)
-                gp = (gp * g) % q
-            dlog = nxt
-        assert len(dlog) == self.phi, f"unit group mod {q}: got {len(dlog)} of {self.phi}"
-        self.dlog = dlog
-        self.units = np.array(sorted(dlog), dtype=np.int64)
+            powers = np.array([1 % q], dtype=np.int64)  # g^0, g^1, ... by doubling
+            while len(powers) < d:
+                powers = np.concatenate([powers, powers * pow(g, len(powers), q) % q])
+            grid = np.multiply.outer(grid, powers[:d]).ravel() % q
+        # ravel[i] = C-order position of units[i]'s exponent tuple, which is
+        # also the canonical index of the character with that tuple
+        self.ravel = np.argsort(grid)
+        self.units = grid[self.ravel]
+        assert np.all(self.units[1:] > self.units[:-1]), f"unit group mod {q}: repeated units"
         # unit_index[a] = position of a in self.units, -1 for non-units
         idx = np.full(max(q, 1), -1, dtype=np.int64)
         idx[self.units] = np.arange(len(self.units))
         self.unit_index = idx
         # exponent matrix aligned with self.units, shape (phi, k)
-        k = len(gens)
-        self.exponents = np.array(
-            [dlog[int(u)] for u in self.units], dtype=np.int64
-        ).reshape(self.phi, k)
+        self.exponents = np.indices(orders).reshape(len(orders), self.phi).T[self.ravel]
 
     def __repr__(self):
         return f"UnitGroupStructure(q={self.q}, orders={self.orders})"
 
     @cached_property
-    def ravel(self) -> np.ndarray:
-        """ravel[i] = C-order position of units[i]'s exponent tuple in a grid
-        of shape `orders`; ravelling that grid also lists characters in
-        canonical order."""
-        k = len(self.orders)
-        radix = np.array([prod(self.orders[i + 1:]) for i in range(k)], dtype=np.int64)
-        return self.exponents @ radix
+    def dlog(self) -> dict[int, tuple[int, ...]]:
+        """dlog[a] = exponent tuple of the unit a."""
+        return dict(zip(self.units.tolist(), map(tuple, self.exponents.tolist())))
 
 
 @lru_cache(maxsize=None)
@@ -135,14 +134,15 @@ def unit_group_transform(values, q: int) -> np.ndarray:
     """ghat(chi) = sum over units a of v(a) conj(chi(a)) for every chi mod q,
     indexed by canonical character index; the last axis of `values` is
     aligned with unit_group(q).units, and leading axes are transformed
-    independently.
+    independently.  It runs in complex128, or in clongdouble for long
+    double values.
 
     One FFT over the exponent grid: ghat(chi_e) = sum_beta V[beta]
     e^(-2 pi i <e, beta/d>) is exactly numpy's fftn at index e.
     """
     G = unit_group(q)
     lead = np.shape(values)[:-1]
-    grid = np.zeros(lead + G.orders, dtype=np.complex128)
+    grid = np.zeros(lead + G.orders, dtype=np.result_type(values, np.complex128))
     grid.reshape(lead + (G.phi,))[..., G.ravel] = values
     del values  # a temporary argument is freed before the FFT
     axes = tuple(range(len(lead), grid.ndim))
@@ -225,10 +225,7 @@ class DirichletCharacter:
         return all(e == 0 for e in self.exponents)
 
     def order(self) -> int:
-        out = 1
-        for e, d in zip(self.exponents, unit_group(self.q).orders):
-            out = out * (d // gcd(d, e)) // gcd(out, d // gcd(d, e))
-        return out
+        return lcm(*(d // gcd(d, e) for e, d in zip(self.exponents, unit_group(self.q).orders)))
 
     def is_real(self) -> bool:
         return self.order() <= 2

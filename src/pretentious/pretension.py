@@ -212,9 +212,8 @@ class _CellMoments:
         for q, cols in by_modulus.items():
             # the bin of each class within a cell: its place among the
             # units, or one spare bin for the classes of primes dividing q
-            units = unit_group(q).units
-            bins = np.full(q, len(units))
-            bins[units] = np.arange(len(units))
+            G = unit_group(q)
+            bins = np.where(G.unit_index < 0, G.phi, G.unit_index)
             self._groups.append((q, cols, [chars[col].index for col in cols], bins))
             self.base[cols] = (data.base if data.q else
                                float(np.sum(data.inv_p[q % data.cls != 0])))
@@ -448,6 +447,8 @@ def min_distance_over_t(
     r: int | None = None,
 ) -> tuple[float, float]:
     """(t*, D^2 at t*) minimizing D_r(f, psi(n)n^(it); x)^2 over |t| <= A."""
+    if x < 2:
+        raise PreconditionError(f"distance needs x >= 2, got {x}")
     fv = prime_values(f, table.primes_upto(x), table)
     data = _PrimeData(fv, x, psi.q if r is None else r, psi.q, table)
     (t,), _ = _scan(data, [psi], A)

@@ -253,7 +253,8 @@ def legendre_progression_experiment(
 
     Classes containing squares have asymptotic floor delta1 = -0.656...;
     classes with no squares can reach -1.  Finite scale drifts below the
-    floor, so callers compare with slack.
+    floor, so callers compare with slack.  With no such p there is no
+    infimum, and the scan is refused.
     """
     if math.gcd(a, q) != 1:
         raise PreconditionError(f"need gcd(a, q) = 1, got a={a}, q={q}")
@@ -262,14 +263,14 @@ def legendre_progression_experiment(
     start = a % q
     if start == 0:
         start = q
+    ps = [p for p in table.primes_upto(p_limit).tolist() if p != 2 and q % p]
+    if not ps:
+        raise PreconditionError(f"no odd prime p <= {p_limit} is coprime to q={q}")
     ns = np.arange(start, x + 1, q, dtype=np.int64)
     best = math.inf
     best_p = 0
     running = []
-    for p in table.primes_upto(p_limit):
-        p = int(p)
-        if p == 2 or q % p == 0:
-            continue
+    for p in ps:
         row = _legendre_row(p)
         s = float(np.sum(row[ns % p])) * q / x
         if s < best:

@@ -19,6 +19,7 @@ from pretentious.arith import PrimeTable
 from pretentious.characters import (
     MAX_MODULUS,
     DirichletCharacter,
+    UnitGroupStructure,
     character_by_index,
     character_row,
     conductor,
@@ -84,6 +85,43 @@ def test_pairwise_distinct(q):
         key = tuple(chi.angle(u) for u in units)
         assert key not in seen
         seen.add(key)
+
+
+def _dict_walk(G) -> dict:
+    """oracle: the unit-group tables from a Python dict walk of the cyclic
+    components on G's generators, the construction the grid walk replaced."""
+    q = G.q
+    dlog = {1 % q: ()}
+    for g, d in zip(G.generators, G.orders):
+        nxt = {}
+        gp = 1
+        for j in range(d):
+            for u, t in dlog.items():
+                nxt[(u * gp) % q] = t + (j,)
+            gp = (gp * g) % q
+        dlog = nxt
+    units = np.array(sorted(dlog), dtype=np.int64)
+    unit_index = np.full(max(q, 1), -1, dtype=np.int64)
+    unit_index[units] = np.arange(len(units))
+    k = len(G.orders)
+    exponents = np.array([dlog[int(u)] for u in units], dtype=np.int64).reshape(len(units), k)
+    radix = np.array([math.prod(G.orders[i + 1:]) for i in range(k)], dtype=np.int64)
+    return dict(phi=len(dlog), units=units, unit_index=unit_index, exponents=exponents,
+                ravel=exponents @ radix, dlog=dlog)
+
+
+@pytest.mark.parametrize("qs", [range(1, 2001), (4096, 7560, 8192, 9240, 9973, 10000)],
+                         ids=["q<=2000", "large"])
+def test_grid_walk_matches_dict_walk(qs):
+    for q in qs:
+        G = UnitGroupStructure(q)  # uncached: 2000 dlog dicts would stay alive
+        want = _dict_walk(G)
+        assert G.phi == want.pop("phi") and type(G.phi) is int, q
+        assert G.dlog == want.pop("dlog"), q
+        for name, table in want.items():
+            got = getattr(G, name)
+            assert got.dtype == table.dtype and got.shape == table.shape, (q, name)
+            assert np.array_equal(got, table), (q, name)
 
 
 # Test-only oracles: both orthogonality relations, exactly, from exponent

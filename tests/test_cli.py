@@ -321,6 +321,15 @@ def test_sieve_legendre_verbose_toggle(capsys):
     assert quiet["result"]["infimum"] == loud["result"]["infimum"]
 
 
+@pytest.mark.parametrize("q, a, p_limit", [("4", "3", "2"), ("3", "1", "3")])
+def test_sieve_legendre_with_no_prime_to_scan_exits_3(capsys, q, a, p_limit):
+    code, out, err = run_cli(capsys, ["sieve", "legendre", "--q", q, "--a", a,
+                                      "--x", "100", "--p-limit", p_limit])
+    assert code == 3
+    assert out == ""
+    assert "no odd prime" in err
+
+
 def test_sieve_bad_moduli_and_defect_verbose_toggle(capsys):
     quiet = run_json(capsys, [
         "sieve", "bad-moduli", "--f", "mobius", "--x", "4000", "--q", "4",

@@ -142,8 +142,8 @@ def test_decompose_hand_cases():
 
 
 def test_decompose_large_prime_modulus_stays_fast():
-    # all 996 character rows mod 997 are rebuilt on every call (the row
-    # cache holds fewer), so each call has to be cheap on its own
+    # every call transforms the class sums for all 996 characters mod 997
+    # and takes each chi(2) exactly, so each call has to be cheap on its own
     for _ in range(2):
         t0 = time.perf_counter()
         lhs, rhs = decompose_via_characters(Mobius(), 10**4, 997, 2, _table())

@@ -809,6 +809,17 @@ def test_non_finite_twist_bound_refused(bound):
         halasz_bound(f, 1000, bound, _table())
 
 
+@pytest.mark.parametrize("x", [-1, 0, 1])
+def test_twist_minimizer_refuses_x_below_2(x):
+    # as distance_squared does, rather than failing in log x
+    f, trivial = Mobius(), DirichletCharacter(1, ())
+    for A in (0.0, 1.0):
+        with pytest.raises(PreconditionError, match="x >= 2"):
+            min_distance_over_t(f, trivial, x, A, _table())
+    with pytest.raises(PreconditionError, match="x >= 2"):
+        halasz_bound(f, x, 1.0, _table())
+
+
 # The scan's last stage before it kept to the characters the spectrum can
 # hold, kept as the oracle: the direct D^2 of every primitive character of
 # conductor <= Q at the t the scan chose, one _PrimeData per conductor, and

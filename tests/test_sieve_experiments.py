@@ -540,6 +540,13 @@ def test_legendre_scan_skips_divisors_of_q():
     assert rep.argmin_p % 3 != 0 and rep.argmin_p % 2 != 0
 
 
+@pytest.mark.parametrize("q, a, p_limit", [(4, 3, 2), (3, 1, 3), (15, 2, 5)])
+def test_legendre_scan_with_no_odd_prime_coprime_to_q_refused(q, a, p_limit):
+    # no p to scan leaves no infimum, not an infinite one at p = 0
+    with pytest.raises(PreconditionError, match="no odd prime"):
+        legendre_progression_experiment(q, a, 100, p_limit, _table())
+
+
 def test_legendre_trivial_progression_bounds():
     # q = 1: full interval, each complete period sums to zero, so the mean
     # stays within (p/x) of zero and the infimum is a small negative number
