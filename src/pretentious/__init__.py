@@ -9,7 +9,7 @@ its progression sums (meanvalues), probe the sieve-theoretic structure
 
 __version__ = "0.1.0"
 
-from .arith import FactoredInteger, PrimeTable, factorize, sieve_primes
+from .arith import FactoredInteger, PrimeTable, sieve_primes
 from .characters import (
     DirichletCharacter,
     UnitGroupStructure,

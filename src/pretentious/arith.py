@@ -3,10 +3,9 @@
 Desk scale: PrimeTable(1e7) takes about 0.07 s and PrimeTable(1e8) about
 1.1 s at a peak RSS of 162 MB (2-CPU Xeon, numpy 2.4.6).  The sieve runs in
 fixed-width segments, so its working memory stays flat, and a PrimeTable
-holds nothing but the primes: `is_prime` is a binary search in them.  Every
-factorization, of table entries and of small integers (moduli, group
-orders, table keys) alike, is `factorize_small`'s trial division by 2 and
-the odd numbers.
+holds nothing but the primes.  Every factorization, of table entries and
+of small integers (moduli, group orders, table keys) alike, is
+`factorize_small`'s trial division by 2 and the odd numbers.
 """
 
 from __future__ import annotations
@@ -45,12 +44,6 @@ class FactoredInteger:
         for _, e in self.factors:
             d *= e + 1
         return d
-
-    def radical(self) -> int:
-        r = 1
-        for p, _ in self.factors:
-            r *= p
-        return r
 
 
 def factorize_small(n: int) -> tuple[tuple[int, int], ...]:
@@ -121,8 +114,8 @@ def sieve_primes(limit: int) -> np.ndarray:
 
 
 class PrimeTable:
-    """The primes up to `limit`, with pointwise primality and factorization
-    for every n <= limit by binary search and trial division."""
+    """The primes up to `limit`, and the factorization of every n <= limit
+    by trial division."""
 
     def __init__(self, limit: int):
         if not 2 <= limit <= MAX_SIEVE_LIMIT:
@@ -140,23 +133,9 @@ class PrimeTable:
             raise PreconditionError(f"asked for primes to {x} but table stops at {self.limit}")
         return self.primes[: np.searchsorted(self.primes, x, side="right")]
 
-    def is_prime(self, n: int) -> bool:
-        if n > self.limit:
-            raise PreconditionError(f"{n} exceeds table limit {self.limit}")
-        i = np.searchsorted(self.primes, n)
-        return i < len(self.primes) and int(self.primes[i]) == n
-
-    def smallest_prime_factor(self, n: int) -> int:
-        if n < 2:
-            raise PreconditionError("smallest_prime_factor needs n >= 2")
-        return self.factorize(n).factors[0][0]
-
     def factorize(self, n: int) -> FactoredInteger:
         """Exact factorization for 1 <= n <= limit, by trial division."""
         if not 1 <= n <= self.limit:
             raise PreconditionError(f"factorize needs 1 <= n <= {self.limit}, got {n}")
         return FactoredInteger(n, factorize_small(n))
 
-
-def factorize(n: int, table: PrimeTable) -> FactoredInteger:
-    return table.factorize(n)

@@ -344,7 +344,3 @@ def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
         assert e.denominator == 1, "primitive part exponent not integral"
         exps.append(int(e) % m)
     return DirichletCharacter(d, tuple(exps))
-
-
-def real_characters(q: int) -> list[DirichletCharacter]:
-    return [chi for chi in enumerate_characters(q) if chi.is_real()]

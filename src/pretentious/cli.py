@@ -54,32 +54,26 @@ from .sieve_experiments import (
 STEERING = ("command", "subcommand", "func", "out", "threads", "format", "verbose")
 
 
-def _jsonable(obj):
-    """Recursively convert report objects to plain JSON types.
+def _json_default(obj):
+    """What json cannot write itself, as plain JSON types.
 
     Complex numbers become {"re":, "im":}; characters serialize by their
     stable serial string; function specs by their round-trippable text form.
     """
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, np.generic):
-        return _jsonable(obj.item())
+        return obj.item()
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, DirichletCharacter):
         return obj.serial
     if isinstance(obj, FunctionSpec):
         return obj.render()
     if dataclasses.is_dataclass(obj):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -91,11 +85,11 @@ def _emit(args, result) -> None:
     report = {
         "version": __version__,
         "command": command,
-        "config": {"params": _jsonable(params), "threads": args.threads},
+        "config": {"params": params, "threads": args.threads},
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "result": _jsonable(result),
+        "result": result,
     }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
     _write(args, text)
 
 
@@ -214,7 +208,8 @@ def _cmd_sieve_bad_moduli(args):
     f = parse_spec(args.f)
     # class values reach n*q + a <= x + q, so sieve slightly past x
     table = PrimeTable(args.x + args.q)
-    return bad_moduli(f, args.x, args.q, args.a, args.eta, table, keep_masses=args.verbose)
+    report = bad_moduli(f, args.x, args.q, args.a, args.eta, table)
+    return report if args.verbose else dataclasses.replace(report, masses=None)
 
 
 def _cmd_sieve_defect(args):
@@ -232,7 +227,7 @@ def _cmd_sieve_legendre(args):
 
 
 def _parse_g_file(path: str, q: int) -> ApproxHomomorphism:
-    """Read `a: re,im` lines (one per unit mod q); blank lines and # comments ok."""
+    """Read `a: re,im` lines, one per unit a in [0, q); blank lines and # comments ok."""
     values = {}
     try:
         with open(path) as fh:
@@ -246,12 +241,16 @@ def _parse_g_file(path: str, q: int) -> ApproxHomomorphism:
         try:
             left, right = line.split(":", 1)
             a = int(left)
-            parts = right.split(",")
-            re_part = float(parts[0])
-            im_part = float(parts[1]) if len(parts) > 1 else 0.0
-        except (ValueError, IndexError) as exc:
+            parts = [float(v) for v in right.split(",")]
+            if len(parts) > 2:
+                raise ValueError(f"{len(parts)} numbers")
+        except ValueError as exc:
             raise SpecParseError(f"{path}:{lineno}: expected 'a: re,im', got {raw!r}") from exc
-        values[a] = complex(re_part, im_part)
+        if not (0 <= a < q and math.gcd(a, q) == 1):
+            raise SpecParseError(f"{path}:{lineno}: {a} is not a unit in [0, {q})")
+        if a in values:
+            raise SpecParseError(f"{path}:{lineno}: second value for unit {a}")
+        values[a] = complex(*parts)
     return ApproxHomomorphism.from_values(q, values)
 
 

@@ -6,8 +6,8 @@ delta1 = 1 - 2 log(1 + sqrt(e)) + 4 * integral_1^sqrt(e) (log t)/(t+1) dt
 is the asymptotic infimum of normalized progression sums over square
 classes; delta0 = (1 + delta1)/2 = 0.1715... is the corresponding lower
 bound on how much of a progression's mass survives.  The integral runs
-through two independent quadratures (adaptive Simpson and Romberg) that
-must agree, so a typo in one integrand cannot slip through.
+through two quadrature rules (adaptive Simpson and Romberg) that must
+agree on one integrand, which the tests check against its closed form.
 
 repulsion_constant(m) = 1 - 1/(m sin(pi/2m))    (m odd)
                         1 - 1/(m tan(pi/2m))    (m even)

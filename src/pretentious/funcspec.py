@@ -518,7 +518,7 @@ def _parse_complex(text: str) -> complex:
         # split into optional real part and imaginary coefficient
         m = re.match(
             r"^(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?"
-            r"(?P<im>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[+-]?)$",
+            r"(?P<im>[+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[+-]?)$",
             body,
         )
         if not m:

@@ -8,8 +8,8 @@ nothing and the API refuses rather than guessing.
 
 The Fourier transform over all phi(q) characters is the unit-group
 transform of `characters` (one multidimensional FFT in exponent
-coordinates); the brute-force per-character dot product lives in the tests
-as the oracle.
+coordinates); the brute-force per-character dot product,
+`fourier_transform`, stays beside it as the tests' oracle.
 """
 
 from __future__ import annotations

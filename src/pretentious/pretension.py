@@ -47,12 +47,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import PrimeTable
 from .characters import (
+    MAX_MODULUS,
     DirichletCharacter,
     character_row,
     enumerate_characters,
@@ -86,7 +87,6 @@ class DistanceResult:
     x: int
     excluded_modulus: int
     prime_count: int
-    terms: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,6 @@ def distance_squared(
     x: int,
     table: PrimeTable,
     r: int = 1,
-    keep_terms: bool = False,
 ) -> DistanceResult:
     """D_r(f, g; x)^2, summed over ascending primes with pairwise reduction."""
     if x < 2:
@@ -133,13 +132,11 @@ def distance_squared(
     fv = prime_values(f, ps, table)
     gv = prime_values(g, ps, table)
     terms = (1.0 - (fv * np.conj(gv)).real) / ps
-    total = float(np.sum(terms))
     return DistanceResult(
-        squared_distance=total,
+        squared_distance=float(np.sum(terms)),
         x=x,
         excluded_modulus=r,
         prime_count=len(ps),
-        terms=terms if keep_terms else None,
     )
 
 
@@ -348,7 +345,6 @@ class TwistObjective:
         self.amp *= data.inv_p
         self.phase = np.angle(z)
         self.logp = data.logp
-        self.even = bool(np.all(z.imag == 0))
         self.prime_count = len(data.logp)
 
     def __call__(self, t: float) -> float:
@@ -513,8 +509,8 @@ def find_exceptional(
     """
     if x < 3 or x > table.limit:
         raise PreconditionError(f"need 3 <= x <= table limit {table.limit}, got {x}")
-    if Q < 1:
-        raise PreconditionError(f"conductor bound must be >= 1, got {Q}")
+    if not 1 <= Q <= MAX_MODULUS:
+        raise PreconditionError(f"conductor bound must be in [1, {MAX_MODULUS}], got {Q}")
     if depth < 1:
         raise PreconditionError(f"spectrum depth must be >= 1, got {depth}")
     _check_twist_bound(A)

@@ -91,7 +91,7 @@ class BadModuliReport:
     bad: tuple[tuple[int, float], ...]  # (r, mass)
     sum_inverse_phi: float
     large_sieve_bound: float
-    masses: tuple[tuple[int, float], ...] | None = None
+    masses: tuple[tuple[int, float], ...] | None  # (r, mass) for every 1 < r <= R
 
 
 def bad_moduli(
@@ -101,7 +101,6 @@ def bad_moduli(
     a: int,
     eta: float,
     table: PrimeTable,
-    keep_masses: bool = False,
 ) -> BadModuliReport:
     """Scan 1 < r <= sqrt(x/q) for moduli with primitive mass >= eta x/q.
 
@@ -144,7 +143,7 @@ def bad_moduli(
     return BadModuliReport(
         x=x, q=q, a=a, eta=eta, n_terms=N, modulus_bound=R,
         bad=tuple(bad), sum_inverse_phi=s, large_sieve_bound=bound,
-        masses=tuple(masses) if keep_masses else None,
+        masses=tuple(masses),
     )
 
 

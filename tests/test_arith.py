@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from pretentious.arith import (
     MAX_SIEVE_LIMIT,
     PrimeTable,
-    factorize,
+    is_prime_small,
     sieve_primes,
 )
 from pretentious.errors import PreconditionError
@@ -52,25 +52,16 @@ def test_primes_upto(table_small):
     assert len(table_small.primes_upto(0)) == 0
 
 
-def test_is_prime_matches_sympy(table_small):
+def test_is_prime_matches_sympy():
     for n in range(1, 500):
-        assert table_small.is_prime(n) == sympy.isprime(n)
-
-
-def test_smallest_prime_factor(table_small):
-    for n in range(2, 2000):
-        spf = table_small.smallest_prime_factor(n)
-        assert n % spf == 0
-        assert sympy.isprime(spf)
-        for p in range(2, spf):
-            assert n % p != 0
+        assert is_prime_small(n) == sympy.isprime(n)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=2, max_value=2 * 10**4))
 def test_factorize_matches_sympy(n):
     table = _shared_table()
-    fi = factorize(n, table)
+    fi = table.factorize(n)
     assert dict(fi.factors) == sympy.factorint(n)
     assert math.prod(p**k for p, k in fi.factors) == n
 
@@ -88,21 +79,20 @@ def _shared_table():
 def test_factorize_above_spf_limit(table_small):
     # trial-division fallback: n larger than the spf table but <= limit^2 is
     # out of contract; n <= limit factors fine
-    fi = factorize(19997 * 1, table_small)
+    fi = table_small.factorize(19997 * 1)
     assert fi.factors == ((19997, 1),)
 
 
 def test_factored_integer_helpers(table_small):
-    fi = factorize(360, table_small)
+    fi = table_small.factorize(360)
     assert fi.divisor_count() == 24
-    assert fi.radical() == 30
 
 
 def test_factorize_bounds(table_small):
     with pytest.raises(PreconditionError):
-        factorize(0, table_small)
+        table_small.factorize(0)
     with pytest.raises(PreconditionError):
-        factorize(10**9, table_small)
+        table_small.factorize(10**9)
 
 
 def test_table_limit_guard():

@@ -168,9 +168,11 @@ def test_json_report_still_default(capsys):
 
 
 def test_exit_2_on_bad_spec(capsys):
-    code, _, err = run_cli(capsys, ["meanvalues", "halasz", "--f", "bogus:12", "--x", "100"])
-    assert code == 2
-    assert "error:" in err
+    # 0.3.4i has no sign between its real and imaginary parts
+    for spec in ("bogus:12", "table:{2:0.3.4i,3:1}"):
+        code, _, err = run_cli(capsys, ["meanvalues", "halasz", "--f", spec, "--x", "100"])
+        assert code == 2, spec
+        assert "error:" in err
 
 
 def test_exit_3_on_precondition(capsys):
@@ -236,6 +238,20 @@ def test_non_finite_spec_value_is_refused(capsys, spec, want):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", [["pretension", "find", "--f", "mobius"],
+                                     ["meanvalues", "report", "--f", "mobius", "--q", "4"]])
+def test_conductor_bound_above_max_modulus_exits_3_before_the_scan(monkeypatch, capsys, command):
+    def never(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr("pretentious.pretension.prime_values", never)
+    monkeypatch.setattr("pretentious.pretension.primitive_characters_upto", never)
+    code, out, err = run_cli(capsys, [*command, "--x", "1000", "--Q", "10001", "--A", "1"])
+    assert code == 3
+    assert out == ""
+    assert "conductor bound" in err
+
+
 def test_exit_0_is_returned_not_raised(capsys):
     assert cli.main(["constants"]) == 0
     capsys.readouterr()
@@ -267,10 +283,12 @@ def test_nearchar_recover_round_trip(tmp_path, capsys):
 
 def test_nearchar_malformed_line(tmp_path, capsys):
     gfile = tmp_path / "g.txt"
-    gfile.write_text("1: 1,0\n2: what\n3: -1,0\n4: 1,0\n")
-    code, _, err = run_cli(capsys, ["nearchar", "recover", "--q", "5", "--g", str(gfile)])
-    assert code == 2
-    assert ":2:" in err  # diagnostic names the offending line
+    # line 2 is unreadable, has a third number, repeats a unit or names a non-unit
+    for bad in ("2: what", "2: 0,1,9", "1: 1,0", "7: 1,0", "0: 1,0", "-3: 1,0"):
+        gfile.write_text(f"1: 1,0\n{bad}\n2: -1,0\n3: -1,0\n4: 1,0\n")
+        code, _, err = run_cli(capsys, ["nearchar", "recover", "--q", "5", "--g", str(gfile)])
+        assert code == 2, bad
+        assert f"{gfile}:2:" in err, bad  # diagnostic names the offending line
 
 
 def test_nearchar_non_finite_value(tmp_path, capsys):

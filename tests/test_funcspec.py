@@ -90,6 +90,10 @@ def test_parse_complex_forms():
     assert m[(3, 1)] == -1j
     assert m[(5, 1)] == 1j
     assert m[(7, 1)] == -0.5 - 0.5j
+    # a real and an imaginary part need a sign between them
+    for bad in ("0.3.4i", "1.2.3i", "2..7i"):
+        with pytest.raises(SpecParseError, match="bad complex literal"):
+            parse_spec(f"table:{{2:{bad},3:1}}")
 
 
 def test_parse_prime_power_keys():

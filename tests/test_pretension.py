@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import pretentious
 from pretentious.arith import PrimeTable
 from pretentious.characters import (
+    MAX_MODULUS,
     DirichletCharacter,
     character_by_index,
     enumerate_characters,
@@ -75,12 +76,18 @@ def _table():
     return _TABLE["t"]
 
 
-def _objective(f, psi, x, table, r=None, fv=None):
-    """psi's objective for f on the primes up to x not dividing r (psi.q
-    unless given); fv is f at table.primes_upto(x), when the caller has it."""
+def _data(f, psi, x, table, r=None, fv=None):
+    """The prime data of psi's objective for f: the primes up to x not
+    dividing r (psi.q unless given); fv is f at table.primes_upto(x), when
+    the caller has it."""
     if fv is None:
         fv = prime_values(f, table.primes_upto(x), table)
-    return TwistObjective(_PrimeData(fv, x, psi.q if r is None else r, psi.q, table), psi)
+    return _PrimeData(fv, x, psi.q if r is None else r, psi.q, table)
+
+
+def _objective(f, psi, x, table, r=None, fv=None):
+    """psi's objective for f on _data(f, psi, x, table, r, fv)."""
+    return TwistObjective(_data(f, psi, x, table, r, fv), psi)
 
 
 def test_distance_hand_value():
@@ -116,14 +123,6 @@ def test_distance_symmetry():
     d1 = distance_squared(f, g, 10**4, _table()).squared_distance
     d2 = distance_squared(g, f, 10**4, _table()).squared_distance
     assert d1 == pytest.approx(d2, abs=1e-12)
-
-
-def test_distance_keep_terms():
-    d = distance_squared(Mobius(), One(), 100, _table(), keep_terms=True)
-    assert d.terms is not None
-    assert len(d.terms) == d.prime_count
-    assert float(np.sum(d.terms)) == pytest.approx(d.squared_distance, abs=1e-12)
-    assert np.all(np.asarray(d.terms) >= -1e-15)
 
 
 def test_twist_objective_matches_distance():
@@ -248,10 +247,10 @@ def _rotated_grid(obj, ts):
     return out
 
 
-def _rotated_minimize_twist(obj, A, x):
+def _rotated_minimize_twist(obj, A, x, even):
     if A == 0:
         return 0.0, obj(0.0)
-    lo = 0.0 if obj.even else -A
+    lo = 0.0 if even else -A
     h = GRID_SPACING_FACTOR / math.log(x)
     ts = np.linspace(lo, A, max(3, int(math.ceil((A - lo) / h)) + 1))
     while True:
@@ -278,8 +277,9 @@ def test_find_exceptional_matches_oracle_scan(text):
     rep = find_exceptional(f, x, Q, A, _table(), depth=10**3)
     oracle = {}
     for psi in primitive_characters_upto(Q):
-        obj = _objective(f, psi, x, _table())
-        oracle[psi] = (*_oracle_minimize_twist(obj, A, x), obj.even)
+        data = _data(f, psi, x, _table())
+        obj = TwistObjective(data, psi)
+        oracle[psi] = (*_oracle_minimize_twist(obj, A, x), _is_even_oracle(data, psi))
     assert sorted(e.character.serial for e in rep.spectrum) == sorted(c.serial for c in oracle)
     for e in rep.spectrum:
         t_o, d2_o, even = oracle[e.character]
@@ -295,9 +295,11 @@ def test_find_exceptional_matches_oracle_scan(text):
     assert oracle[rep.psi][1] <= best + 1e-12
 
 
-def _assert_matches_rotated_oracle(t, d2, obj, A, x):
-    t_o, d2_o = _rotated_minimize_twist(obj, A, x)
-    dt = abs(abs(t) - abs(t_o)) if obj.even else abs(t - t_o)
+def _assert_matches_rotated_oracle(t, d2, data, psi, A, x):
+    obj = TwistObjective(data, psi)
+    even = _is_even_oracle(data, psi)
+    t_o, d2_o = _rotated_minimize_twist(obj, A, x, even)
+    dt = abs(abs(t) - abs(t_o)) if even else abs(t - t_o)
     assert dt <= 1e-6, (t, t_o)
     assert d2 <= d2_o + 1e-12, (d2, d2_o)
     assert d2 == obj(t)
@@ -309,8 +311,8 @@ def test_coprime_mean_bound_matches_oracle(text):
     trivial = DirichletCharacter(1, ())
     for r in (2, 6, 30):
         cb = coprime_mean_bound(f, x, r, T, _table())
-        obj = _objective(f, trivial, x, _table(), r=r)
-        _assert_matches_rotated_oracle(cb.t_star, cb.squared_distance, obj, T, x)
+        data = _data(f, trivial, x, _table(), r=r)
+        _assert_matches_rotated_oracle(cb.t_star, cb.squared_distance, data, trivial, T, x)
 
 
 @pytest.mark.parametrize("text", ORACLE_SCANS)
@@ -321,8 +323,7 @@ def test_min_distance_over_t_excluding_another_modulus_matches_oracle(text):
     for psi in (character_by_index(5, 2), character_by_index(7, 3), character_by_index(12, 3)):
         for r in (1, 2 * psi.q):
             t, d2 = min_distance_over_t(f, psi, x, A, _table(), r=r)
-            obj = _objective(f, psi, x, _table(), r=r)
-            _assert_matches_rotated_oracle(t, d2, obj, A, x)
+            _assert_matches_rotated_oracle(t, d2, _data(f, psi, x, _table(), r=r), psi, A, x)
 
 
 @pytest.mark.parametrize("text", ORACLE_SCANS)
@@ -594,7 +595,7 @@ def test_scan_peak_memory_within_the_per_character_scan(table_medium):
         for psi in primitive_characters_upto(Q):
             # each character's prime data stays alive while its objective runs
             data = _PrimeData(fv, x, psi.q, psi.q, table_medium)
-            _rotated_minimize_twist(TwistObjective(data, psi), A, x)
+            _rotated_minimize_twist(TwistObjective(data, psi), A, x, _is_even_oracle(data, psi))
 
     find_exceptional(f, 10**4, Q, A, table_medium)  # warm the character caches
     peak = _traced_peak(lambda: find_exceptional(f, x, Q, A, table_medium))
@@ -611,7 +612,7 @@ def test_scan_peak_memory_within_the_per_character_scan_at_q_20(table_medium):
         for psi in primitive_characters_upto(Q):
             # each character's prime data stays alive while its objective runs
             data = _PrimeData(fv, x, psi.q, psi.q, table_medium)
-            _rotated_minimize_twist(TwistObjective(data, psi), A, x)
+            _rotated_minimize_twist(TwistObjective(data, psi), A, x, _is_even_oracle(data, psi))
 
     find_exceptional(f, 10**4, Q, A, table_medium)  # warm the character caches
     peak = _traced_peak(lambda: find_exceptional(f, x, Q, A, table_medium))
@@ -695,7 +696,7 @@ def _conductor_scan(data, chars, A):
         obj = TwistObjective(data, psi)
         t = 0.0
         if A > 0:
-            ts, vals = coarse[obj.even]
+            ts, vals = coarse[_is_even_oracle(data, psi)]
             vals = vals[:, col]
             while ts[1] - ts[0] > T_REFINE_TOL / 2:
                 i = int(np.argmin(vals))
@@ -818,6 +819,18 @@ def test_twist_minimizer_refuses_x_below_2(x):
             min_distance_over_t(f, trivial, x, A, _table())
     with pytest.raises(PreconditionError, match="x >= 2"):
         halasz_bound(f, x, 1.0, _table())
+
+
+def test_conductor_bound_above_max_modulus_refused_before_the_scan(monkeypatch):
+    # the characters of conductor <= 10^4 alone are about 3e7; the bound is
+    # checked before f is evaluated or any character is built
+    def never(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr("pretentious.pretension.prime_values", never)
+    monkeypatch.setattr("pretentious.pretension.primitive_characters_upto", never)
+    with pytest.raises(PreconditionError, match="conductor bound"):
+        find_exceptional(Mobius(), 1000, MAX_MODULUS + 1, 1.0, _table())
 
 
 # The scan's last stage before it kept to the characters the spectrum can

@@ -280,7 +280,7 @@ def test_bad_moduli_mobius_frozen(table_medium):
     assert rep.bad[0][0] == 29
     assert rep.bad[0][1] == pytest.approx(2548.108855103801, rel=1e-9)
     assert rep.sum_inverse_phi == pytest.approx(0.7281743891515717, rel=1e-9)
-    assert rep.masses is None
+    assert len(rep.masses) == rep.modulus_bound - 1
     # every reported modulus genuinely clears the threshold
     thr = 0.1 * 10**5 / 5
     assert all(m >= thr for _, m in rep.bad)
@@ -298,7 +298,7 @@ def test_bad_moduli_tightening_eta_shrinks_set(table_medium):
 
 
 def test_bad_moduli_q1_and_masses():
-    rep = bad_moduli(Mobius(), 10**4, 1, 1, 0.1, _table(), keep_masses=True)
+    rep = bad_moduli(Mobius(), 10**4, 1, 1, 0.1, _table())
     assert rep.bad[0][0] == 23
     assert rep.bad[0][1] == pytest.approx(1159.6206608806772, rel=1e-9)
     assert rep.sum_inverse_phi == pytest.approx(0.6599930873888026, rel=1e-9)
@@ -365,7 +365,7 @@ def test_bad_moduli_fold_bit_identical_for_int8_families(text, table_medium):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # small eta at small x
         for x, q, a in FOLD_SCANS:
-            rep = bad_moduli(f, x, q, a, 0.2, table_medium, keep_masses=True)
+            rep = bad_moduli(f, x, q, a, 0.2, table_medium)
             masses, bad = _bad_moduli_direct(f, x, q, a, 0.2, table_medium)
             assert rep.modulus_bound == math.isqrt(x // q)
             assert list(rep.masses) == masses, (x, q, a)
@@ -379,7 +379,7 @@ def test_bad_moduli_fold_matches_direct_for_complex_f(text, table_medium):
         warnings.simplefilter("ignore", RuntimeWarning)
         for x, q, a in FOLD_SCANS:
             for eta in (0.05, 0.5):
-                rep = bad_moduli(f, x, q, a, eta, table_medium, keep_masses=True)
+                rep = bad_moduli(f, x, q, a, eta, table_medium)
                 masses, bad = _bad_moduli_direct(f, x, q, a, eta, table_medium)
                 assert [r for r, _ in rep.masses] == [r for r, _ in masses]
                 worst = max((abs(m - d) for (_, m), (_, d) in zip(rep.masses, masses)),
