@@ -9,10 +9,12 @@ from the timestamp. The parser is the only place that knows a command's
 parameters: `config.params` is every parsed flag except the ones in
 `STEERING`, which steer the run rather than parametrize it, and
 `config.threads` sits beside it. Each `_cmd_*` only computes and returns
-its result; `main` writes the report. Numeric parameters are validated before
-any sieving starts. Exit codes: 0 success, 2 malformed arguments or spec
-strings, 3 precondition violations, 4 theorem-assertion failures (the latter
-always indicate an implementation bug, not bad input).
+its result; `main` writes the report. The parser checks types, signs and
+finiteness; `pretension find` checks Q and `meanvalues report` Q and q
+before they sieve, and the library call checks every other precondition. Exit
+codes: 0 success, 2 malformed arguments or spec strings, 3 precondition
+violations, 4 theorem-assertion failures (the latter always indicate an
+implementation bug, not bad input).
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ from .characters import (
 from .constants import all_constants, delta0, delta1, repulsion_constant, repulsion_minimum
 from .errors import PreconditionError, SpecParseError, TheoremViolation
 from .funcspec import FunctionSpec, parse_spec
-from .meanvalues import euler_product_mean, halasz_bound, progression_report
+from .meanvalues import _check_report_modulus, euler_product_mean, halasz_bound, progression_report
 from .nearchar import ApproxHomomorphism, nearest_character
-from .pretension import find_exceptional
+from .pretension import _check_conductor_bound, find_exceptional
 from .sieve_experiments import (
     bad_moduli,
     legendre_progression_experiment,
@@ -157,6 +159,7 @@ def _cmd_constants(args):
 
 def _cmd_pretension_find(args):
     f = parse_spec(args.f)
+    _check_conductor_bound(args.Q)
     return find_exceptional(f, args.x, args.Q, args.A, PrimeTable(args.x), depth=args.depth)
 
 
@@ -183,8 +186,9 @@ def _report_csv(report) -> str:
 
 def _cmd_meanvalues_report(args):
     f = parse_spec(args.f)
-    table = PrimeTable(args.x)
-    report = progression_report(f, args.x, args.q, args.Q, args.A, table)
+    _check_report_modulus(args.q, args.x)
+    _check_conductor_bound(args.Q)
+    report = progression_report(f, args.x, args.q, args.Q, args.A, PrimeTable(args.x))
     fmt = args.format
     if fmt is None:
         fmt = "csv" if args.out and args.out.endswith(".csv") else "json"

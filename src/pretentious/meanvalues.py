@@ -21,7 +21,9 @@ import numpy as np
 
 from .arith import PrimeTable
 from .characters import (
+    MAX_MODULUS,
     DirichletCharacter,
+    character_by_index,
     character_row,
     enumerate_characters,
     induce,
@@ -37,7 +39,7 @@ from .funcspec import (
     _fill_blocks,
     prime_values,
 )
-from .pretension import ExceptionalReport, find_exceptional, min_distance_over_t
+from .pretension import ExceptionalReport, _included_primes, find_exceptional, min_distance_over_t
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,7 @@ def halasz_bound(f: FunctionSpec, x: int, T: float, table: PrimeTable) -> Halasz
     with D^2 the best unrestricted twist distance over |t| <= T."""
     if T < 1:
         raise PreconditionError(f"need T >= 1, got {T}")
-    t_star, d2 = min_distance_over_t(f, DirichletCharacter(1, ()), x, T, table, r=1)
+    t_star, d2 = min_distance_over_t(f, character_by_index(1, 0), x, T, table)
     bound = (1.0 + d2) * math.exp(-d2) + 1.0 / math.sqrt(T)
     measured = abs(complex(progression_sums(f, x, 1, table).sums[0])) / x
     return HalaszBound(x=x, t_bound=T, t_star=t_star,
@@ -166,7 +168,8 @@ class CoprimeMeanBound:
 def coprime_mean_bound(
     f: FunctionSpec, x: int, r: int, T: float, table: PrimeTable
 ) -> CoprimeMeanBound:
-    """Coprime-restricted variant: bounds (r/(phi(r) x)) |sum_{(n,r)=1} f(n)|.
+    """Coprime-restricted variant: bounds (r/(phi(r) x)) |sum_{(n,r)=1} f(n)|,
+    with D^2 the best twist of the principal character mod r.
 
     bound uses 1/sqrt(T); bound_quarter_log swaps in (log x)^(-1/4), the
     form that appears when the twist comes from a character of modulus r.
@@ -175,14 +178,12 @@ def coprime_mean_bound(
         raise PreconditionError(f"need 1 <= r <= sqrt(x), got r={r}, x={x}")
     if not 1 <= T <= math.sqrt(math.log(x)):
         raise PreconditionError(f"need 1 <= T <= sqrt(log x), got T={T}")
-    t_star, d2 = min_distance_over_t(f, DirichletCharacter(1, ()), x, T, table, r=r)
+    t_star, d2 = min_distance_over_t(f, character_by_index(r, 0), x, T, table)
     bound = (1.0 + d2) * math.exp(-d2) + 1.0 / math.sqrt(T)
     bound_q = (1.0 + d2) * math.exp(-d2) + math.log(x) ** -0.25
-    pt = progression_sums(f, x, r, table)
     G = unit_group(r)
-    restricted = complex(np.sum(pt.sums[G.units]))
-    phi = G.phi
-    measured = abs(restricted) / (phi / r * x)
+    restricted = complex(np.sum(progression_sums(f, x, r, table).sums[G.units]))
+    measured = abs(restricted) / (G.phi / r * x)
     return CoprimeMeanBound(x=x, r=r, t_bound=T, t_star=t_star, squared_distance=d2,
                             bound=bound, bound_quarter_log=bound_q, measured=measured)
 
@@ -200,7 +201,7 @@ def _vanishes_on_higher_powers(f: FunctionSpec) -> bool:
 def _explicit_series(f: FunctionSpec, ps: np.ndarray, fp: np.ndarray, base: np.ndarray,
                      x: int) -> np.ndarray:
     """1 + sum over k with p^k <= x of f(p^k) base^k, for each prime p of ps
-    (base = conj(psi(p)) p^-(1+it)); f(p^k) is asked for only where p^k <= x."""
+    (base = p^-(1+it)); f(p^k) is asked for only where p^k <= x."""
     psc = ps.astype(np.float64)
     series = np.ones(len(ps), dtype=np.complex128)
     k = 1
@@ -236,18 +237,16 @@ def euler_product_mean(
     f: FunctionSpec,
     x: int,
     table: PrimeTable,
-    psi: DirichletCharacter | None = None,
     t: float = 0.0,
     q: int = 1,
     truncation: int | None = None,
 ) -> EulerProductValue:
     """Main-term prediction x^(1+it)/(q(1+it)) * prod over p <= P, p not
-    dividing q, of (1-1/p)(1 + f(p)conj(psi(p))/p^(1+it) + ...).
+    dividing q, of (1-1/p)(1 + f(p)/p^(1+it) + f(p^2)/p^(2+2it) + ...).
 
     The prime-power series is summed for p^k <= x and closed with the exact
     geometric tail when the spec is completely multiplicative (or finitely
     supported on powers); only explicit tables are genuinely truncated.
-    The caller multiplies the prediction by psi(a) for a target class a.
     With P < x, tail_log_bound = sum_{P < p <= x} log(p/(p-2)) bounds the
     log |product| of the dropped factors: each is (1 - 1/p)(1 + w) with
     |w| <= 1/(p-1).
@@ -255,17 +254,11 @@ def euler_product_mean(
     P = x if truncation is None else truncation
     if not 2 <= P <= x:
         raise PreconditionError(f"need 2 <= truncation <= x, got {P}")
-    ps = table.primes_upto(P)
-    ps = ps[q % ps != 0]
+    ps = _included_primes(P, q, table)
     psc = ps.astype(np.float64)
-    if psi is not None:
-        psi_p = character_row(psi)[ps % psi.q]
-    else:
-        psi_p = np.ones(len(ps), np.complex128)
-
     fp = prime_values(f, ps, table).astype(np.complex128)
-    # z_p = f(p) conj(psi(p)) p^(-(1+it)); series = 1 + z + (f(p^2)/f(p)^2-ish terms)
-    base = np.conj(psi_p) / psc * np.exp(-1j * t * np.log(psc))
+    # base = p^(-(1+it)); series = 1 + f(p) base + f(p^2) base^2 + ...
+    base = np.exp(-1j * t * np.log(psc)) / psc
     if f.completely_multiplicative:
         z = fp * base
         series = 1.0 / (1.0 - z)
@@ -313,6 +306,11 @@ class ProgressionReport:
     error_ref_log_window: float
 
 
+def _check_report_modulus(q: int, x: int):
+    if not 1 <= q <= min(x, MAX_MODULUS):
+        raise PreconditionError(f"need 1 <= q <= min(x, {MAX_MODULUS}), got q={q}, x={x}")
+
+
 def progression_report(
     f: FunctionSpec,
     x: int,
@@ -334,19 +332,14 @@ def progression_report(
     Both take the unknowable o(1) to be 0, so they are reference curves,
     not bounds to assert.
     """
+    _check_report_modulus(q, x)
     exc = find_exceptional(f, x, Q, A, table)
-    r = exc.conductor
-    r_div = q % r == 0
+    r_div = q % exc.conductor == 0
     G = unit_group(q)
-    if r_div:
-        chi = induce(exc.psi, q)
-    else:
-        chi = DirichletCharacter(q, tuple(0 for _ in G.orders))
+    chi = induce(exc.psi, q) if r_div else character_by_index(q, 0)
     pt = progression_sums(f, x, q, table)
     base = complex(pt.sums[1 % q])
-    main_scale = None
-    if r_div:
-        main_scale = _regroup(chi, pt.sums) / G.phi
+    main_scale = _regroup(chi, pt.sums) / G.phi if r_div else None
     rows = []
     maxres = 0.0
     for a in (int(u) for u in G.units):

@@ -141,18 +141,18 @@ def distance_squared(
 
 
 class _PrimeData:
-    """The primes p <= x not dividing r, with what every twist objective
-    that excludes r shares: f(p), 1/p and its sum, log p, and p mod q.  With
-    q = 0 the classes are the primes themselves, for characters of several
-    moduli."""
+    """The primes p <= x not dividing q, with what the twist objectives of
+    the characters mod q share: f(p), 1/p and its sum, log p, and p mod q.
+    With q = 1 the classes are the primes themselves, so that characters of
+    every modulus can reduce them."""
 
-    def __init__(self, fv: np.ndarray, x: int, r: int, q: int, table: PrimeTable):
+    def __init__(self, fv: np.ndarray, x: int, q: int, table: PrimeTable):
         ps = table.primes_upto(x)
-        if r > 1:
-            keep = r % ps != 0
+        if q > 1:
+            keep = q % ps != 0
             ps, fv = ps[keep], fv[keep]
         self.fv = fv
-        self.cls = (ps % q).astype(np.min_scalar_type(q)) if q else ps
+        self.cls = (ps % q).astype(np.min_scalar_type(q)) if q > 1 else ps
         self.inv_p = 1.0 / ps
         self.base = float(np.sum(self.inv_p))
         self.logp = np.log(ps, dtype=np.float64)
@@ -186,13 +186,11 @@ class _CellMoments:
     column per character chi in `chars`, from Taylor moments over cells of
     log p (see the module docstring).
 
-    The characters are mod data.q, and each excludes the primes that data
-    left out (those dividing the modulus it was built to exclude), as its
-    objective on data does.  With data.q = 0 they may have any moduli, and a
-    character mod r excludes the primes dividing r, as find_exceptional's
-    objective for conductor r does: data then holds every prime (built to
-    exclude 1), and the primes dividing r fall into the classes mod r that
-    the unit-group transform drops.
+    Each character chi excludes the primes dividing chi.q, as its objective
+    does.  The characters are mod data.q, whose data left those primes out,
+    or, with data.q = 1, of any moduli: data then holds every prime, and the
+    primes dividing chi.q fall into the classes mod chi.q that the
+    unit-group transform drops.
 
     The moments of a t-block are built on first use, one modulus at a time
     into one array for all the columns; the last _BLOCKS_KEPT blocks are
@@ -212,7 +210,7 @@ class _CellMoments:
             G = unit_group(q)
             bins = np.where(G.unit_index < 0, G.phi, G.unit_index)
             self._groups.append((q, cols, [chars[col].index for col in cols], bins))
-            self.base[cols] = (data.base if data.q else
+            self.base[cols] = (data.base if data.q == q else
                                float(np.sum(data.inv_p[q % data.cls != 0])))
         # the primes go through the class sums in chunks of whole cells
         cell = np.floor(data.logp / CELL_WIDTH).astype(np.intp)
@@ -330,7 +328,7 @@ class _CellMoments:
 
 
 class TwistObjective:
-    """t -> D_r(f, psi(n) n^(it); x)^2 over prime data that excludes r.
+    """t -> D_q(f, psi(n) n^(it); x)^2 on the prime data of q = psi.q.
 
     Writing z_p = f(p) conj(psi(p)), the objective is
     sum 1/p - sum |z_p|/p * cos(arg z_p - t log p); it is even in t when
@@ -339,7 +337,7 @@ class TwistObjective:
     """
 
     def __init__(self, data: _PrimeData, psi: DirichletCharacter):
-        z = _twisted(data.fv, data.cls, psi)
+        z = _twisted(data.fv, data.cls if data.q > 1 else data.cls % psi.q, psi)
         self.base = data.base
         self.amp = np.abs(z)
         self.amp *= data.inv_p
@@ -355,6 +353,11 @@ def _coarse_grid(even: bool, A: float, x: int) -> np.ndarray:
     lo = 0.0 if even else -A
     h = GRID_SPACING_FACTOR / math.log(x)
     return np.linspace(lo, A, max(3, int(math.ceil((A - lo) / h)) + 1))
+
+
+def _check_conductor_bound(Q: int):
+    if not 1 <= Q <= MAX_MODULUS:
+        raise PreconditionError(f"conductor bound must be in [1, {MAX_MODULUS}], got {Q}")
 
 
 def _check_twist_bound(A: float):
@@ -440,13 +443,12 @@ def min_distance_over_t(
     x: int,
     A: float,
     table: PrimeTable,
-    r: int | None = None,
 ) -> tuple[float, float]:
-    """(t*, D^2 at t*) minimizing D_r(f, psi(n)n^(it); x)^2 over |t| <= A."""
+    """(t*, D^2 at t*) minimizing D_q(f, psi(n)n^(it); x)^2 over |t| <= A, q = psi.q."""
     if x < 2:
         raise PreconditionError(f"distance needs x >= 2, got {x}")
     fv = prime_values(f, table.primes_upto(x), table)
-    data = _PrimeData(fv, x, psi.q if r is None else r, psi.q, table)
+    data = _PrimeData(fv, x, psi.q, table)
     (t,), _ = _scan(data, [psi], A)
     return t, TwistObjective(data, psi)(t)
 
@@ -509,14 +511,13 @@ def find_exceptional(
     """
     if x < 3 or x > table.limit:
         raise PreconditionError(f"need 3 <= x <= table limit {table.limit}, got {x}")
-    if not 1 <= Q <= MAX_MODULUS:
-        raise PreconditionError(f"conductor bound must be in [1, {MAX_MODULUS}], got {Q}")
+    _check_conductor_bound(Q)
     if depth < 1:
         raise PreconditionError(f"spectrum depth must be >= 1, got {depth}")
     _check_twist_bound(A)
     fv = prime_values(f, table.primes_upto(x), table)
     chars = primitive_characters_upto(Q)
-    data = _PrimeData(fv, x, 1, 0, table)
+    data = _PrimeData(fv, x, 1, table)
     ts, k = _scan(data, chars, A)
     chosen = range(len(chars))
     if depth < len(chars):
@@ -528,7 +529,7 @@ def find_exceptional(
     entries = []
     for r, group in itertools.groupby(((chars[i], ts[i]) for i in chosen),
                                       key=lambda c: c[0].q):
-        data = _PrimeData(fv, x, r, r, table)
+        data = _PrimeData(fv, x, r, table)
         entries += [SpectrumEntry(psi, r, t, TwistObjective(data, psi)(t))
                     for psi, t in group]
         del data  # before the next conductor's arrays are built

@@ -244,12 +244,26 @@ def test_conductor_bound_above_max_modulus_exits_3_before_the_scan(monkeypatch, 
     def never(*args):
         raise AssertionError("the scan started")
 
+    monkeypatch.setattr("pretentious.cli.PrimeTable", never)
     monkeypatch.setattr("pretentious.pretension.prime_values", never)
     monkeypatch.setattr("pretentious.pretension.primitive_characters_upto", never)
     code, out, err = run_cli(capsys, [*command, "--x", "1000", "--Q", "10001", "--A", "1"])
     assert code == 3
     assert out == ""
     assert "conductor bound" in err
+
+
+@pytest.mark.parametrize("q, x", [("1001", "1000"), ("20000", "100000")])
+def test_report_modulus_out_of_range_exits_3_before_the_sieve(monkeypatch, capsys, q, x):
+    def never(*args):
+        raise AssertionError("the sieve started")
+
+    monkeypatch.setattr("pretentious.cli.PrimeTable", never)
+    code, out, err = run_cli(capsys, ["meanvalues", "report", "--f", "mobius", "--q", q,
+                                      "--x", x, "--Q", "10", "--A", "2"])
+    assert code == 3
+    assert out == ""
+    assert "q <= min" in err
 
 
 def test_exit_0_is_returned_not_raised(capsys):

@@ -21,7 +21,13 @@ import sympy
 
 import pretentious
 from pretentious.arith import PrimeTable
-from pretentious.characters import character_by_index, character_row, enumerate_characters, induce
+from pretentious.characters import (
+    MAX_MODULUS,
+    character_by_index,
+    character_row,
+    enumerate_characters,
+    induce,
+)
 from pretentious.errors import PreconditionError
 from pretentious.funcspec import (
     CharacterSpec,
@@ -518,3 +524,13 @@ def test_report_residual_definition(table_medium):
     for row in rep.rows:
         direct = pt.sums[row.a % 3] - complex(rep.chi(row.a)) * f1
         assert row.residual == pytest.approx(direct, abs=1e-9)
+
+
+@pytest.mark.parametrize("q, x", [(0, 1000), (1001, 1000), (MAX_MODULUS + 1, 10**5)])
+def test_report_modulus_refused_before_the_scan(monkeypatch, q, x):
+    def never(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr("pretentious.meanvalues.find_exceptional", never)
+    with pytest.raises(PreconditionError, match="q <= min"):
+        progression_report(Mobius(), x, q, 10, 2.0, _table())

@@ -25,6 +25,7 @@ from pretentious.characters import (
     DirichletCharacter,
     character_by_index,
     enumerate_characters,
+    induce,
     unit_group,
     unit_group_transform,
 )
@@ -76,18 +77,18 @@ def _table():
     return _TABLE["t"]
 
 
-def _data(f, psi, x, table, r=None, fv=None):
+def _data(f, psi, x, table, fv=None):
     """The prime data of psi's objective for f: the primes up to x not
-    dividing r (psi.q unless given); fv is f at table.primes_upto(x), when
-    the caller has it."""
+    dividing psi.q; fv is f at table.primes_upto(x), when the caller has
+    it."""
     if fv is None:
         fv = prime_values(f, table.primes_upto(x), table)
-    return _PrimeData(fv, x, psi.q if r is None else r, psi.q, table)
+    return _PrimeData(fv, x, psi.q, table)
 
 
-def _objective(f, psi, x, table, r=None, fv=None):
-    """psi's objective for f on _data(f, psi, x, table, r, fv)."""
-    return TwistObjective(_data(f, psi, x, table, r, fv), psi)
+def _objective(f, psi, x, table, fv=None):
+    """psi's objective for f on _data(f, psi, x, table, fv)."""
+    return TwistObjective(_data(f, psi, x, table, fv), psi)
 
 
 def test_distance_hand_value():
@@ -308,22 +309,33 @@ def _assert_matches_rotated_oracle(t, d2, data, psi, A, x):
 @pytest.mark.parametrize("text", ORACLE_SCANS)
 def test_coprime_mean_bound_matches_oracle(text):
     f, x, T = parse_spec(text), 10**5, 2.0
-    trivial = DirichletCharacter(1, ())
     for r in (2, 6, 30):
         cb = coprime_mean_bound(f, x, r, T, _table())
-        data = _data(f, trivial, x, _table(), r=r)
-        _assert_matches_rotated_oracle(cb.t_star, cb.squared_distance, data, trivial, T, x)
+        principal = character_by_index(r, 0)
+        data = _data(f, principal, x, _table())
+        _assert_matches_rotated_oracle(cb.t_star, cb.squared_distance, data, principal, T, x)
+
+
+@pytest.mark.parametrize("text", ORACLE_SCANS)
+def test_coprime_mean_bound_leaves_out_the_primes_dividing_r(text, table_medium):
+    # the principal character mod r is 1 at every prime not dividing r, so
+    # its D^2 at t* is the distance to n^(it*) over those primes
+    f, x, T = parse_spec(text), 10**6, 2.0
+    for r in (2, 6, 30):
+        cb = coprime_mean_bound(f, x, r, T, table_medium)
+        oracle = distance_squared(f, Twist(cb.t_star), x, table_medium, r=r).squared_distance
+        assert abs(cb.squared_distance - oracle) <= 1e-12, (r, cb.squared_distance, oracle)
 
 
 @pytest.mark.parametrize("text", ORACLE_SCANS)
 def test_min_distance_over_t_excluding_another_modulus_matches_oracle(text):
-    # r = 1 keeps the primes dividing psi.q, where psi vanishes; r = 2 psi.q
-    # drops 2 as well
+    # psi induced to modulus 2 psi.q leaves out 2 as well as the primes
+    # dividing psi.q
     f, x, A = parse_spec(text), 10**5, 2.0
     for psi in (character_by_index(5, 2), character_by_index(7, 3), character_by_index(12, 3)):
-        for r in (1, 2 * psi.q):
-            t, d2 = min_distance_over_t(f, psi, x, A, _table(), r=r)
-            _assert_matches_rotated_oracle(t, d2, _data(f, psi, x, _table(), r=r), psi, A, x)
+        chi = induce(psi, 2 * psi.q)
+        t, d2 = min_distance_over_t(f, chi, x, A, _table())
+        _assert_matches_rotated_oracle(t, d2, _data(f, chi, x, _table()), chi, A, x)
 
 
 @pytest.mark.parametrize("text", ORACLE_SCANS)
@@ -369,15 +381,15 @@ def _is_even_oracle(data, psi):
 
 
 def _assert_is_even_matches_oracle(f, x, chars):
-    """_is_even against the oracle on the scan's data (q = 0) and on each
+    """_is_even against the oracle on the scan's data (q = 1) and on each
     character's own conductor data; returns the oracle's answers."""
     fv = prime_values(f, _table().primes_upto(x), _table())
-    scan = _PrimeData(fv, x, 1, 0, _table())
+    scan = _PrimeData(fv, x, 1, _table())
     out = []
     for psi in chars:
         want = _is_even_oracle(scan, psi)
         assert _is_even(scan, psi) == want, psi.serial
-        own = _PrimeData(fv, x, psi.q, psi.q, _table())
+        own = _PrimeData(fv, x, psi.q, _table())
         assert _is_even(own, psi) == _is_even_oracle(own, psi) == want, psi.serial
         out.append(want)
     return out
@@ -507,7 +519,7 @@ def test_triangle_inequality(fa, fb, fc, x):
 )
 def test_rotated_grid_matches_direct_objective(text, psi, x, A, t0, n):
     fv = prime_values(parse_spec(text), _table().primes_upto(x), _table())
-    data = _PrimeData(fv, x, psi.q, psi.q, _table())
+    data = _PrimeData(fv, x, psi.q, _table())
     obj = TwistObjective(data, psi)
     ts = np.linspace(t0, t0 + A, n)
     direct = np.array([obj(float(t)) for t in ts])
@@ -519,7 +531,7 @@ def test_rotated_grid_drift_over_a_long_grid():
     # rotation step compounds over 2,932 multiplications
     x, T, psi = 10**5, 100.0, character_by_index(7, 3)
     fv = prime_values(parse_spec("prod(char:5:2,nit:1.0)"), _table().primes_upto(x), _table())
-    data = _PrimeData(fv, x, psi.q, psi.q, _table())
+    data = _PrimeData(fv, x, psi.q, _table())
     obj = TwistObjective(data, psi)
     h = GRID_SPACING_FACTOR / math.log(x)
     ts = np.linspace(-T, T, int(math.ceil(2 * T / h)) + 1)
@@ -530,7 +542,7 @@ def test_rotated_grid_drift_over_a_long_grid():
 
 def _character_grids(f, r, x, ts):
     """Every primitive character mod r on the grid ts, from one kernel."""
-    data = _PrimeData(prime_values(f, _table().primes_upto(x), _table()), x, r, r, _table())
+    data = _PrimeData(prime_values(f, _table().primes_upto(x), _table()), x, r, _table())
     return _CellMoments(data, _primitive_characters(r)).grid(ts)
 
 
@@ -594,7 +606,7 @@ def test_scan_peak_memory_within_the_per_character_scan(table_medium):
         fv = prime_values(f, table_medium.primes_upto(x), table_medium)
         for psi in primitive_characters_upto(Q):
             # each character's prime data stays alive while its objective runs
-            data = _PrimeData(fv, x, psi.q, psi.q, table_medium)
+            data = _PrimeData(fv, x, psi.q, table_medium)
             _rotated_minimize_twist(TwistObjective(data, psi), A, x, _is_even_oracle(data, psi))
 
     find_exceptional(f, 10**4, Q, A, table_medium)  # warm the character caches
@@ -611,7 +623,7 @@ def test_scan_peak_memory_within_the_per_character_scan_at_q_20(table_medium):
         fv = prime_values(f, table_medium.primes_upto(x), table_medium)
         for psi in primitive_characters_upto(Q):
             # each character's prime data stays alive while its objective runs
-            data = _PrimeData(fv, x, psi.q, psi.q, table_medium)
+            data = _PrimeData(fv, x, psi.q, table_medium)
             _rotated_minimize_twist(TwistObjective(data, psi), A, x, _is_even_oracle(data, psi))
 
     find_exceptional(f, 10**4, Q, A, table_medium)  # warm the character caches
@@ -644,7 +656,7 @@ class _ConductorCellMoments:
         if j:
             w = w * np.exp(-2j * T_BLOCK * j * v)
         cell *= q
-        cell += data.cls
+        cell += data.cls % q
         n = len(self.centres) * q
         W = np.zeros((MOMENTS, n), dtype=np.complex128)
         for m in range(MOMENTS):
@@ -714,7 +726,7 @@ def _conductor_oracle(f, x, Q, A):
     for r in range(1, Q + 1):
         chars = _primitive_characters(r)
         if chars:
-            out.update(zip(chars, _conductor_scan(_PrimeData(fv, x, r, r, _table()), chars, A)))
+            out.update(zip(chars, _conductor_scan(_PrimeData(fv, x, r, _table()), chars, A)))
     return out
 
 
@@ -740,12 +752,12 @@ def test_all_conductor_kernel_matches_each_conductor_kernel(text):
     fv = prime_values(f, _table().primes_upto(x), _table())
     ts = np.linspace(-20.0, 20.0, 301)
     chars = primitive_characters_upto(Q)
-    vals = _CellMoments(_PrimeData(fv, x, 1, 0, _table()), chars).grid(ts)
+    vals = _CellMoments(_PrimeData(fv, x, 1, _table()), chars).grid(ts)
     col = 0
     for r in range(1, Q + 1):
         own = _primitive_characters(r)
         if own:
-            kernel = _CellMoments(_PrimeData(fv, x, r, r, _table()), own)
+            kernel = _CellMoments(_PrimeData(fv, x, r, _table()), own)
             assert np.array_equal(vals[:, col:col + len(own)], kernel.grid(ts)), r
             col += len(own)
     assert col == len(chars)
@@ -757,7 +769,7 @@ def test_per_column_grids_across_t_blocks():
     f, x = parse_spec("prod(char:5:2,nit:1.0)"), 10**5
     fv = prime_values(f, _table().primes_upto(x), _table())
     chars = primitive_characters_upto(12)
-    kernel = _CellMoments(_PrimeData(fv, x, 1, 0, _table()), chars)
+    kernel = _CellMoments(_PrimeData(fv, x, 1, _table()), chars)
     ts = np.sort(np.random.default_rng(7).uniform(-30.0, 30.0, (len(chars), 17)), axis=1)
     vals = kernel.grids([(ts, np.arange(len(chars)))])[0]
     for k, psi in enumerate(chars):
@@ -769,7 +781,7 @@ def test_phase_table_matches_exp():
     # e^(-itu_aL) e^(-itb delta) against one exp per cell; both round the
     # phase t u_c, so they agree to a few ulp of |t u_c|
     fv = prime_values(Mobius(), _table().primes_upto(10**5), _table())
-    kernel = _CellMoments(_PrimeData(fv, 10**5, 1, 0, _table()), [DirichletCharacter(1, ())])
+    kernel = _CellMoments(_PrimeData(fv, 10**5, 1, _table()), [DirichletCharacter(1, ())])
     for T in (0.01, 1.0, 12.0, 100.0):
         ts = np.linspace(-T, T, 501)
         tu = np.multiply.outer(ts, kernel.centres)
@@ -840,10 +852,10 @@ def test_conductor_bound_above_max_modulus_refused_before_the_scan(monkeypatch):
 def _direct_spectrum(f, x, Q, A):
     fv = prime_values(f, _table().primes_upto(x), _table())
     chars = primitive_characters_upto(Q)
-    ts, _ = _scan(_PrimeData(fv, x, 1, 0, _table()), chars, A)
+    ts, _ = _scan(_PrimeData(fv, x, 1, _table()), chars, A)
     entries = []
     for r, group in itertools.groupby(zip(chars, ts), key=lambda c: c[0].q):
-        data = _PrimeData(fv, x, r, r, _table())
+        data = _PrimeData(fv, x, r, _table())
         entries += [SpectrumEntry(psi, r, t, TwistObjective(data, psi)(t))
                     for psi, t in group]
     return _spectrum_order(entries)
@@ -909,7 +921,7 @@ def test_scan_values_within_the_selection_margin_of_the_direct_sum(text):
     f, x, Q = parse_spec(text), 10**5, 20
     fv = prime_values(f, _table().primes_upto(x), _table())
     chars = primitive_characters_upto(Q)
-    data = _PrimeData(fv, x, 1, 0, _table())
+    data = _PrimeData(fv, x, 1, _table())
     for A in (0.0, 2e-7, 3.0, 12.0):
         ts, vals = _scan(data, chars, A)
         if A == 0:
