@@ -141,11 +141,15 @@ class HalaszBound:
     measured: float
 
 
+def _check_halasz_T(T: float):
+    if T < 1:
+        raise PreconditionError(f"need T >= 1, got {T}")
+
+
 def halasz_bound(f: FunctionSpec, x: int, T: float, table: PrimeTable) -> HalaszBound:
     """Upper bound (1 + D^2) e^(-D^2) + 1/sqrt(T) for |sum f(n)| / x,
     with D^2 the best unrestricted twist distance over |t| <= T."""
-    if T < 1:
-        raise PreconditionError(f"need T >= 1, got {T}")
+    _check_halasz_T(T)
     t_star, d2 = min_distance_over_t(f, character_by_index(1, 0), x, T, table)
     bound = (1.0 + d2) * math.exp(-d2) + 1.0 / math.sqrt(T)
     measured = abs(complex(progression_sums(f, x, 1, table).sums[0])) / x
@@ -233,6 +237,14 @@ class EulerProductValue:
     tail_log_bound: float
 
 
+def _check_truncation(truncation: int | None, x: int) -> int:
+    """The prime cutoff P, x when truncation is None, once 2 <= P <= x."""
+    P = x if truncation is None else truncation
+    if not 2 <= P <= x:
+        raise PreconditionError(f"need 2 <= truncation <= x, got {P}")
+    return P
+
+
 def euler_product_mean(
     f: FunctionSpec,
     x: int,
@@ -251,9 +263,7 @@ def euler_product_mean(
     log |product| of the dropped factors: each is (1 - 1/p)(1 + w) with
     |w| <= 1/(p-1).
     """
-    P = x if truncation is None else truncation
-    if not 2 <= P <= x:
-        raise PreconditionError(f"need 2 <= truncation <= x, got {P}")
+    P = _check_truncation(truncation, x)
     ps = _included_primes(P, q, table)
     psc = ps.astype(np.float64)
     fp = prime_values(f, ps, table).astype(np.complex128)

@@ -18,6 +18,14 @@ still refining in one batched call per t-block (see below).  The reported
 distance is the direct cosine sum at the chosen t (`TwistObjective`); the
 grids run on cell moments.
 
+Only the characters that can be among the `depth` nearest are refined:
+M2 = sum |f(p)| log^2 p / p bounds |D''|, so on a coarse grid of spacing h
+the kernel over |t| <= A is at least the Piyavskii-Shubert bound
+LB = (coarse minimum) - M2 h^2/8 - 2 KERNEL_TOL (one eps from kernel to D at
+the grid points, one back), and a character whose LB exceeds the depth-th
+smallest coarse minimum by more than TIE_TOL + 4 KERNEL_TOL keeps its
+coarse t and value, unrefined (see `find_exceptional`).
+
 Cell moments.  With w_p = f(p) conj(psi(p)) / p, the grids need
 S(t) = sum_p w_p e^(-it log p).  log p is binned into cells of width
 delta = CELL_WIDTH with centres u_c, and t into blocks of half-width
@@ -365,8 +373,8 @@ def _check_twist_bound(A: float):
         raise PreconditionError(f"twist bound A must be finite and >= 0, got {A}")
 
 
-def _scan(data: _PrimeData, chars: list[DirichletCharacter],
-          A: float) -> tuple[list[float], np.ndarray | None]:
+def _scan(data: _PrimeData, chars: list[DirichletCharacter], A: float,
+          depth: int) -> tuple[list[float], np.ndarray | None]:
     """The t minimizing each character's objective over |t| <= A, in the
     order of `chars` (characters as _CellMoments takes them on data), with
     the kernel's value at each t: a grid scan of [-A, A], or of [0, A] for
@@ -375,7 +383,9 @@ def _scan(data: _PrimeData, chars: list[DirichletCharacter],
     grid, and its value is that grid's.  All of it runs on one kernel: each
     coarse grid once, on the columns of its parity, and each refine round
     once per t-block for every character still refining there.  With A = 0
-    every t is 0 and no kernel is built, so there are no values."""
+    every t is 0 and no kernel is built, so there are no values.  A
+    character whose LB (see the module docstring) exceeds v + TIE_TOL +
+    4 KERNEL_TOL, v the depth-th smallest coarse minimum, is not refined."""
     _check_twist_bound(A)
     t = np.zeros(len(chars))
     if A == 0:
@@ -389,19 +399,24 @@ def _scan(data: _PrimeData, chars: list[DirichletCharacter],
     grids = [(_coarse_grid(par, A, data.x), cols) for par, cols in
              ((False, slice(0, n_odd)), (True, slice(n_odd, len(chars))))
              if cols.stop > cols.start]
-    cols, lo, hi = [], [], []
+    M2 = float(np.sum(np.abs(data.fv) * data.inv_p * data.logp**2))
+    cols, lo, hi, lb = [], [], [], []
     for (ts, c), vals in zip(grids, kernel.grids(grids)):
         i = np.argmin(vals, axis=1)
         c = np.arange(c.start, c.stop)
-        if ts[1] - ts[0] > T_REFINE_TOL / 2:
+        h = ts[1] - ts[0]
+        t[order[c]] = ts[i]
+        value[order[c]] = vals[np.arange(len(c)), i]
+        if h > T_REFINE_TOL / 2:
             cols.append(c)
             lo.append(ts[np.maximum(i - 1, 0)])
             hi.append(ts[np.minimum(i + 1, len(ts) - 1)])
-        else:
-            t[order[c]] = ts[i]
-            value[order[c]] = vals[np.arange(len(c)), i]
+            lb.append(value[order[c]] - M2 * h * h / 8 - 2 * KERNEL_TOL)
     if cols:
-        cols, lo, hi = np.concatenate(cols), np.concatenate(lo), np.concatenate(hi)
+        cols, lo, hi, lb = (np.concatenate(a) for a in (cols, lo, hi, lb))
+        v = np.sort(value)[min(depth, len(chars)) - 1]
+        keep = lb <= v + TIE_TOL + 4 * KERNEL_TOL
+        cols, lo, hi = cols[keep], lo[keep], hi[keep]
         # refine one t-block at a time, so that each block's moments are
         # built at most once more; from the highest block down, as the
         # coarse pass ended there and its moments are still kept
@@ -449,7 +464,7 @@ def min_distance_over_t(
         raise PreconditionError(f"distance needs x >= 2, got {x}")
     fv = prime_values(f, table.primes_upto(x), table)
     data = _PrimeData(fv, x, psi.q, table)
-    (t,), _ = _scan(data, [psi], A)
+    (t,), _ = _scan(data, [psi], A, 1)
     return t, TwistObjective(data, psi)(t)
 
 
@@ -508,6 +523,15 @@ def find_exceptional(
     tie runs, and the sorted prefix, its tie order, `best` and every D^2 are
     those of the full scan bit for bit.  With depth >= the number of
     characters, all of them are evaluated.
+
+    The scan leaves unrefined each character whose lower bound LB over
+    |t| <= A exceeds v' + TIE_TOL + 4 eps, v' the depth-th smallest coarse
+    minimum.  The refine's first grid holds the coarse point up to an ulp of
+    t, so m of a scan that refines every character is at most v' + 1e-14,
+    and such a character's kernel is at least LB > m + TIE_TOL + 2 eps at
+    every t: its value, refined or coarse, is above m and outside the
+    selection.  So m, the selected characters, their t and values, and the
+    report are those of the scan that refines every character.
     """
     if x < 3 or x > table.limit:
         raise PreconditionError(f"need 3 <= x <= table limit {table.limit}, got {x}")
@@ -518,7 +542,7 @@ def find_exceptional(
     fv = prime_values(f, table.primes_upto(x), table)
     chars = primitive_characters_upto(Q)
     data = _PrimeData(fv, x, 1, table)
-    ts, k = _scan(data, chars, A)
+    ts, k = _scan(data, chars, A, depth)
     chosen = range(len(chars))
     if depth < len(chars):
         if k is None:

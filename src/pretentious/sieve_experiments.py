@@ -38,14 +38,23 @@ from .meanvalues import _class_sums, progression_sums
 LARGE_SIEVE_SLACK = 1e-9
 
 
+def _check_class(q: int, a: int):
+    if math.gcd(a, q) != 1:
+        raise PreconditionError(f"need gcd(a, q) = 1, got a={a}, q={q}")
+
+
+def _check_eta(eta: float):
+    if not 0 < eta <= 1:
+        raise PreconditionError(f"need 0 < eta <= 1, got {eta}")
+
+
 def _class_values(f: FunctionSpec, x: int, q: int, a: int, table: PrimeTable) -> np.ndarray:
     """f(nq + a) for n = 1..floor(x/q); a is normalized into [0, q).
 
     f streams through one fill block at a time and only every q-th value is
     kept, so f(0..Nq + a) is never held whole."""
+    _check_class(q, a)
     a = a % q
-    if math.gcd(a, q) != 1:
-        raise PreconditionError(f"need gcd(a, q) = 1, got a={a}, q={q}")
     N = x // q
     if N < 1:
         raise PreconditionError(f"x/q < 1 for x={x}, q={q}")
@@ -109,8 +118,7 @@ def bad_moduli(
     Small eta (<= 1/sqrt(log x)) only weakens what a "good" modulus buys
     downstream, so that range warns instead of refusing.
     """
-    if not 0 < eta <= 1:
-        raise PreconditionError(f"need 0 < eta <= 1, got {eta}")
+    _check_eta(eta)
     floor_eta = 1.0 / math.sqrt(math.log(x)) if x > 1 else 1.0
     if eta <= floor_eta:
         warnings.warn(
@@ -255,8 +263,7 @@ def legendre_progression_experiment(
     floor, so callers compare with slack.  With no such p there is no
     infimum, and the scan is refused.
     """
-    if math.gcd(a, q) != 1:
-        raise PreconditionError(f"need gcd(a, q) = 1, got a={a}, q={q}")
+    _check_class(q, a)
     if x > table.limit:
         raise PreconditionError(f"x={x} exceeds table limit {table.limit}")
     start = a % q

@@ -11,7 +11,11 @@ import pytest
 import pretentious.cli as cli
 from pretentious import __version__
 from pretentious.characters import character_by_index, character_row, unit_group
-from pretentious.errors import TheoremViolation
+from pretentious.arith import PrimeTable
+from pretentious.errors import PreconditionError, TheoremViolation
+from pretentious.funcspec import Mobius
+from pretentious.meanvalues import euler_product_mean, halasz_bound
+from pretentious.sieve_experiments import bad_moduli, legendre_progression_experiment
 
 TOP_KEYS = {"version", "command", "config", "timestamp", "result"}
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -264,6 +268,38 @@ def test_report_modulus_out_of_range_exits_3_before_the_sieve(monkeypatch, capsy
     assert code == 3
     assert out == ""
     assert "q <= min" in err
+
+
+_SMALL = PrimeTable(2000)
+
+
+@pytest.mark.parametrize("command, library", [
+    (["meanvalues", "halasz", "--f", "mobius", "--x", "100000000", "--T", "0.5"],
+     lambda: halasz_bound(Mobius(), 1000, 0.5, _SMALL)),
+    (["meanvalues", "euler", "--f", "mobius", "--x", "100000000", "--truncation", "100000001"],
+     lambda: euler_product_mean(Mobius(), 1000, _SMALL, truncation=100000001)),
+    (["sieve", "bad-moduli", "--f", "mobius", "--x", "99999000", "--q", "5", "--a", "1",
+      "--eta", "1.5"],
+     lambda: bad_moduli(Mobius(), 1000, 5, 1, 1.5, _SMALL)),
+    (["sieve", "bad-moduli", "--f", "mobius", "--x", "99999000", "--q", "5", "--a", "5",
+      "--eta", "0.5"],
+     lambda: bad_moduli(Mobius(), 1000, 5, 5, 0.5, _SMALL)),
+    (["sieve", "legendre", "--q", "6", "--a", "4", "--x", "100000000", "--p-limit", "100"],
+     lambda: legendre_progression_experiment(6, 4, 1000, 100, _SMALL)),
+])
+def test_refused_flag_exits_3_before_the_sieve(monkeypatch, capsys, command, library):
+    # the library's own check runs before the prime table, with its message
+    with pytest.raises(PreconditionError) as refused:
+        library()
+
+    def never(*args):
+        raise AssertionError("the sieve started")
+
+    monkeypatch.setattr("pretentious.cli.PrimeTable", never)
+    code, out, err = run_cli(capsys, command)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {refused.value}\n"
 
 
 def test_exit_0_is_returned_not_raised(capsys):

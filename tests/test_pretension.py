@@ -19,11 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pretentious
+from pretentious import pretension
 from pretentious.arith import PrimeTable
 from pretentious.characters import (
     MAX_MODULUS,
     DirichletCharacter,
     character_by_index,
+    character_row,
     enumerate_characters,
     induce,
     unit_group,
@@ -44,6 +46,7 @@ from pretentious.meanvalues import coprime_mean_bound, halasz_bound
 from pretentious.pretension import (
     CELL_WIDTH,
     GRID_SPACING_FACTOR,
+    KERNEL_TOL,
     MOMENTS,
     REFINE_POINTS,
     T_BLOCK,
@@ -852,7 +855,7 @@ def test_conductor_bound_above_max_modulus_refused_before_the_scan(monkeypatch):
 def _direct_spectrum(f, x, Q, A):
     fv = prime_values(f, _table().primes_upto(x), _table())
     chars = primitive_characters_upto(Q)
-    ts, _ = _scan(_PrimeData(fv, x, 1, _table()), chars, A)
+    ts, _ = _scan(_PrimeData(fv, x, 1, _table()), chars, A, len(chars))
     entries = []
     for r, group in itertools.groupby(zip(chars, ts), key=lambda c: c[0].q):
         data = _PrimeData(fv, x, r, _table())
@@ -923,13 +926,97 @@ def test_scan_values_within_the_selection_margin_of_the_direct_sum(text):
     chars = primitive_characters_upto(Q)
     data = _PrimeData(fv, x, 1, _table())
     for A in (0.0, 2e-7, 3.0, 12.0):
-        ts, vals = _scan(data, chars, A)
+        ts, vals = _scan(data, chars, A, len(chars))
         if A == 0:
             assert vals is None
             vals = _CellMoments(data, chars).grid(np.zeros(1))[0]
         for psi, t, v in zip(chars, ts, vals):
             d2 = _objective(f, psi, x, _table(), fv=fv)(t)
             assert abs(v - d2) <= 1e-12, (psi.serial, A, t, v, d2)
+
+
+def _refined_characters(f, x, Q, A, depth):
+    """The characters a find_exceptional scan refines, with its report."""
+    kernels, refined = [], []
+
+    class Recording(_CellMoments):
+        def __init__(self, data, chars):
+            kernels.append(chars)
+            super().__init__(data, chars)
+
+    def recording(kernel, cols, lo, hi):
+        refined.extend(kernels[0][c] for c in cols)
+        return refine(kernel, cols, lo, hi)
+
+    refine = pretension._refine
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pretension, "_CellMoments", Recording)
+        mp.setattr(pretension, "_refine", recording)
+        rep = find_exceptional(f, x, Q, A, _table(), depth=depth)
+    assert len(kernels) == 1 and len(refined) == len(set(refined))
+    return set(refined), rep
+
+
+def test_scan_refines_only_the_characters_the_spectrum_can_hold():
+    f, x, Q, A = parse_spec("prod(char:7:2,nit:0.5)"), 10**5, 20, 3.0
+    chars = primitive_characters_upto(Q)
+    assert len(chars) == 80
+    refined, rep = _refined_characters(f, x, Q, A, 10)
+    assert len(refined) <= 20, len(refined)
+    assert {e.character for e in rep.spectrum} <= refined
+    refined, _ = _refined_characters(f, x, Q, A, len(chars))
+    assert refined == set(chars)
+
+
+def _direct_minima(pairs, x, A):
+    """For each (fv, psi) in pairs, with fv = f at the primes up to x, the
+    direct objective sum over p <= x, p not dividing psi.q, of
+    (1 - Re f(p) conj(psi(p)) p^(-it))/p, minimized over a grid of spacing
+    <= 1e-3 on [-A, A]."""
+    ps = _table().primes_upto(x)
+    Z = np.stack([fv * np.conj(character_row(psi))[ps % psi.q] / ps for fv, psi in pairs],
+                 axis=1)
+    base = np.array([np.sum(1.0 / ps[psi.q % ps != 0]) for _, psi in pairs])
+    ts = np.linspace(-A, A, int(math.ceil(2 * A / 1e-3)) + 1)
+    low = np.full(len(pairs), np.inf)
+    for chunk in np.array_split(ts, len(ts) // 256 + 1):
+        E = np.exp(np.multiply.outer(chunk, np.log(ps)) * -1j)
+        low = np.minimum(low, np.min(base - (E @ Z).real, axis=0))
+    return low
+
+
+def test_pruned_characters_stay_above_their_lower_bound():
+    # a character's objective over |t| <= A is at least its lower bound
+    # LB = (coarse minimum) - M2 h^2/8 - 2 KERNEL_TOL, with
+    # M2 = sum |f(p)| log^2 p / p and h its parity's grid spacing; the scan
+    # refines exactly the characters with LB <= v + TIE_TOL + 4 KERNEL_TOL,
+    # v the depth-th smallest coarse minimum
+    x, Q, A, depth = 10**5, 20, 3.0, 10
+    ps = _table().primes_upto(x)
+    chars = primitive_characters_upto(Q)
+    cases = []
+    for text in ORACLE_SCANS:
+        f = parse_spec(text)
+        fv = prime_values(f, ps, _table())
+        M2 = float(np.sum(np.abs(fv) * np.log(ps) ** 2 / ps))
+        kernel = _CellMoments(_PrimeData(fv, x, 1, _table()), chars)
+        coarse = {}
+        for even in (False, True):
+            ts = _coarse_grid(even, A, x)
+            coarse[even] = ts[1] - ts[0], np.min(kernel.grid(ts), axis=0)
+        lows, lbs = [], []
+        for k, psi in enumerate(chars):
+            h, v = coarse[_is_even_oracle(_data(f, psi, x, _table(), fv), psi)]
+            lows.append(float(v[k]))
+            lbs.append(lows[-1] - M2 * h * h / 8 - 2 * KERNEL_TOL)
+        v = sorted(lows)[depth - 1]
+        pruned = [(psi, lb) for psi, lb in zip(chars, lbs) if lb > v + TIE_TOL + 4 * KERNEL_TOL]
+        refined, _ = _refined_characters(f, x, Q, A, depth)
+        assert pruned and refined == set(chars) - {psi for psi, _ in pruned}, text
+        cases += [(text, fv, psi, lb) for psi, lb in pruned]
+    low = _direct_minima([(fv, psi) for _, fv, psi, _ in cases], x, A)
+    for (text, _, psi, lb), d2 in zip(cases, low):
+        assert d2 >= lb, (text, psi.serial, float(d2), lb)
 
 
 _SCAN_IMPORTS = """

@@ -333,6 +333,12 @@ def test_bad_moduli_warns_on_small_eta():
         bad_moduli(Mobius(), 10**4, 1, 1, 0.9, _table())  # ample eta: silent
 
 
+def test_refused_class_reported_as_given():
+    # a = 5 is the class 0 mod 5; the message names the a that was passed
+    with pytest.raises(PreconditionError, match=r"got a=5, q=5$"):
+        bad_moduli(Mobius(), 10**4, 5, 5, 0.5, _table())
+
+
 def test_bad_moduli_preconditions():
     with pytest.raises(PreconditionError):
         bad_moduli(Mobius(), 10**4, 5, 10, 0.1, _table())  # gcd(a, q) > 1
