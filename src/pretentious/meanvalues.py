@@ -55,6 +55,13 @@ class ProgressionTable:
         return complex(np.sum(self.sums))
 
 
+# rows of values in {-1, 0, 1} whose sum an int8 holds exactly
+SLAB_ROWS = 127
+# int8 rows are at least this wide (a whole number of periods r), so that
+# small r still sums along long contiguous rows
+SLAB_WIDTH = 256
+
+
 def _class_sums(v: np.ndarray, r: int, start: int, acc: np.ndarray | None = None) -> np.ndarray:
     """c[b] = sum of v[i] over i with start + i == b (mod r), for b < r,
     continued from the running sums acc[b] of earlier terms if given.
@@ -67,16 +74,34 @@ def _class_sums(v: np.ndarray, r: int, start: int, acc: np.ndarray | None = None
     keep to one block), so each class stays one such chain: for r >= 2 a
     stream of blocks, each passed with the sums so far, gives the sums of
     one call on their concatenation bit for bit, provided the first block
-    is at least r long.  Integer input sums in int64, so int8 values come
-    back exact, and an integer acc is simply added.
+    is at least r long.
+
+    int8 input must hold only -1, 0 and 1, as the sign families' fills do.
+    Its rows, widened to w >= SLAB_WIDTH values (w a multiple of r), are
+    summed in int8 over slabs of SLAB_ROWS rows, which cannot overflow; the
+    slab sums add up in int64 and the w columns fold down to r classes.
+    What is left, less than w values, sums in int64.  Integer sums come
+    back int64 and exact, and an integer acc is simply added.
     """
     if acc is not None and np.issubdtype(acc.dtype, np.inexact):
         v = np.concatenate([np.roll(acc, -start), v])
         acc = None
+    head = None
+    if v.dtype == np.int8:
+        w = r * -(-SLAB_WIDTH // r)
+        rows = len(v) // w
+        slabs = rows // SLAB_ROWS * SLAB_ROWS * w
+        head = v[:slabs].reshape(-1, SLAB_ROWS, w).sum(axis=1, dtype=np.int8)
+        head = head.sum(axis=0, dtype=np.int64)
+        head += v[slabs : rows * w].reshape(-1, w).sum(axis=0, dtype=np.int8)
+        v = v[rows * w :]
     full = len(v) // r * r
     c = v[:full].reshape(-1, r).sum(axis=0)
+    if head is not None:
+        c += head.reshape(-1, r).sum(axis=0)
     c[: len(v) - full] += v[full:]
-    c = np.roll(c, start)
+    if start % r:
+        c = np.roll(c, start)
     return c if acc is None else acc + c
 
 

@@ -16,9 +16,10 @@ Per-modulus masses are computed from residue-class partial sums
 coordinates, so nothing ever loops over characters times terms.  The scan
 sums the values into classes only for the moduli m in (R/2, R]; every
 r <= R folds the class sums of its largest multiple m <= R, which costs
-O(m) instead of O(x/q).  For integer-valued f the fold is exact; for
-complex f it reorders the additions, so masses agree with a per-r sum to
-rounding.
+O(m) instead of O(x/q).  The sign families (mobius, liouville, threshold,
+legendre, one) keep f(nq + a) as int8, x/q bytes, and their class sums
+are exact int64, so the fold is exact too; for complex f it reorders the
+additions, so masses agree with a per-r sum to rounding.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ def _class_values(f: FunctionSpec, x: int, q: int, a: int, table: PrimeTable) ->
     """f(nq + a) for n = 1..floor(x/q); a is normalized into [0, q).
 
     f streams through one fill block at a time and only every q-th value is
-    kept, so f(0..Nq + a) is never held whole."""
+    kept, so f(0..Nq + a) is never held whole.  The values keep the fill's
+    dtype: int8 for the sign families, complex128 otherwise."""
     _check_class(q, a)
     a = a % q
     N = x // q
@@ -66,7 +68,7 @@ def _class_values(f: FunctionSpec, x: int, q: int, a: int, table: PrimeTable) ->
     out = None
     for lo, block in _fill_blocks(f, top, table):
         if out is None:
-            out = np.empty(N, np.complex128 if np.iscomplexobj(block) else np.float64)
+            out = np.empty(N, block.dtype)
         first = max(lo, a + q)
         first += (a - first) % q
         picked = block[first - lo :: q]
@@ -85,8 +87,13 @@ def _mass_from_classes(c: np.ndarray, r: int) -> float:
 
 
 def primitive_mass(class_values: np.ndarray, r: int) -> float:
-    """M(r) for the given sequence of f(nq+a), n = 1..N."""
-    return _mass_from_classes(_class_sums(class_values, r, start=1), r)
+    """M(r) for the given sequence of f(nq+a), n = 1..N.  int8 values
+    outside {-1, 0, 1} are widened first: the int8 class sums hold only
+    signs exactly."""
+    v = class_values
+    if v.dtype == np.int8 and ((v < -1) | (v > 1)).any():
+        v = v.astype(np.int64)
+    return _mass_from_classes(_class_sums(v, r, start=1), r)
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,29 @@ def test_primitive_scan_pool():
     assert 2 not in counts and 6 not in counts and 10 not in counts
 
 
+# prod(char:7:2,nit:0.5) at x = 1e5, Q = 20, A = 12: the coarse grid samples
+# the deeper well of char:15:7, near t = -5.213, above its well near t = 4.838,
+# and refines the shallower one
+_MISSED_WELL = dict(f="prod(char:7:2,nit:0.5)", x=10**5, Q=20, A=12, depth=12)
+
+
+def test_missed_well_lies_below_the_reported_one():
+    f = parse_spec(_MISSED_WELL["f"])
+    obj = _objective(f, character_by_index(15, 7), _MISSED_WELL["x"], _table())
+    assert obj(-5.21293) == pytest.approx(1.4972272, abs=1e-7)
+    assert obj(4.8383802) == pytest.approx(1.4977709, abs=1e-7)
+
+
+@pytest.mark.xfail(strict=True, reason="grid-then-refine is a heuristic: the scan refines "
+                                       "the shallower well until t is certified")
+def test_scan_reaches_the_deeper_well():
+    p = _MISSED_WELL
+    rep = find_exceptional(parse_spec(p["f"]), p["x"], p["Q"], p["A"], _table(), p["depth"])
+    entry = next(e for e in rep.spectrum if e.character.serial == "char:15:7")
+    assert entry.t == pytest.approx(-5.21293, abs=1e-4)
+    assert entry.squared_distance <= 1.4972272 + 1e-7
+
+
 def test_find_exceptional_identity_case():
     planted = Product((CharacterSpec(5, 1), Twist(0.5)))
     rep = find_exceptional(planted, 10**5, 10, 2.0, _table())

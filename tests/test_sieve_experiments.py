@@ -10,6 +10,7 @@ regressions.
 
 import math
 import random
+import time
 import tracemalloc
 import warnings
 
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pretentious.arith import PrimeTable, divisors
+from pretentious.meanvalues import SLAB_ROWS, SLAB_WIDTH
 from pretentious.characters import enumerate_characters, is_primitive, unit_group
 from pretentious.errors import PreconditionError
 from pretentious.funcspec import Mobius, One, parse_spec, values_upto
@@ -110,6 +112,63 @@ def test_class_sums_match_strided_slices(n, r, seed):
     )
 
 
+def _int8_class_sums_oracle(v: np.ndarray, r: int, start: int) -> np.ndarray:
+    # exact int64 counts of +1 and -1 per class
+    ns = (np.arange(len(v), dtype=np.int64) + start) % r
+    return np.bincount(ns[v == 1], minlength=r) - np.bincount(ns[v == -1], minlength=r)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    r=st.sampled_from([1, 2, 3, 126, 127, 128, 1000]),
+    slabs=st.integers(min_value=0, max_value=3),
+    shift=st.integers(min_value=-300, max_value=300),
+    start=st.integers(min_value=0, max_value=10**6),
+    constant=st.sampled_from([None, 1, -1]),
+    with_acc=st.booleans(),
+    strided=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_int8_class_sums_equal_int64_counts(r, slabs, shift, start, constant, with_acc,
+                                            strided, seed):
+    # lengths on both sides of whole slabs of SLAB_ROWS rows, of r values
+    # and of the widened rows of w values the kernel sums in int8; constant
+    # signs fill every slab to its int8 limit
+    rng = np.random.default_rng(seed)
+    w = r * -(-SLAB_WIDTH // r)
+    for n in {max(0, slabs * SLAB_ROWS * r + shift), max(0, slabs * SLAB_ROWS * w + shift)}:
+        if constant is None:
+            buf = rng.integers(-1, 2, 2 * n).astype(np.int8)
+        else:
+            buf = np.full(2 * n, constant, dtype=np.int8)
+        v = buf[1::2] if strided else buf[:n]
+        acc = rng.integers(-10**12, 10**12, r) if with_acc else None
+        got = _class_sums(v, r, start, acc)
+        want = _int8_class_sums_oracle(v, r, start)
+        if with_acc:
+            want = acc + want
+        assert got.dtype == np.int64
+        assert (got == want).all(), (r, n, start)
+
+
+def test_int8_class_sums_for_small_r_not_slower_than_a_plain_reduce():
+    # the reduce of an (N / r, r) view that the int8 sums replaced runs along
+    # rows of r values; the widened rows keep small r fast
+    v = np.random.default_rng(3).integers(-1, 2, 1 << 20).astype(np.int8)
+
+    def best(fn):
+        times = []
+        for _ in range(5):
+            t = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t)
+        return min(times)
+
+    for r in range(2, 9):
+        u = v[: len(v) // r * r]
+        assert best(lambda: _class_sums(u, r, 0)) <= best(lambda: u.reshape(-1, r).sum(axis=0))
+
+
 def test_class_sums_do_not_copy_the_input():
     # a padded or reshaped copy of the 16 MB input would dominate the peak;
     # the strided view is how _class_values hands f(nq + a) over
@@ -126,6 +185,16 @@ def test_class_sums_do_not_copy_the_input():
 
 
 # -------------------------------------------------------- primitive mass
+
+
+def test_primitive_mass_widens_int8_beyond_signs():
+    # the int8 class sums are exact only for -1, 0 and 1; the public entry
+    # sums any other int8 values in int64
+    v = np.random.default_rng(8).integers(-1, 2, 50_000).astype(np.int8)
+    v[::7] = 5
+    v[3::11] = -100
+    for r in (2, 3, 12, 30, 97, 256):
+        assert primitive_mass(v, r) == primitive_mass(v.astype(np.int64), r)
 
 
 def test_mass_matches_enumeration_oracle():
@@ -231,10 +300,7 @@ def _class_values_whole_array(f, x, q, a, table):
     # oracle: the slice of the whole f(0..Nq + a) array that the stream replaced
     a %= q
     N = x // q
-    vals = values_upto(f, N * q + a, table)
-    if not np.iscomplexobj(vals):
-        vals = vals.astype(np.float64)
-    return vals[a + q :: q][:N]
+    return values_upto(f, N * q + a, table)[a + q :: q][:N]
 
 
 @pytest.mark.parametrize("text", ["mobius", "liouville", "legendre:7", "nit:0.5",
@@ -267,6 +333,23 @@ def test_class_values_peak_is_the_result_plus_a_few_blocks(block_width, table_me
         finally:
             tracemalloc.stop()
     assert peak <= cv.nbytes + 4 * 16 * width
+
+
+def test_sign_class_values_peak_is_the_int8_result_plus_the_fill(block_width, table_medium):
+    # f(nq + a) stays int8: x/q bytes, where float64 values took 8 MB here;
+    # the multiplicative filler works in int64 indices, under 32 bytes per n
+    # of its block, beside the result
+    x, width = 10**6, 1 << 16
+    with block_width(width):
+        _class_values(Mobius(), x, 1, 0, table_medium)  # warm the caches
+        tracemalloc.start()
+        try:
+            cv = _class_values(Mobius(), x, 1, 0, table_medium)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert cv.dtype == np.int8 and cv.nbytes == x
+    assert peak <= cv.nbytes + 32 * width
 
 
 # ------------------------------------------------------------ bad moduli
@@ -376,6 +459,36 @@ def test_bad_moduli_fold_bit_identical_for_int8_families(text, table_medium):
             assert rep.modulus_bound == math.isqrt(x // q)
             assert list(rep.masses) == masses, (x, q, a)
             assert list(rep.bad) == bad, (x, q, a)
+
+
+def _bad_moduli_float64(f, x, q, a, eta, table):
+    # oracle: the scan as it was before its class values stayed int8, with
+    # f(nq + a) as float64 through the same fold and float class sums
+    cv = _class_values(f, x, q, a, table).astype(np.float64)
+    R = math.isqrt(x // q)
+    mass = {}
+    for m in range(max(2, R // 2 + 1), R + 1):
+        c_m = _class_sums(cv, m, start=1)
+        for r in divisors(m):
+            if r > 1 and R // r * r == m:
+                mass[r] = _mass_from_classes(_class_sums(c_m, r, 0), r)
+    masses = sorted(mass.items())
+    bad = [(r, m) for r, m in masses if m >= eta * (x / q)]
+    return masses, bad, sum(1.0 / unit_group(r).phi for r, _ in bad)
+
+
+@pytest.mark.parametrize("text", ["mobius", "liouville", "threshold:100", "legendre:7", "one"])
+def test_bad_moduli_int8_equals_float64_route(text, table_medium):
+    f = parse_spec(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for x in (12345, 10**5):
+            for q in (1, 2, 5):
+                rep = bad_moduli(f, x, q, 1, 0.1, table_medium)
+                masses, bad, s = _bad_moduli_float64(f, x, q, 1, 0.1, table_medium)
+                assert list(rep.masses) == masses, (x, q)
+                assert list(rep.bad) == bad, (x, q)
+                assert rep.sum_inverse_phi == s, (x, q)
 
 
 @pytest.mark.parametrize("text", ["prod(char:5:2,nit:1.0)", "nit:0.5", "char:7:1"])
