@@ -386,27 +386,40 @@ def _closed_form_block(spec: FunctionSpec, lo: int, hi: int) -> np.ndarray:
     return vals
 
 
+# entries of one pass-1 scatter of the multiplicative filler, and primes per
+# `prime_values` call when it reads f at the primes
+_CHUNK = 1 << 16
+
+
 def _multiplicative_blocks(spec: FunctionSpec, x: int, table: PrimeTable, width: int):
     """vals[n] = product of f(p^k) over p^k || n, one block of n at a time.
 
     Every n <= x has at most one prime factor P > sqrt(x), and P divides n
     exactly once.  Pass 1 multiplies f(P) into every n = m P of the block,
     vectorized over m: the primes P of each cofactor m form one index range,
-    and repeat/cumsum lay all ranges out at once.  Pass 2 walks the primes
-    p <= sqrt(x) in descending order and multiplies the multiples of p in
-    the block by a factor array holding f(p^k), p^k || n, whose multiples of
-    p^2, p^3, ... are overwritten in turn.  Each product is thus formed as
+    and repeat/cumsum lay out the ranges of a run of cofactors at once, about
+    _CHUNK entries per scatter.  Pass 2 walks the primes p <= sqrt(x) in
+    descending order and multiplies the multiples of p in the block by a
+    factor array holding f(p^k), p^k || n, whose multiples of p^2, p^3, ...
+    are overwritten in turn.  Each product is thus formed as
     ((1 * f(P)) * f(p_r^k_r)) * ... * f(p_1^k_1), largest prime first,
     whatever the block width.  The Python work per block is one step per
     prime p <= sqrt(x).
+
+    f at the primes is read _CHUNK primes at a time straight into the
+    values' dtype, so the fill holds one such value per prime (one byte for
+    the sign families) besides a few blocks.
     """
     dtype = np.int8 if isinstance(spec, _INT8_FAMILIES) else np.complex128
     root = math.isqrt(x)
     primes = table.primes_upto(x)
-    fp = prime_values(spec, primes, table).astype(dtype)
+    fp = np.empty(len(primes), dtype=dtype)
+    for i in range(0, len(primes), _CHUNK):
+        fp[i : i + _CHUNK] = prime_values(spec, primes[i : i + _CHUNK], table)
     split = np.searchsorted(primes, root, side="right")
     # 1 * f(P) is the first product every n = m P takes; pass 1 stores it
-    large, f_large = primes[split:], np.ones(1, dtype=dtype) * fp[split:]
+    large, f_large = primes[split:], fp[split:]
+    np.multiply(np.ones(1, dtype=dtype), f_large, out=f_large)
     small = []  # (p, f(p^k) for k = 0, 1, ... while p^k <= x), p descending
     for i in range(split - 1, -1, -1):
         p = int(primes[i])
@@ -425,8 +438,16 @@ def _multiplicative_blocks(spec: FunctionSpec, x: int, table: PrimeTable, width:
         first = np.searchsorted(large, -(-lo // m))  # P >= lo / m
         stop = np.searchsorted(large, (hi - 1) // m, side="right")
         counts = np.maximum(stop - first, 0)
-        idx = np.arange(counts.sum()) + np.repeat(first - (np.cumsum(counts) - counts), counts)
-        vals[np.repeat(m, counts) * large[idx] - lo] = f_large[idx]
+        ends = np.cumsum(counts)
+        starts = ends - counts  # where each cofactor's entries begin
+        a = 0
+        while a < len(m):
+            # the cofactors a..b-1: _CHUNK entries at most, or one cofactor
+            b = max(np.searchsorted(ends, starts[a] + _CHUNK, side="right"), a + 1)
+            run = slice(a, b)
+            idx = np.arange(starts[a], ends[b - 1]) + np.repeat(first[run] - starts[run], counts[run])
+            vals[np.repeat(m[run], counts[run]) * large[idx] - lo] = f_large[idx]
+            a = b
         for p, f_pk in small:
             start = max(-(-lo // p), 1) * p  # the first multiple of p in [lo, hi), n > 0
             if start >= hi:

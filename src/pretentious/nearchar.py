@@ -75,15 +75,16 @@ class ApproxHomomorphism:
 
 
 def _max_pair_defect(q: int, garr: np.ndarray) -> float:
-    """max |g(ab) - g(a) g(b)| over unit pairs, row-chunked to bound memory."""
+    """max |g(ab) - g(a) g(b)| over unit pairs, from rows a of about 2^16
+    pairs at a time: memory stays a few MB, whatever phi(q)."""
     G = unit_group(q)
     units = np.asarray(G.units)
-    prod_index = G.unit_index[np.outer(units, units) % q]
     worst = 0.0
-    chunk = max(1, 2**22 // max(len(units), 1))
+    chunk = max(1, 2**16 // max(len(units), 1))
     for lo in range(0, len(units), chunk):
         hi = min(lo + chunk, len(units))
-        block = np.abs(garr[prod_index[lo:hi]] - np.outer(garr[lo:hi], garr))
+        prod_index = G.unit_index[np.outer(units[lo:hi], units) % q]
+        block = np.abs(garr[prod_index] - np.outer(garr[lo:hi], garr))
         worst = max(worst, float(block.max()))
     return worst
 

@@ -81,8 +81,10 @@ def _class_values(f: FunctionSpec, x: int, q: int, a: int, table: PrimeTable) ->
 
 
 def _mass_from_classes(c: np.ndarray, r: int) -> float:
-    """Total |S_psi| over primitive psi mod r given class sums c (len r)."""
-    F = unit_group_transform(c[unit_group(r).units], r)
+    """Total |S_psi| over primitive psi mod r given the class sums
+    c = _class_sums(v, r, 0) of terms v[i] of n = i + 1: c[b] holds the
+    class n == b + 1 (mod r), so the unit u is read at c[u - 1]."""
+    F = unit_group_transform(c[unit_group(r).units - 1], r)
     return float(np.sum(np.abs(F[primitive_mask(r)])))
 
 
@@ -93,7 +95,7 @@ def primitive_mass(class_values: np.ndarray, r: int) -> float:
     v = class_values
     if v.dtype == np.int8 and ((v < -1) | (v > 1)).any():
         v = v.astype(np.int64)
-    return _mass_from_classes(_class_sums(v, r, start=1), r)
+    return _mass_from_classes(_class_sums(v, r, 0), r)
 
 
 @dataclass(frozen=True)
@@ -139,10 +141,12 @@ def bad_moduli(
     R = math.isqrt(x // q)
     threshold = eta * (x / q)
     # each r <= R folds its class sums from those of its largest multiple
-    # m = r floor(R/r), which lies in (R/2, R]: only those m read cv
+    # m = r floor(R/r), which lies in (R/2, R]: only those m read cv.  The
+    # masses read only unit classes, and a unit u of r >= 2 is read at
+    # b = u - 1 >= 0, whose fold sums c_m[b], c_m[b + r], ... in index order
     mass = {}
     for m in range(max(2, R // 2 + 1), R + 1):
-        c_m = _class_sums(cv, m, start=1)
+        c_m = _class_sums(cv, m, 0)
         for r in divisors(m):
             if r > 1 and R // r * r == m:
                 mass[r] = _mass_from_classes(_class_sums(c_m, r, 0), r)

@@ -7,6 +7,7 @@ summatory values against published tables.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pretentious import funcspec
 from pretentious.arith import PrimeTable
 from pretentious.characters import character_row
 from pretentious.errors import PreconditionError, SpecParseError
@@ -432,14 +434,10 @@ def _values_upto_loop(spec, x: int) -> np.ndarray:
     return out
 
 
-@st.composite
-def _table_specs(draw):
-    x = draw(st.integers(min_value=1, max_value=2 * 10**4))
-    rule = draw(st.sampled_from(["cm", "zero", "explicit"]))
-    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+def _random_table_spec(x, rule, seed, table):
     rng = np.random.default_rng(seed)
     keys = []
-    for p in _table().primes_upto(x).tolist():
+    for p in table.primes_upto(x).tolist():
         pk, k = p, 1
         while pk <= x and (k == 1 or rule == "explicit"):
             keys.append((p, k))
@@ -447,7 +445,15 @@ def _table_specs(draw):
     # unimodular values, with a share of zeros so vanishing factors occur
     values = np.exp(1j * rng.uniform(-np.pi, np.pi, len(keys)))
     values[rng.random(len(keys)) < 0.05] = 0
-    return x, make_prime_table_spec(dict(zip(keys, values.tolist())), rule)
+    return make_prime_table_spec(dict(zip(keys, values.tolist())), rule)
+
+
+@st.composite
+def _table_specs(draw):
+    x = draw(st.integers(min_value=1, max_value=2 * 10**4))
+    rule = draw(st.sampled_from(["cm", "zero", "explicit"]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return x, _random_table_spec(x, rule, seed, _table())
 
 
 @settings(max_examples=25, deadline=None)
@@ -548,6 +554,54 @@ def test_blockwise_fill_byte_identical_to_whole_array(block_width, case):
         got = values_upto(spec, x, _table())
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("text", NAMED_FILL_SPECS + ["table:cm", "table:zero", "table:explicit"])
+def test_fill_byte_identical_at_several_widths_at_1e6(text, block_width, table_medium):
+    # a default sign block at 10^6 scatters some 700k pass-1 entries, in
+    # runs of about _CHUNK entries; narrower blocks move every edge
+    x = 10**6
+    if text.startswith("table:"):
+        rule = text[len("table:") :]
+        spec = _random_table_spec(x, rule, len(rule), table_medium)
+    else:
+        spec = parse_spec(text)
+    want = _values_upto_whole(spec, x, table_medium)
+    got = values_upto(spec, x, table_medium)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    for width in (1 << 14, 3 * 10**5 + 7):
+        with block_width(width):
+            assert values_upto(spec, x, table_medium).tobytes() == want.tobytes(), width
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fill_cases(), st.sampled_from([1, 5, 64]))
+def test_fill_byte_identical_in_small_scatter_runs(block_width, case, chunk):
+    # runs of a few pass-1 entries, single cofactors longer than a run, and
+    # f at the primes read a few primes at a time
+    width, x, spec = case
+    want = _values_upto_whole(spec, x, _table())
+    with block_width(width), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(funcspec, "_CHUNK", chunk)
+        got = values_upto(spec, x, _table())
+    assert got.tobytes() == want.tobytes()
+
+
+def test_sign_fill_peak_is_the_result_plus_a_few_blocks(table_medium):
+    # pass 1 held int64 indices for every n of a block, about 16 bytes per n
+    # (17.6 MB traced here), and f at the primes as float64
+    x = 10**6
+    for spec in (Mobius(), Liouville(), Threshold(1000)):
+        values_upto(spec, x, table_medium)  # warm the caches
+        tracemalloc.start()
+        try:
+            vals = values_upto(spec, x, table_medium)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vals.nbytes == x + 1
+        assert peak <= vals.nbytes + 3 * funcspec.SIGN_FILL_BLOCK_WIDTH
 
 
 def test_sign_fills_byte_identical_to_sieves():

@@ -43,6 +43,7 @@ from pretentious.funcspec import (
 from pretentious.meanvalues import (
     _class_sums,
     _explicit_series,
+    _vanishes_on_higher_powers,
     coprime_mean_bound,
     decompose_via_characters,
     euler_product_mean,
@@ -51,6 +52,7 @@ from pretentious.meanvalues import (
     progression_sums,
     twisted_sum,
 )
+from pretentious.pretension import _PRIME_CHUNK
 
 _TABLE = {}
 
@@ -227,21 +229,25 @@ _AT_1E8 = """
 import json, resource
 from pretentious.arith import PrimeTable
 from pretentious.funcspec import parse_spec
-from pretentious.meanvalues import decompose_via_characters, progression_sums
+from pretentious.meanvalues import decompose_via_characters, euler_product_mean, progression_sums
 x = 10**8
 table = PrimeTable(x)
 f = parse_spec("prod(char:5:2,nit:1.0)")
 pt = progression_sums(f, x, 5, table)
 lhs, rhs = decompose_via_characters(f, x, 5, 2, table)
+ev = euler_product_mean(f, x, table)
 print(json.dumps(dict(rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-                      counts=int(pt.counts.sum()), gap=abs(lhs - rhs))))
+                      counts=int(pt.counts.sum()), gap=abs(lhs - rhs),
+                      product=abs(ev.product))))
 """
 
 
 def test_progression_sums_at_1e8_in_bounded_memory():
     # its own process, so ru_maxrss is this run's peak: building
     # PrimeTable(1e8) peaks near 160 MB, and a complex f(0..1e8) alone would
-    # be 1.6 GB; the gap bound is acceptance criterion 03's
+    # be 1.6 GB; the gap bound is acceptance criterion 03's.  The Euler
+    # product over the 5.76M primes held about ten arrays over all of them
+    # (718 MB) before it streamed them in chunks
     src = str(Path(pretentious.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", _AT_1E8], capture_output=True, text=True,
@@ -251,6 +257,7 @@ def test_progression_sums_at_1e8_in_bounded_memory():
     assert out["rss_mb"] <= 400
     assert out["counts"] == 10**8
     assert out["gap"] <= 1e-9
+    assert 0 < out["product"] < 1
 
 
 def test_decompose_rejects_non_unit():
@@ -461,6 +468,128 @@ def test_euler_product_truncation_and_tail():
     assert dropped <= cut.tail_log_bound
     with pytest.raises(PreconditionError):
         euler_product_mean(parse_spec("liouville"), 100, t, truncation=1)
+
+
+def _euler_product_mean_whole(f, x, table, t=0.0, q=1, truncation=None):
+    """euler_product_mean as it was, with every temporary over all the
+    primes at once; kept as the oracle of the chunked stream."""
+    P = x if truncation is None else truncation
+    ps = table.primes_upto(P)
+    ps = ps[q % ps != 0]
+    psc = ps.astype(np.float64)
+    fp = prime_values(f, ps, table).astype(np.complex128)
+    base = np.exp(-1j * t * np.log(psc)) / psc
+    if f.completely_multiplicative:
+        z = fp * base
+        series = 1.0 / (1.0 - z)
+    elif _vanishes_on_higher_powers(f):
+        series = 1.0 + fp * base
+    else:
+        series = _explicit_series(f, ps, fp, base, x)
+    factors = (1.0 - 1.0 / psc) * series
+    log_abs = float(np.sum(np.log(np.abs(factors))))
+    product = complex(np.prod(factors))
+    s = 1.0 + 1j * t
+    prediction = x**s / (q * s) * product
+    if P < x:
+        tail_ps = table.primes_upto(x)
+        tail_ps = tail_ps[tail_ps > P]
+        tail = float(np.sum(np.log1p(2.0 / (tail_ps - 2))))
+    else:
+        tail = 0.0
+    return product, log_abs, prediction, tail
+
+
+def _euler_bytes(fields):
+    # bytes, so that signed zeros and NaN payloads count
+    return [np.array(v).tobytes() for v in fields]
+
+
+def _euler_fields(ev):
+    return ev.product, ev.log_abs_product, ev.prediction, ev.tail_log_bound
+
+
+def _random_table_spec(x, rule, seed, table):
+    rng = np.random.default_rng(seed)
+    keys = []
+    for p in table.primes_upto(x).tolist():
+        pk, k = p, 1
+        while pk <= x and (k == 1 or rule == "explicit"):
+            keys.append((p, k))
+            pk, k = pk * p, k + 1
+    values = np.exp(1j * rng.uniform(-np.pi, np.pi, len(keys)))
+    values[rng.random(len(keys)) < 0.05] = 0
+    return make_prime_table_spec(dict(zip(keys, values.tolist())), rule)
+
+
+EULER_FAMILIES = ["mobius", "liouville", "threshold:1000", "one", "legendre:7", "char:12:3",
+                  "prod(char:5:2,nit:1.0)", "table:cm", "table:zero", "table:explicit"]
+
+
+def _euler_family(text, x, table):
+    if text.startswith("table:"):
+        rule = text[len("table:") :]
+        return _random_table_spec(x, rule, len(rule), table)
+    return parse_spec(text)
+
+
+@pytest.mark.parametrize("text", EULER_FAMILIES)
+def test_euler_product_byte_identical_to_whole_array(text, table_medium):
+    # x = 10^5 has 9592 primes, a full chunk and a partial one
+    x = 10**5
+    f = _euler_family(text, x, table_medium)
+    for q in (1, 2, 12, 30):
+        for t in (0.0, 0.5):
+            for P in (None, 1000):
+                got = euler_product_mean(f, x, table_medium, t=t, q=q, truncation=P)
+                want = _euler_product_mean_whole(f, x, table_medium, t=t, q=q, truncation=P)
+                assert _euler_bytes(_euler_fields(got)) == _euler_bytes(want), (q, t, P)
+
+
+@pytest.mark.parametrize("text", ["mobius", "prod(char:5:2,nit:1.0)", "table:explicit"])
+def test_euler_product_byte_identical_at_chunk_edges(text, table_medium):
+    # prime counts k chunk - 1, k chunk and k chunk + 1, and an excluded
+    # prime (one dividing q) on either side of the first chunk edge
+    x = 2 * 10**5
+    ps = table_medium.primes_upto(x)
+    assert len(ps) > 2 * _PRIME_CHUNK + 1
+    f = _euler_family(text, x, table_medium)
+    cases = [(1, int(ps[n - 1])) for k in (1, 2) for n in (k * _PRIME_CHUNK - 1,
+                                                         k * _PRIME_CHUNK,
+                                                         k * _PRIME_CHUNK + 1)]
+    cases += [(int(ps[i]), P) for i in (_PRIME_CHUNK - 1, _PRIME_CHUNK) for P in (None, int(ps[i]))]
+    cases += [(6 * int(ps[_PRIME_CHUNK]), None)]
+    for q, P in cases:
+        for t in (0.0, 0.5):
+            got = euler_product_mean(f, x, table_medium, t=t, q=q, truncation=P)
+            want = _euler_product_mean_whole(f, x, table_medium, t=t, q=q, truncation=P)
+            assert _euler_bytes(_euler_fields(got)) == _euler_bytes(want), (q, P, t)
+
+
+def test_euler_product_with_no_prime_left():
+    # P = 2 and q = 2 leave no prime: the empty product, as np.prod gives it
+    ev = euler_product_mean(One(), 3, _table(), q=2, truncation=2)
+    assert _euler_bytes(_euler_fields(ev)) == _euler_bytes(
+        _euler_product_mean_whole(One(), 3, _table(), q=2, truncation=2))
+    assert ev.product == 1 and ev.log_abs_product == 0.0
+
+
+@pytest.mark.parametrize("text", ["mobius", "prod(char:5:2,nit:1.0)"])
+def test_euler_product_peak_is_one_float_per_prime(text, table_medium):
+    # the whole-array product held about ten arrays over the 78498 primes
+    # (7.5-8.8 MB traced); the stream keeps one float64 log per prime and a
+    # few chunks of complex factors
+    x = 10**6
+    f = parse_spec(text)
+    for P in (None, 1000):
+        euler_product_mean(f, x, table_medium, t=0.5, truncation=P)  # warm the caches
+        tracemalloc.start()
+        try:
+            euler_product_mean(f, x, table_medium, t=0.5, truncation=P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * len(table_medium.primes_upto(x)) + 12 * 16 * _PRIME_CHUNK
 
 
 @pytest.mark.parametrize("text", ["mobius", "liouville", "one", "char:5:2", "legendre:7"])

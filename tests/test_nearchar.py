@@ -8,6 +8,7 @@ Progression-sum fixtures were measured once and frozen.
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from pretentious.funcspec import Mobius, parse_spec
 from pretentious.meanvalues import progression_sums
 from pretentious.nearchar import (
     ApproxHomomorphism,
+    _max_pair_defect,
     character_from_progression_sums,
     fourier_spectrum,
     fourier_transform,
@@ -110,6 +112,47 @@ def test_epsilon_zero_for_exact_characters():
             _, row = _char_units(q, idx)
             g = ApproxHomomorphism.from_values(q, row)
             assert g.epsilon <= 1e-12, (q, idx)
+
+
+def _max_pair_defect_whole(q, garr):
+    """The pair defect as it was computed with the whole phi^2 product-index
+    matrix built first and then read in row chunks; kept as the oracle."""
+    G = unit_group(q)
+    units = np.asarray(G.units)
+    prod_index = G.unit_index[np.outer(units, units) % q]
+    worst = 0.0
+    chunk = max(1, 2**22 // max(len(units), 1))
+    for lo in range(0, len(units), chunk):
+        hi = min(lo + chunk, len(units))
+        block = np.abs(garr[prod_index[lo:hi]] - np.outer(garr[lo:hi], garr))
+        worst = max(worst, float(block.max()))
+    return worst
+
+
+@pytest.mark.parametrize("q", [3003, 4745])  # phi = 1440 and 3456
+def test_pair_defect_equals_the_whole_matrix(q):
+    G = unit_group(q)
+    rng = np.random.default_rng(q)
+    for spread in (0.0, 0.05, 1.0):
+        _, row = _char_units(q, 1)
+        g = row * np.exp(1j * rng.uniform(-spread, spread, G.phi))
+        g[int(np.searchsorted(G.units, 1))] = 1.0
+        assert _max_pair_defect(q, g) == _max_pair_defect_whole(q, g)
+
+
+def test_pair_defect_memory_stays_a_few_rows():
+    # the whole 1440^2 product-index matrix alone is 16.6 MB, and building it
+    # traced 79 MB; row chunks of about 2^16 pairs hold a few MB
+    q = 3003
+    g = np.ones(unit_group(q).phi, dtype=np.complex128)
+    _max_pair_defect(q, g)  # warm the unit-group cache
+    tracemalloc.start()
+    try:
+        _max_pair_defect(q, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 10**6
 
 
 # ---------------------------------------------------------------- fourier

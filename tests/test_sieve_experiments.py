@@ -21,7 +21,13 @@ from hypothesis import strategies as st
 
 from pretentious.arith import PrimeTable, divisors
 from pretentious.meanvalues import SLAB_ROWS, SLAB_WIDTH
-from pretentious.characters import enumerate_characters, is_primitive, unit_group
+from pretentious.characters import (
+    enumerate_characters,
+    is_primitive,
+    primitive_mask,
+    unit_group,
+    unit_group_transform,
+)
 from pretentious.errors import PreconditionError
 from pretentious.funcspec import Mobius, One, parse_spec, values_upto
 from pretentious import sieve_experiments
@@ -439,7 +445,7 @@ def _bad_moduli_direct(f, x, q, a, eta, table):
     # x/q values for every r = 2..R
     cv = _class_values(f, x, q, a, table)
     R = math.isqrt(x // q)
-    masses = [(r, _mass_from_classes(_class_sums(cv, r, start=1), r)) for r in range(2, R + 1)]
+    masses = [(r, _mass_from_classes(_class_sums(cv, r, 0), r)) for r in range(2, R + 1)]
     return masses, [(r, m) for r, m in masses if m >= eta * (x / q)]
 
 
@@ -461,17 +467,26 @@ def test_bad_moduli_fold_bit_identical_for_int8_families(text, table_medium):
             assert list(rep.bad) == bad, (x, q, a)
 
 
-def _bad_moduli_float64(f, x, q, a, eta, table):
-    # oracle: the scan as it was before its class values stayed int8, with
-    # f(nq + a) as float64 through the same fold and float class sums
-    cv = _class_values(f, x, q, a, table).astype(np.float64)
+def _mass_rolled(c, r):
+    # the mass as the rolled fold read it: c[b] holds the class n == b
+    F = unit_group_transform(c[unit_group(r).units], r)
+    return float(np.sum(np.abs(F[primitive_mask(r)])))
+
+
+def _bad_moduli_rolled(f, x, q, a, eta, table, dtype=None):
+    # oracle: the fold as it was with one np.roll per modulus m in (R/2, R],
+    # on f(nq + a) as the fill gives it or cast to dtype (float64 is the
+    # scan before its class values stayed int8)
+    cv = _class_values(f, x, q, a, table)
+    if dtype is not None:
+        cv = cv.astype(dtype)
     R = math.isqrt(x // q)
     mass = {}
     for m in range(max(2, R // 2 + 1), R + 1):
         c_m = _class_sums(cv, m, start=1)
         for r in divisors(m):
             if r > 1 and R // r * r == m:
-                mass[r] = _mass_from_classes(_class_sums(c_m, r, 0), r)
+                mass[r] = _mass_rolled(_class_sums(c_m, r, 0), r)
     masses = sorted(mass.items())
     bad = [(r, m) for r, m in masses if m >= eta * (x / q)]
     return masses, bad, sum(1.0 / unit_group(r).phi for r, _ in bad)
@@ -485,7 +500,25 @@ def test_bad_moduli_int8_equals_float64_route(text, table_medium):
         for x in (12345, 10**5):
             for q in (1, 2, 5):
                 rep = bad_moduli(f, x, q, 1, 0.1, table_medium)
-                masses, bad, s = _bad_moduli_float64(f, x, q, 1, 0.1, table_medium)
+                masses, bad, s = _bad_moduli_rolled(f, x, q, 1, 0.1, table_medium, np.float64)
+                assert list(rep.masses) == masses, (x, q)
+                assert list(rep.bad) == bad, (x, q)
+                assert rep.sum_inverse_phi == s, (x, q)
+
+
+@pytest.mark.parametrize("text", ["mobius", "liouville", "threshold:100", "legendre:7", "one",
+                                  "prod(char:5:2,nit:1.0)"])
+def test_bad_moduli_equals_the_rolled_fold(text, table_medium):
+    # the fold reads unit class u at u - 1 instead of rolling each m's sums
+    # one place; the unit classes keep their summation order, so complex f
+    # is bit-identical too
+    f = parse_spec(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for x in (12345, 10**5):
+            for q in (1, 2, 3, 5, 7):
+                rep = bad_moduli(f, x, q, 1, 0.1, table_medium)
+                masses, bad, s = _bad_moduli_rolled(f, x, q, 1, 0.1, table_medium)
                 assert list(rep.masses) == masses, (x, q)
                 assert list(rep.bad) == bad, (x, q)
                 assert rep.sum_inverse_phi == s, (x, q)
