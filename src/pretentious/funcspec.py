@@ -11,19 +11,26 @@ serialize to a small textual grammar, and evaluate three ways:
 The bulk paths matter: distance minimization and progression sums at
 x = 1e7 cannot afford per-n factorization loops.  Bulk values come from one
 blockwise fill, `_fill_blocks`, which yields f on consecutive blocks of n,
-so that progression sums stream to x = 1e8 in bounded memory.  It has
-closed forms for the periodic and twist families (and their products) and
-one vectorized multiplicative filler for everything else: f at the primes
-from one `prime_values` call, f(p^k) for k >= 2 from `prime_power_value`,
-and no per-n Python loop.  `values_upto` is the one call that holds all of
-f(0..x); it fills its array block by block.
+so that progression sums stream to x = 1e8 in bounded memory.  Each family
+fills any one range of n: closed forms for the periodic and twist families
+(and their products), and one vectorized multiplicative filler for
+everything else, with f at the primes from `prime_values`, f(p^k) for
+k >= 2 from `prime_power_value`, and no per-n Python loop.  Each step of
+the fill writes two ranges at once, the second on a single worker thread
+that the first fill with two ranges starts.  numpy releases the interpreter
+lock inside its loops, so the complex closed forms run on two cores; the
+multiplicative filler's Python loop over the small primes does not.
+`values_upto` is the one call that holds all of f(0..x); it fills its
+array block by block.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import os
 import re
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -328,89 +335,197 @@ def _fill_blocks(spec: FunctionSpec, x: int, table: PrimeTable, min_width: int =
     there, bit for bit.
 
     Blocks are FILL_BLOCK_WIDTH wide, SIGN_FILL_BLOCK_WIDTH for int8 values,
-    and never narrower than min_width.
+    and never narrower than min_width.  Each step fills two ranges at once,
+    one in the calling thread and one on the worker thread: the two halves
+    of a complex block, or two whole int8 blocks (halving an int8 block
+    would double the multiplicative filler's Python loop over the small
+    primes, which holds the interpreter lock).  A step ends when both ranges
+    are written, so the worker is idle whenever a block is handed out, and
+    a fill holds one complex block or two int8 blocks at a time.
     """
     int8 = isinstance(spec, _INT8_FAMILIES)
     width = max(SIGN_FILL_BLOCK_WIDTH if int8 else FILL_BLOCK_WIDTH, min_width)
-    return _blocks(spec, x, table, width)
+    fill = _range_fill(spec, x, table)
+    if int8:
+        for lo in range(0, x + 1, 2 * width):
+            mid, hi = min(lo + width, x + 1), min(lo + 2 * width, x + 1)
+            near, far = np.empty(mid - lo, np.int8), np.empty(hi - mid, np.int8)
+            _fill_two(fill, lo, mid, hi, near, far)
+            yield lo, near
+            del near  # let the caller free each block before the next step
+            if mid < hi:
+                yield mid, far
+            del far
+        return
+    for lo in range(0, x + 1, width):
+        hi = min(lo + width, x + 1)
+        mid = hi - (hi - lo) // 2  # the far half is never longer than the near one
+        block = np.empty(hi - lo, np.complex128)
+        _fill_two(fill, lo, mid, hi, block[: mid - lo], block[mid - lo :])
+        yield lo, block
+        del block
 
 
-def _blocks(spec: FunctionSpec, x: int, table: PrimeTable, width: int):
-    """`_fill_blocks` at a fixed width.  Periodic families slice their row at
-    the block offset, `Twist` takes the log of the block's n, `Product`
-    multiplies its factors' blocks, and every other spec goes through the
-    multiplicative filler."""
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _fill_worker():
+    """The executor of the one fill worker thread, made on first use."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pretentious-fill")
+        return _worker
+
+
+def _forget_worker():
+    # a forked child has no worker thread, only the parent's executor object
+    global _worker
+    _worker = None
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _fill_two(fill, lo: int, mid: int, hi: int, near: np.ndarray, far: np.ndarray) -> None:
+    """fill(lo, mid, near) here while the worker runs fill(mid, hi, far), or
+    the near range alone when the far one is empty.  It returns, or raises
+    the first failure, only once the worker is idle again."""
+    if mid == hi:
+        fill(lo, mid, near)
+        return
+    done = _fill_worker().submit(fill, mid, hi, far)
+    try:
+        fill(lo, mid, near)
+    finally:
+        done.exception()  # waits for the worker, whatever happened here
+    done.result()
+
+
+def _fill_dtype(spec: FunctionSpec):
+    return np.int8 if isinstance(spec, _INT8_FAMILIES) else np.complex128
+
+
+def _range_fill(spec: FunctionSpec, x: int, table: PrimeTable):
+    """fill(lo, hi, out), which writes f(lo..hi-1) into out, of f's fill
+    dtype, for any 0 <= lo < hi <= x + 1, with f(0) := 0.
+
+    What every range shares (f at the primes, the periodic rows) is read
+    here, in the calling thread.  fill only reads it and allocates its own
+    scratch, so two threads may fill two ranges at once, and it never hands
+    work to the worker, so the worker cannot wait on itself.  Periodic
+    families copy their row from the range's offset, `Twist` takes the log
+    of the range's n, `Product` multiplies its factors' ranges, and every
+    other spec goes through the multiplicative filler.
+    """
     if isinstance(spec, Product):
-        first, *rest = (_blocks(g, x, table, width) for g in spec.factors)
-        for lo, out in first:
-            out = out.astype(np.complex128, copy=False)
-            for g in rest:
-                _multiply_in_place(out, next(g)[1])
-            yield lo, out
-            del out  # let the caller free this block before the next is built
-        return
+        return _product_fill([(_fill_dtype(g), _range_fill(g, x, table)) for g in spec.factors])
     if isinstance(spec, (One, Legendre, CharacterSpec, Twist)):
-        for lo in range(0, x + 1, width):
-            yield lo, _closed_form_block(spec, lo, min(lo + width, x + 1))
-        return
-    yield from _multiplicative_blocks(spec, x, table, width)
+        body = _closed_form_fill(spec)
+    else:
+        body = _multiplicative_fill(spec, x, table)
+
+    def fill(lo, hi, out):
+        body(lo, hi, out)
+        if lo == 0:
+            out[0] = 0
+
+    return fill
+
+
+def _product_fill(factors):
+    """The range fill of a `Product` of factors given as (dtype, fill): the
+    first factor's values, times each later factor's, in place."""
+    (first_dtype, first), *rest = factors
+
+    def fill(lo, hi, out):
+        if first_dtype == out.dtype:
+            first(lo, hi, out)
+        else:
+            vals = np.empty(hi - lo, first_dtype)
+            first(lo, hi, vals)
+            out[:] = vals
+        for dtype, g in rest:
+            vals = np.empty(hi - lo, dtype)
+            g(lo, hi, vals)
+            _multiply_in_place(out, vals)
+
+    return fill
 
 
 def _multiply_in_place(a: np.ndarray, b: np.ndarray) -> None:
     """a *= b, rounded as for two or more elements.  numpy multiplies a
     single complex element in place on another path, which can round
-    differently, and a block may hold a single multiple of p."""
+    differently, and a range may be one long or hold a single multiple of p."""
     if len(a) > 1:
         a *= b
     else:
         a[:] = a * b
 
 
-def _closed_form_block(spec: FunctionSpec, lo: int, hi: int) -> np.ndarray:
-    """f(lo..hi-1) for the periodic families and the twist."""
+def _closed_form_fill(spec: FunctionSpec):
+    """The range body of the periodic families and the twist."""
     if isinstance(spec, Twist):
-        n = np.arange(lo, hi, dtype=np.float64)
-        vals = np.zeros(hi - lo, dtype=np.complex128)
-        if lo == 0:
-            n[0] = 1.0
-        np.multiply(np.log(n, out=n), spec.t, out=vals.imag)
-        np.exp(vals, out=vals)
-    elif isinstance(spec, One):
-        vals = np.ones(hi - lo, dtype=np.int8)
-    else:
-        row = _legendre_row(spec.p) if isinstance(spec, Legendre) else character_row(spec.character)
-        off = lo % len(row)
-        vals = np.tile(row, (off + hi - lo) // len(row) + 1)[off : off + hi - lo]
-    if lo == 0:
-        vals[0] = 0
-    return vals
+        def body(lo, hi, out):
+            n = np.arange(lo, hi, dtype=np.float64)
+            if lo == 0:
+                n[0] = 1.0
+            out.real = 0.0
+            np.multiply(np.log(n, out=n), spec.t, out=out.imag)
+            np.exp(out, out=out)
+
+        return body
+    if isinstance(spec, One):
+        return lambda lo, hi, out: out.fill(1)
+    row = _legendre_row(spec.p) if isinstance(spec, Legendre) else character_row(spec.character)
+    period = len(row)
+
+    def body(lo, hi, out):
+        # one period from lo's residue on, then the filled prefix doubled:
+        # a whole number of periods, so every copy keeps the phase
+        off, n = lo % period, len(out)
+        head = min(period - off, n)
+        out[:head] = row[off : off + head]
+        out[head : min(period, n)] = row[: min(period, n) - head]
+        filled = period
+        while filled < n:
+            step = min(filled, n - filled)
+            out[filled : filled + step] = out[:step]
+            filled += step
+
+    return body
 
 
 # entries of one pass-1 scatter of the multiplicative filler, and primes per
-# `prime_values` call when it reads f at the primes
-_CHUNK = 1 << 16
+# `prime_values` call when it reads f at the primes; a scatter holds about
+# 24 bytes per entry, and the two ranges of a fill step scatter at once
+_CHUNK = 1 << 15
 
 
-def _multiplicative_blocks(spec: FunctionSpec, x: int, table: PrimeTable, width: int):
-    """vals[n] = product of f(p^k) over p^k || n, one block of n at a time.
+def _multiplicative_fill(spec: FunctionSpec, x: int, table: PrimeTable):
+    """The range body vals[n] = product of f(p^k) over p^k || n.
 
     Every n <= x has at most one prime factor P > sqrt(x), and P divides n
-    exactly once.  Pass 1 multiplies f(P) into every n = m P of the block,
+    exactly once.  Pass 1 multiplies f(P) into every n = m P of the range,
     vectorized over m: the primes P of each cofactor m form one index range,
     and repeat/cumsum lay out the ranges of a run of cofactors at once, about
     _CHUNK entries per scatter.  Pass 2 walks the primes p <= sqrt(x) in
-    descending order and multiplies the multiples of p in the block by a
+    descending order and multiplies the multiples of p in the range by a
     factor array holding f(p^k), p^k || n, whose multiples of p^2, p^3, ...
     are overwritten in turn.  Each product is thus formed as
     ((1 * f(P)) * f(p_r^k_r)) * ... * f(p_1^k_1), largest prime first,
-    whatever the block width.  The Python work per block is one step per
-    prime p <= sqrt(x).
+    whatever the range.  The Python work per range is one step per prime
+    p <= sqrt(x).
 
-    f at the primes is read _CHUNK primes at a time straight into the
-    values' dtype, so the fill holds one such value per prime (one byte for
-    the sign families) besides a few blocks.
+    The setup runs once, here: f at the primes, read _CHUNK primes at a time
+    straight into the values' dtype, so the fill holds one such value per
+    prime (one byte for the sign families) besides its ranges, the split at
+    sqrt(x), and the tables f(p^k) of the primes below it.
     """
-    dtype = np.int8 if isinstance(spec, _INT8_FAMILIES) else np.complex128
+    dtype = _fill_dtype(spec)
     root = math.isqrt(x)
     primes = table.primes_upto(x)
     fp = np.empty(len(primes), dtype=dtype)
@@ -429,11 +544,9 @@ def _multiplicative_blocks(spec: FunctionSpec, x: int, table: PrimeTable, width:
             pk *= p
             f_pk.append(spec.prime_power_value(p, len(f_pk)))
         small.append((p, np.array(f_pk, dtype=dtype)))
-    for lo in range(0, x + 1, width):
-        hi = min(lo + width, x + 1)
-        vals = np.ones(hi - lo, dtype=dtype)
-        if lo == 0:
-            vals[0] = 0
+
+    def body(lo, hi, vals):
+        vals.fill(1)
         m = np.arange(1, (hi - 1) // (root + 1) + 1)
         first = np.searchsorted(large, -(-lo // m))  # P >= lo / m
         stop = np.searchsorted(large, (hi - 1) // m, side="right")
@@ -445,8 +558,13 @@ def _multiplicative_blocks(spec: FunctionSpec, x: int, table: PrimeTable, width:
             # the cofactors a..b-1: _CHUNK entries at most, or one cofactor
             b = max(np.searchsorted(ends, starts[a] + _CHUNK, side="right"), a + 1)
             run = slice(a, b)
-            idx = np.arange(starts[a], ends[b - 1]) + np.repeat(first[run] - starts[run], counts[run])
-            vals[np.repeat(m[run], counts[run]) * large[idx] - lo] = f_large[idx]
+            # in place, so that a run holds three int64 arrays at most
+            idx = np.repeat(first[run] - starts[run], counts[run])
+            idx += np.arange(starts[a], ends[b - 1])
+            n = large[idx]
+            n *= np.repeat(m[run], counts[run])
+            n -= lo
+            vals[n] = f_large[idx]
             a = b
         for p, f_pk in small:
             start = max(-(-lo // p), 1) * p  # the first multiple of p in [lo, hi), n > 0
@@ -459,8 +577,8 @@ def _multiplicative_blocks(spec: FunctionSpec, x: int, table: PrimeTable, width:
                 factor[-(start // p) % step :: step] = f_pk[k]
                 step, k = step * p, k + 1
             _multiply_in_place(vals[start - lo :: p], factor)
-        yield lo, vals
-        del vals  # let the caller free this block before the next is built
+
+    return body
 
 
 def values_upto(spec: FunctionSpec, x: int, table: PrimeTable) -> np.ndarray:

@@ -119,11 +119,6 @@ class ExceptionalReport:
     refine_tolerance: float
 
 
-def _included_primes(x: int, r: int, table: PrimeTable) -> np.ndarray:
-    ps = table.primes_upto(x)
-    return ps[r % ps != 0]
-
-
 def distance_squared(
     f: FunctionSpec,
     g: FunctionSpec,
@@ -131,20 +126,31 @@ def distance_squared(
     table: PrimeTable,
     r: int = 1,
 ) -> DistanceResult:
-    """D_r(f, g; x)^2, summed over ascending primes with pairwise reduction."""
+    """D_r(f, g; x)^2, summed over ascending primes with pairwise reduction.
+
+    The primes stream through in chunks of _PRIME_CHUNK, each writing its
+    terms (1 - Re f(p) conj(g(p))) / p into one float64 array that is summed
+    once, so the working memory is one float64 per prime plus a few chunks,
+    and the sum is that of the whole array bit for bit."""
     if x < 2:
         raise PreconditionError(f"distance needs x >= 2, got {x}")
     if r < 1:
         raise PreconditionError(f"excluded modulus must be >= 1, got {r}")
-    ps = _included_primes(x, r, table)
-    fv = prime_values(f, ps, table)
-    gv = prime_values(g, ps, table)
-    terms = (1.0 - (fv * np.conj(gv)).real) / ps
+    primes = table.primes_upto(x)
+    terms = np.empty(len(primes))
+    k = 0
+    for lo in range(0, len(primes), _PRIME_CHUNK):
+        ps = primes[lo : lo + _PRIME_CHUNK]
+        ps = ps[r % ps != 0]
+        fv = prime_values(f, ps, table)
+        gv = prime_values(g, ps, table)
+        np.divide(1.0 - (fv * np.conj(gv)).real, ps, out=terms[k : k + len(ps)])
+        k += len(ps)
     return DistanceResult(
-        squared_distance=float(np.sum(terms)),
+        squared_distance=float(np.sum(terms[:k])),
         x=x,
         excluded_modulus=r,
-        prime_count=len(ps),
+        prime_count=k,
     )
 
 

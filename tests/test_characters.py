@@ -42,7 +42,6 @@ from pretentious.nearchar import (
 )
 from pretentious.pretension import (
     TwistObjective,
-    _included_primes,
     _PrimeData,
     distance_squared,
 )
@@ -363,7 +362,9 @@ def _q1_twist_objective(c):
 
 
 def _q1_included_primes(c):
-    return np.array_equal(_included_primes(10**4, 1, c.table), c.table.primes_upto(10**4))
+    # modulus 1 excludes no prime from the distance
+    d = distance_squared(Mobius(), Mobius(), 10**4, c.table, r=1)
+    return d.prime_count == len(c.table.primes_upto(10**4))
 
 
 def _q1_character_spec(c):

@@ -6,8 +6,15 @@ summatory values against published tables.
 """
 
 import cmath
+import contextlib
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -586,6 +593,237 @@ def test_fill_byte_identical_in_small_scatter_runs(block_width, case, chunk):
         mp.setattr(funcspec, "_CHUNK", chunk)
         got = values_upto(spec, x, _table())
     assert got.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------------- two-range fill
+#
+# Every step of the block fill writes two ranges at once, one of them on the
+# worker thread: the two halves of a complex block, or two whole int8 blocks.
+
+
+class _RangeLog:
+    """The ranges written while `_logged_ranges` is active, as (on the main
+    thread?, lo, hi), and how many are being written right now."""
+
+    def __init__(self):
+        self.entries = []
+        self.active = 0
+        self.lock = threading.Lock()
+
+    def on_worker(self):
+        return [(lo, hi) for main, lo, hi in self.entries if not main]
+
+
+class _RangeFailure(RuntimeError):
+    pass
+
+
+@contextlib.contextmanager
+def _logged_ranges(raise_at=None, far_delay=0.0):
+    """Patch the range fills to log every range they write.  A range at
+    lo == raise_at raises on the thread that fills it; ranges on the worker
+    sleep far_delay seconds first."""
+    log = _RangeLog()
+    make = funcspec._range_fill
+
+    def logged_range_fill(spec, x, table):
+        fill = make(spec, x, table)
+
+        def logged(lo, hi, out):
+            main = threading.current_thread() is threading.main_thread()
+            with log.lock:
+                log.entries.append((main, lo, hi))
+                log.active += 1
+            try:
+                if not main:
+                    time.sleep(far_delay)
+                if lo == raise_at:
+                    where = "main" if main else "worker"
+                    raise _RangeFailure(f"range at {lo} on the {where} thread")
+                fill(lo, hi, out)
+            finally:
+                with log.lock:
+                    log.active -= 1
+
+        return logged
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(funcspec, "_range_fill", logged_range_fill)
+        yield log
+
+
+TWO_RANGE_SPECS = NAMED_FILL_SPECS + ["prod(mobius,liouville)", "prod(nit:0.5,legendre:7)",
+                                      "table:cm", "table:zero", "table:explicit",
+                                      "prod(table:cm,mobius)"]
+# at x = 10^4, widths whose blocks number odd (11, 13, 1) and even (6, 2), with
+# a last block one long (1000, 2000), shorter than the rest (777, 5001) or
+# full (10001), and odd widths whose complex halves differ by one
+TWO_RANGE_WIDTHS = (1000, 2000, 777, 5001, 10001)
+
+
+def _two_range_spec(text, x):
+    if text == "prod(table:cm,mobius)":
+        return Product((_two_range_spec("table:cm", x), Mobius()))
+    if text.startswith("table:"):
+        rule = text[len("table:") :]
+        return _random_table_spec(x, rule, len(rule), _table())
+    return parse_spec(text)
+
+
+@pytest.mark.parametrize("text", TWO_RANGE_SPECS)
+def test_two_range_fill_byte_identical_to_whole_array(text, block_width):
+    x = 10**4
+    spec = _two_range_spec(text, x)
+    want = _values_upto_whole(spec, x, _table())
+    int8 = want.dtype == np.int8
+    for width in TWO_RANGE_WIDTHS:
+        with block_width(width), _logged_ranges() as log:
+            got = values_upto(spec, x, _table())
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), width
+        blocks = -(-(x + 1) // width)
+        # the worker fills every odd int8 block, and the far half of every
+        # complex block longer than one
+        if int8:
+            far = {(lo, min(lo + width, x + 1)) for lo in range(width, x + 1, 2 * width)}
+        else:
+            far = {(hi - (hi - lo) // 2, hi) for lo in range(0, x + 1, width)
+                   for hi in [min(lo + width, x + 1)] if hi - lo > 1}
+        assert set(log.on_worker()) == far, width
+        assert bool(far) == (blocks > 1 or not int8)
+
+
+@pytest.mark.parametrize("text", ["mobius", "prod(char:5:2,nit:1.0)"])
+def test_a_failing_range_reaches_the_caller_with_the_worker_idle(text, block_width):
+    x, width = 10**4, 1000
+    spec = parse_spec(text)
+    want = _values_upto_whole(spec, x, _table())
+    # one step writes 2000..3999 as int8 blocks at 2000 and 3000, or the
+    # complex block at 3000 as halves at 3000 and 3500; the worker takes
+    # the second range
+    near, far = (2000, 3000) if want.dtype == np.int8 else (3000, 3500)
+    with block_width(width):
+        with _logged_ranges(raise_at=far) as log:
+            with pytest.raises(_RangeFailure, match="on the worker thread"):
+                values_upto(spec, x, _table())
+        # a failure in the calling thread waits for the worker's range
+        with _logged_ranges(raise_at=near, far_delay=0.05) as log:
+            with pytest.raises(_RangeFailure, match="on the main thread"):
+                values_upto(spec, x, _table())
+            assert (far, 4000) in log.on_worker()
+            assert log.active == 0
+        assert values_upto(spec, x, _table()).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("text", ["mobius", "prod(char:5:2,nit:1.0)"])
+def test_closing_a_fill_early_leaves_the_worker_idle(text, block_width):
+    x, width = 10**4, 1000
+    spec = parse_spec(text)
+    want = _values_upto_whole(spec, x, _table())
+    with block_width(width):
+        with _logged_ranges(far_delay=0.05) as log:
+            blocks = funcspec._fill_blocks(spec, x, _table())
+            lo, block = next(blocks)
+            assert lo == 0 and block.tobytes() == want[: len(block)].tobytes()
+            assert log.on_worker()
+            blocks.close()
+            assert log.active == 0
+        assert values_upto(spec, x, _table()).tobytes() == want.tobytes()
+
+
+def test_concurrent_fills_share_the_worker(block_width):
+    # more calling threads than cores, all handing ranges to the one worker,
+    # with thread switches forced often
+    x = 10**4
+    specs = [parse_spec(t) for t in ("mobius", "prod(char:5:2,nit:1.0)", "liouville", "nit:0.73")]
+    wants = [_values_upto_whole(s, x, _table()) for s in specs]
+    failures = []
+
+    def run(spec, want):
+        for _ in range(5):
+            if values_upto(spec, x, _table()).tobytes() != want.tobytes():
+                failures.append(spec)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with block_width(700):
+            threads = [threading.Thread(target=run, args=pair) for pair in zip(specs, wants)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert failures == []
+
+
+_THREADS_AT_IMPORT = """
+import sys, threading
+import pretentious, pretentious.cli
+from pretentious.arith import PrimeTable
+from pretentious.funcspec import Mobius, parse_spec, values_upto
+before = (threading.active_count(), "concurrent.futures" in sys.modules)
+values_upto(Mobius(), 10**5, PrimeTable(10**5))  # one int8 block: one range
+one_range = (threading.active_count(), "concurrent.futures" in sys.modules)
+values_upto(parse_spec("nit:0.5"), 10**3, PrimeTable(10**3))  # two halves
+two_ranges = (threading.active_count(), "concurrent.futures" in sys.modules)
+print(before, one_range, two_ranges)
+"""
+
+
+def _run_in_a_fresh_process(code: str) -> str:
+    src = str(Path(funcspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+def test_no_thread_until_a_fill_has_two_ranges():
+    # CLI start-up and the one-block sign fills of the scans stay threadless
+    out = _run_in_a_fresh_process(_THREADS_AT_IMPORT)
+    assert out.strip() == "(1, False) (1, False) (2, True)"
+
+
+_FILL_AFTER_FORK = """
+import multiprocessing
+from pretentious.arith import PrimeTable
+from pretentious.funcspec import parse_spec, values_upto
+
+def fill(_):
+    return values_upto(parse_spec("prod(char:5:2,nit:1.0)"), 10**4, PrimeTable(10**4)).tobytes()
+
+if __name__ == "__main__":
+    want = fill(0)  # starts the worker in the parent
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        print(pool.apply_async(fill, (0,)).get(timeout=30) == want)
+"""
+
+
+def test_a_forked_child_fills_without_the_parents_worker():
+    # the child inherits the executor but not its thread; it starts its own
+    assert _run_in_a_fresh_process(_FILL_AFTER_FORK).split() == ["True"]
+
+
+@pytest.mark.parametrize("text, bound", [("mobius", 8), ("prod(char:5:2,nit:1.0)", 4)])
+def test_multi_block_fill_peak_at_the_default_widths(text, bound, table_large):
+    # four blocks at the default widths: a sign step holds two blocks and the
+    # scratch of two ranges (measured 6.7 blocks beside the result), a complex
+    # step one block and the scratch of its two halves (3.5 blocks)
+    spec = parse_spec(text)
+    int8 = isinstance(spec, Mobius)
+    width = funcspec.SIGN_FILL_BLOCK_WIDTH if int8 else funcspec.FILL_BLOCK_WIDTH
+    values_upto(spec, 4 * width, table_large)  # warm the caches and start the worker
+    tracemalloc.start()
+    try:
+        vals = values_upto(spec, 4 * width, table_large)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= vals.nbytes + bound * width * vals.itemsize
 
 
 def test_sign_fill_peak_is_the_result_plus_a_few_blocks(table_medium):

@@ -39,6 +39,7 @@ from pretentious.funcspec import (
     PrimeTableSpec,
     Product,
     Twist,
+    make_prime_table_spec,
     parse_spec,
     prime_values,
 )
@@ -57,6 +58,7 @@ from pretentious.pretension import (
     _CellMoments,
     _coarse_grid,
     _is_even,
+    _PRIME_CHUNK,
     _PrimeData,
     _primitive_characters,
     _scan,
@@ -127,6 +129,82 @@ def test_distance_symmetry():
     d1 = distance_squared(f, g, 10**4, _table()).squared_distance
     d2 = distance_squared(g, f, 10**4, _table()).squared_distance
     assert d1 == pytest.approx(d2, abs=1e-12)
+
+
+def _distance_squared_whole(f, g, x, table, r=1):
+    """The whole-array distance that the chunked one replaced, kept as its
+    oracle: f(p), g(p) and the terms over every included prime at once.
+    Returns (squared distance, prime count); == on them compares bits."""
+    ps = table.primes_upto(x)
+    ps = ps[r % ps != 0]
+    fv = prime_values(f, ps, table)
+    gv = prime_values(g, ps, table)
+    terms = (1.0 - (fv * np.conj(gv)).real) / ps
+    return float(np.sum(terms)), len(ps)
+
+
+def _distance_pair(d):
+    return d.squared_distance, d.prime_count
+
+
+DISTANCE_PAIRS = [("mobius", "one", 1), ("prod(char:5:2,nit:1.0)", "one", 1),
+                  ("liouville", "prod(char:7:3,nit:-0.5)", 7),
+                  ("nit:0.3", "prod(char:12:1,nit:0.3)", 12)]
+
+
+@pytest.mark.parametrize("f_text, g_text, r", DISTANCE_PAIRS)
+def test_distance_byte_identical_to_whole_array(f_text, g_text, r, table_large):
+    f, g = parse_spec(f_text), parse_spec(g_text)
+    for x in (10**5, 10**6, 10**7):
+        want = _distance_squared_whole(f, g, x, table_large, r)
+        assert _distance_pair(distance_squared(f, g, x, table_large, r)) == want
+
+
+def test_distance_byte_identical_at_chunk_edges(table_medium):
+    # prime counts k chunk - 1, k chunk and k chunk + 1, an excluded prime on
+    # either side of the first chunk edge, and a table spec
+    x = 2 * 10**5
+    ps = table_medium.primes_upto(x)
+    assert len(ps) > 2 * _PRIME_CHUNK + 1
+    cases = [(int(ps[n - 1]), 1) for k in (1, 2) for n in (k * _PRIME_CHUNK - 1,
+                                                         k * _PRIME_CHUNK,
+                                                         k * _PRIME_CHUNK + 1)]
+    cases += [(x, int(ps[i])) for i in (_PRIME_CHUNK - 1, _PRIME_CHUNK)]
+    rng = np.random.default_rng(3)
+    values = np.exp(1j * rng.uniform(-3, 3, len(ps)))
+    table_spec = make_prime_table_spec(dict(zip(ps.tolist(), values.tolist())))
+    for f, g in ((Mobius(), parse_spec("prod(char:5:2,nit:1.0)")), (table_spec, One())):
+        for y, r in cases:
+            want = _distance_squared_whole(f, g, y, table_medium, r)
+            assert _distance_pair(distance_squared(f, g, y, table_medium, r)) == want
+
+
+def test_distance_missing_table_prime_raises_like_the_whole_array(table_medium):
+    # the first missing prime sits in the second chunk
+    ps = table_medium.primes_upto(2 * 10**5)
+    missing = int(ps[_PRIME_CHUNK + 5])
+    spec = make_prime_table_spec({int(p): 0.5j for p in ps if p != missing})
+    with pytest.raises(PreconditionError) as want:
+        _distance_squared_whole(spec, One(), 2 * 10**5, table_medium)
+    with pytest.raises(PreconditionError) as got:
+        distance_squared(spec, One(), 2 * 10**5, table_medium)
+    assert str(got.value) == str(want.value)
+
+
+def test_distance_peak_is_one_float_per_prime(table_large):
+    # the whole-array distance held a copy of the primes, f(p), g(p), their
+    # product and the terms over all 664579 primes (42.5 MB traced); the
+    # stream keeps one float64 term per prime and a few chunks
+    x = 10**7
+    f = parse_spec("prod(char:5:2,nit:1.0)")
+    distance_squared(One(), f, x, table_large)  # warm the caches
+    tracemalloc.start()
+    try:
+        distance_squared(One(), f, x, table_large)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * len(table_large.primes_upto(x)) + 12 * 16 * _PRIME_CHUNK
 
 
 def test_twist_objective_matches_distance():
