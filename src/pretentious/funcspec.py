@@ -511,11 +511,12 @@ def _multiplicative_fill(spec: FunctionSpec, x: int, table: PrimeTable):
     Every n <= x has at most one prime factor P > sqrt(x), and P divides n
     exactly once.  Pass 1 multiplies f(P) into every n = m P of the range,
     vectorized over m: the primes P of each cofactor m form one index range,
-    and repeat/cumsum lay out the ranges of a run of cofactors at once, about
-    _CHUNK entries per scatter.  Pass 2 walks the primes p <= sqrt(x) in
-    descending order and multiplies the multiples of p in the range by a
-    factor array holding f(p^k), p^k || n, whose multiples of p^2, p^3, ...
-    are overwritten in turn.  Each product is thus formed as
+    and repeat/cumsum lay out the ranges of the cofactors end to end, cut
+    into scatters of _CHUNK entries (a long cofactor, such as m = 1, spans
+    several).  Pass 2 walks the primes p <= sqrt(x) in descending order and
+    multiplies the multiples of p in the range by a factor array holding
+    f(p^k), p^k || n, whose multiples of p^2, p^3, ... are overwritten in
+    turn.  Each product is thus formed as
     ((1 * f(P)) * f(p_r^k_r)) * ... * f(p_1^k_1), largest prime first,
     whatever the range.  The Python work per range is one step per prime
     p <= sqrt(x).
@@ -553,19 +554,21 @@ def _multiplicative_fill(spec: FunctionSpec, x: int, table: PrimeTable):
         counts = np.maximum(stop - first, 0)
         ends = np.cumsum(counts)
         starts = ends - counts  # where each cofactor's entries begin
-        a = 0
-        while a < len(m):
-            # the cofactors a..b-1: _CHUNK entries at most, or one cofactor
-            b = max(np.searchsorted(ends, starts[a] + _CHUNK, side="right"), a + 1)
+        total = int(ends[-1]) if len(ends) else 0
+        for e0 in range(0, total, _CHUNK):
+            # entries e0..e1-1, from the cofactors a..b-1 cut to that span
+            e1 = min(e0 + _CHUNK, total)
+            a = np.searchsorted(ends, e0, side="right")
+            b = np.searchsorted(ends, e1 - 1, side="right") + 1
             run = slice(a, b)
+            cut = np.minimum(ends[run], e1) - np.maximum(starts[run], e0)
             # in place, so that a run holds three int64 arrays at most
-            idx = np.repeat(first[run] - starts[run], counts[run])
-            idx += np.arange(starts[a], ends[b - 1])
+            idx = np.repeat(first[run] - starts[run], cut)
+            idx += np.arange(e0, e1)
             n = large[idx]
-            n *= np.repeat(m[run], counts[run])
+            n *= np.repeat(m[run], cut)
             n -= lo
             vals[n] = f_large[idx]
-            a = b
         for p, f_pk in small:
             start = max(-(-lo // p), 1) * p  # the first multiple of p in [lo, hi), n > 0
             if start >= hi:

@@ -14,9 +14,11 @@ cannot oscillate faster than log x), over [0, A] alone for the characters
 whose objective is even in t and over [-A, A] for the rest, then rounds of
 17-point grids across the two cells around each best point until its
 spacing is at most 5e-7; a round evaluates the grids of all characters
-still refining in one batched call per t-block (see below).  The reported
-distance is the direct cosine sum at the chosen t (`TwistObjective`); the
-grids run on cell moments.
+still refining in one batched call per t-block (see below).  The grids run
+on cell moments, and the reported distance is their value at the chosen t
+(with A = 0, at t = 0): within the truncation bound below, plus rounding,
+of the direct cosine sum (`TwistObjective`).  So an exact twist can read a
+few ulps below 0; it is reported as it is.
 
 Only the characters that can be among the `depth` nearest are refined:
 M2 = sum |f(p)| log^2 p / p bounds |D''|, so on a coarse grid of spacing h
@@ -53,7 +55,6 @@ of one per cell, and no recurrence, so nothing drifts along a grid.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -346,8 +347,9 @@ class TwistObjective:
 
     Writing z_p = f(p) conj(psi(p)), the objective is
     sum 1/p - sum |z_p|/p * cos(arg z_p - t log p); it is even in t when
-    every z_p is real.  Calls evaluate that cosine sum directly; it defines
-    every reported D^2.
+    every z_p is real.  Calls evaluate that cosine sum directly: the
+    reference the kernel's error bound is stated against.  No scan calls
+    it; the benchmark's tracer and the tests look it up by name.
     """
 
     def __init__(self, data: _PrimeData, psi: DirichletCharacter):
@@ -458,6 +460,16 @@ def _refine(kernel: _CellMoments, cols: np.ndarray, lo: np.ndarray,
     return t, value
 
 
+def _minima(data: _PrimeData, chars: list[DirichletCharacter], A: float,
+            depth: int) -> tuple[list[float], np.ndarray]:
+    """`_scan`'s t and kernel value for each character; with A = 0 the
+    kernel is read at t = 0."""
+    ts, values = _scan(data, chars, A, depth)
+    if values is None:
+        values = _CellMoments(data, chars).grid(np.zeros(1))[0]
+    return ts, values
+
+
 def min_distance_over_t(
     f: FunctionSpec,
     psi: DirichletCharacter,
@@ -465,13 +477,13 @@ def min_distance_over_t(
     A: float,
     table: PrimeTable,
 ) -> tuple[float, float]:
-    """(t*, D^2 at t*) minimizing D_q(f, psi(n)n^(it); x)^2 over |t| <= A, q = psi.q."""
+    """(t*, D^2 at t*) minimizing D_q(f, psi(n)n^(it); x)^2 over |t| <= A,
+    q = psi.q; D^2 is the scan kernel's value, as in `find_exceptional`."""
     if x < 2:
         raise PreconditionError(f"distance needs x >= 2, got {x}")
     fv = prime_values(f, table.primes_upto(x), table)
-    data = _PrimeData(fv, x, psi.q, table)
-    (t,), _ = _scan(data, [psi], A, 1)
-    return t, TwistObjective(data, psi)(t)
+    (t,), (d2,) = _minima(_PrimeData(fv, x, psi.q, table), [psi], A, 1)
+    return t, float(d2)
 
 
 def _primitive_characters(r: int) -> list[DirichletCharacter]:
@@ -514,30 +526,23 @@ def find_exceptional(
     Distances within TIE_TOL of each other tie; ties break toward smaller
     conductor, then smaller canonical index, then smaller |t|, then t >= 0.
 
-    The reported D^2 is the direct cosine sum at the scan's t, taken only
-    for the characters the spectrum can hold.  The scan's kernel value k at
-    each character's t is within eps = KERNEL_TOL of the direct value d
-    there (TRUNCATION_BOUND * sum 1/p plus rounding; see the module
-    docstring); with A = 0 the kernel is read at t = 0.  Let m be the
-    depth-th smallest k and v the depth-th smallest d.  The depth characters
-    with k <= m have d <= m + eps, so v <= m + eps.  An entry in the first
-    depth places of the full spectrum is in a tie run that starts at or
-    before place depth, so its d is at most v + TIE_TOL, and its k at most
-    m + TIE_TOL + 2 eps: the characters with k up to there hold every entry
-    the full scan would report.  Every character left out has
-    d > v + TIE_TOL, so it can neither enter those places nor extend their
-    tie runs, and the sorted prefix, its tie order, `best` and every D^2 are
-    those of the full scan bit for bit.  With depth >= the number of
-    characters, all of them are evaluated.
+    The reported D^2 is the scan kernel's value at each character's t (with
+    A = 0, the kernel read at t = 0).  It is within TRUNCATION_BOUND *
+    sum 1/p plus rounding of the direct cosine sum, which is below 1e-14 for
+    x <= 1e8 (see the module docstring), so an exact twist can read a few
+    ulps below 0.  Let m be the depth-th smallest value.  An entry in the
+    first depth places is in a tie run that starts at or before place depth,
+    so its value is at most m + TIE_TOL, and only the characters up to there
+    are ordered.
 
     The scan leaves unrefined each character whose lower bound LB over
-    |t| <= A exceeds v' + TIE_TOL + 4 eps, v' the depth-th smallest coarse
-    minimum.  The refine's first grid holds the coarse point up to an ulp of
-    t, so m of a scan that refines every character is at most v' + 1e-14,
-    and such a character's kernel is at least LB > m + TIE_TOL + 2 eps at
-    every t: its value, refined or coarse, is above m and outside the
-    selection.  So m, the selected characters, their t and values, and the
-    report are those of the scan that refines every character.
+    |t| <= A exceeds v' + TIE_TOL + 4 KERNEL_TOL, v' the depth-th smallest
+    coarse minimum.  The refine's first grid holds the coarse point up to an
+    ulp of t, so m of a scan that refines every character is at most
+    v' + 1e-14, and such a character's kernel is at least LB > m + TIE_TOL
+    at every t: its value, refined or coarse, is outside the characters
+    ordered.  So m and the report are those of the scan that refines every
+    character.
     """
     if x < 3 or x > table.limit:
         raise PreconditionError(f"need 3 <= x <= table limit {table.limit}, got {x}")
@@ -547,23 +552,10 @@ def find_exceptional(
     _check_twist_bound(A)
     fv = prime_values(f, table.primes_upto(x), table)
     chars = primitive_characters_upto(Q)
-    data = _PrimeData(fv, x, 1, table)
-    ts, k = _scan(data, chars, A, depth)
-    chosen = range(len(chars))
-    if depth < len(chars):
-        if k is None:
-            k = _CellMoments(data, chars).grid(np.zeros(1))[0]
-        m = np.partition(k, depth - 1)[depth - 1]
-        chosen = np.flatnonzero(k <= m + TIE_TOL + 2 * KERNEL_TOL)
-    del data  # before the conductors' arrays are built
-    entries = []
-    for r, group in itertools.groupby(((chars[i], ts[i]) for i in chosen),
-                                      key=lambda c: c[0].q):
-        data = _PrimeData(fv, x, r, table)
-        entries += [SpectrumEntry(psi, r, t, TwistObjective(data, psi)(t))
-                    for psi, t in group]
-        del data  # before the next conductor's arrays are built
-    entries = _spectrum_order(entries)
+    ts, k = _minima(_PrimeData(fv, x, 1, table), chars, A, depth)
+    m = np.sort(k)[min(depth, len(chars)) - 1]
+    entries = _spectrum_order([SpectrumEntry(chars[i], chars[i].q, ts[i], float(k[i]))
+                               for i in np.flatnonzero(k <= m + TIE_TOL)])
     best = entries[0]
     return ExceptionalReport(
         x=x,

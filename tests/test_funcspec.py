@@ -842,6 +842,31 @@ def test_sign_fill_peak_is_the_result_plus_a_few_blocks(table_medium):
         assert peak <= vals.nbytes + 3 * funcspec.SIGN_FILL_BLOCK_WIDTH
 
 
+@pytest.mark.parametrize("chunk", [1 << 12, funcspec._CHUNK])
+def test_sign_range_scratch_is_set_by_the_chunk(chunk, table_large):
+    # one 2^20 range at x = 4 * 2^20: the cofactor m = 1 alone holds about
+    # 70k pass-1 entries, and a run that took it whole traced 1.7-1.9 block
+    # widths whatever _CHUNK was.  A run now holds at most _CHUNK entries,
+    # about 25 bytes each (its idx and n outlive it), beside pass 2's factor
+    # arrays for p = 2 and p = 3 (5/6 of a width while both are alive)
+    width = funcspec.SIGN_FILL_BLOCK_WIDTH
+    x = 4 * width
+    want = values_upto(Mobius(), x, table_large)
+    out = np.empty(width, np.int8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(funcspec, "_CHUNK", chunk)
+        fill = funcspec._range_fill(Mobius(), x, table_large)
+        for lo in range(0, x, width):
+            tracemalloc.start()
+            try:
+                fill(lo, lo + width, out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.tobytes() == want[lo : lo + width].tobytes()
+            assert peak <= width + 25 * chunk, (lo, peak)
+
+
 def test_sign_fills_byte_identical_to_sieves():
     x = 10**5
     t = PrimeTable(x)

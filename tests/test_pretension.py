@@ -6,6 +6,7 @@ character twist and recovering it.
 """
 
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -376,10 +377,22 @@ ORACLE_SCANS = [
 ]
 
 
+def _kernel_values(f, x, chars, A):
+    """{psi: (t, kernel value)} of one scan of chars, as find_exceptional
+    runs it but refining every character; with A = 0, the kernel read at
+    t = 0."""
+    data = _PrimeData(prime_values(f, _table().primes_upto(x), _table()), x, 1, _table())
+    ts, vals = _scan(data, chars, A, len(chars))
+    if vals is None:
+        vals = _CellMoments(data, chars).grid(np.zeros(1))[0]
+    return {psi: (t, float(v)) for psi, t, v in zip(chars, ts, vals)}
+
+
 @pytest.mark.parametrize("text", ORACLE_SCANS)
 def test_find_exceptional_matches_oracle_scan(text):
     f, x, Q, A = parse_spec(text), 10**5, 10, 2.0
     rep = find_exceptional(f, x, Q, A, _table(), depth=10**3)
+    kernel = _kernel_values(f, x, primitive_characters_upto(Q), A)
     oracle = {}
     for psi in primitive_characters_upto(Q):
         data = _data(f, psi, x, _table())
@@ -391,7 +404,11 @@ def test_find_exceptional_matches_oracle_scan(text):
         dt = abs(abs(e.t) - abs(t_o)) if even else abs(e.t - t_o)
         assert dt <= 1e-6, (e.character.serial, e.t, t_o)
         assert e.squared_distance <= d2_o + 1e-12, (e.character.serial, e.squared_distance, d2_o)
-        assert e.squared_distance == _objective(f, e.character, x, _table())(e.t)
+        # the reported D^2 is the scan kernel's value, within 1e-12 of the
+        # direct cosine sum at the same t
+        assert (e.t, e.squared_distance) == kernel[e.character]
+        direct = _objective(f, e.character, x, _table())(e.t)
+        assert abs(e.squared_distance - direct) <= 1e-12, (e.character.serial, direct)
     # the order is the oracle's, except that characters whose distances tie
     # up to rounding (a conjugate pair for real f) may come in either order
     d2_o = [oracle[e.character][1] for e in rep.spectrum]
@@ -407,7 +424,11 @@ def _assert_matches_rotated_oracle(t, d2, data, psi, A, x):
     dt = abs(abs(t) - abs(t_o)) if even else abs(t - t_o)
     assert dt <= 1e-6, (t, t_o)
     assert d2 <= d2_o + 1e-12, (d2, d2_o)
-    assert d2 == obj(t)
+    # D^2 is the value of psi's own scan kernel, within 1e-12 of the direct
+    # cosine sum at the same t
+    (t_k,), (d2_k,) = _scan(data, [psi], A, 1)
+    assert (t, d2) == (t_k, d2_k)
+    assert abs(d2 - obj(t)) <= 1e-12, (d2, obj(t))
 
 
 @pytest.mark.parametrize("text", ORACLE_SCANS)
@@ -949,43 +970,49 @@ def test_conductor_bound_above_max_modulus_refused_before_the_scan(monkeypatch):
         find_exceptional(Mobius(), 1000, MAX_MODULUS + 1, 1.0, _table())
 
 
-# The scan's last stage before it kept to the characters the spectrum can
-# hold, kept as the oracle: the direct D^2 of every primitive character of
-# conductor <= Q at the t the scan chose, one _PrimeData per conductor, and
-# the whole spectrum in order.
+# The scan's last stage before it reported the kernel's values, kept as the
+# oracle: the direct D^2 of every primitive character of conductor <= Q at
+# the t the scan chose, one _PrimeData per conductor, and the whole spectrum
+# in order.  Returned with the kernel values of the same scan.
 def _direct_spectrum(f, x, Q, A):
     fv = prime_values(f, _table().primes_upto(x), _table())
     chars = primitive_characters_upto(Q)
-    ts, _ = _scan(_PrimeData(fv, x, 1, _table()), chars, A, len(chars))
+    kernel = _kernel_values(f, x, chars, A)
     entries = []
-    for r, group in itertools.groupby(zip(chars, ts), key=lambda c: c[0].q):
+    for r, group in itertools.groupby(chars, key=lambda psi: psi.q):
         data = _PrimeData(fv, x, r, _table())
-        entries += [SpectrumEntry(psi, r, t, TwistObjective(data, psi)(t))
-                    for psi, t in group]
-    return _spectrum_order(entries)
+        entries += [SpectrumEntry(psi, r, kernel[psi][0],
+                                  TwistObjective(data, psi)(kernel[psi][0])) for psi in group]
+    return _spectrum_order(entries), kernel
 
 
-def _assert_matches_direct_spectrum(rep, oracle, depth):
-    assert rep.spectrum == tuple(oracle[:depth])
+def _assert_matches_direct_spectrum(rep, oracle, kernel, depth):
+    # characters, conductors, order and t are the direct spectrum's; each
+    # D^2 is the scan kernel's value, within 1e-12 of the direct one
+    assert [(e.character, e.conductor, e.t) for e in rep.spectrum] == [
+        (e.character, e.conductor, e.t) for e in oracle[:depth]]
+    for e, o in zip(rep.spectrum, oracle):
+        assert e.squared_distance == kernel[e.character][1], e.character.serial
+        assert abs(e.squared_distance - o.squared_distance) <= 1e-12, e.character.serial
     best = oracle[0]
     assert (rep.psi, rep.conductor, rep.t, rep.squared_distance) == (
-        best.character, best.conductor, best.t, best.squared_distance)
+        best.character, best.conductor, best.t, kernel[best.character][1])
 
 
 @pytest.mark.parametrize("A", [3.0, 12.0])
 @pytest.mark.parametrize("text", ORACLE_SCANS)
 def test_find_exceptional_matches_the_direct_spectrum(text, A):
     f, x, Q = parse_spec(text), 10**5, 20
-    oracle = _direct_spectrum(f, x, Q, A)
+    oracle, kernel = _direct_spectrum(f, x, Q, A)
     for depth in (1, 10, len(oracle)):
         rep = find_exceptional(f, x, Q, A, _table(), depth=depth)
-        _assert_matches_direct_spectrum(rep, oracle, depth)
+        _assert_matches_direct_spectrum(rep, oracle, kernel, depth)
 
 
 def test_tie_across_the_depth_boundary_matches_the_direct_spectrum(monkeypatch):
     # the conjugate pair char:9:2, char:9:4 ties at places 10 and 11
     f, x, Q, A, depth = Mobius(), 10**5, 20, 0.0, 10
-    oracle = _direct_spectrum(f, x, Q, A)
+    oracle, kernel = _direct_spectrum(f, x, Q, A)
     assert [e.character.serial for e in oracle[depth - 1:depth + 1]] == ["char:9:2",
                                                                          "char:9:4"]
     tied = [e for e in oracle[depth:]
@@ -1000,15 +1027,44 @@ def test_tie_across_the_depth_boundary_matches_the_direct_spectrum(monkeypatch):
 
     monkeypatch.setattr(TwistObjective, "__init__", counting)
     rep = find_exceptional(f, x, Q, A, _table(), depth=depth)
-    _assert_matches_direct_spectrum(rep, oracle, depth)
-    assert len(calls) <= depth + len(tied), [psi.serial for psi in calls]
-    # with room for every character, each gets its direct D^2 once
+    _assert_matches_direct_spectrum(rep, oracle, kernel, depth)
+    # the kernel's values order the spectrum: no direct D^2 is taken, and
+    # with room for every character the spectrum is the whole direct one
+    assert not calls, [psi.serial for psi in calls]
     for A in (0.0, 3.0):
+        oracle, kernel = _direct_spectrum(f, x, Q, A)
         calls.clear()
         rep = find_exceptional(f, x, Q, A, _table(), depth=len(oracle))
-        assert sorted(psi.serial for psi in calls) == sorted(e.character.serial
-                                                             for e in rep.spectrum)
-        assert len(calls) == len(oracle)
+        _assert_matches_direct_spectrum(rep, oracle, kernel, len(oracle))
+        assert len(rep.spectrum) == len(oracle)
+        assert not calls, [psi.serial for psi in calls]
+
+
+def test_scans_build_one_prime_data_and_no_direct_objective(monkeypatch):
+    # every reported D^2 is the kernel's value: find_exceptional builds the
+    # prime data mod 1 once and no direct objective, whatever A and depth,
+    # and the one-character scans build no direct objective either
+    built = []
+    for cls in (_PrimeData, TwistObjective):
+        def counting(self, *args, init=cls.__init__, name=cls.__name__):
+            built.append(name)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    f, x, Q = Mobius(), 10**5, 20
+    n = len(primitive_characters_upto(Q))
+    for A in (0.0, 3.0):
+        for depth in (10, n, n + 5):
+            built.clear()
+            rep = find_exceptional(f, x, Q, A, _table(), depth=depth)
+            assert built == ["_PrimeData"], (A, depth, built)
+            assert len(rep.spectrum) == min(depth, n)
+    built.clear()
+    for A in (0.0, 2.0):
+        min_distance_over_t(f, character_by_index(7, 3), x, A, _table())
+    halasz_bound(f, x, 2.0, _table())
+    coprime_mean_bound(f, x, 6, 2.0, _table())
+    assert "_PrimeData" in built and "TwistObjective" not in built
 
 
 @pytest.mark.parametrize("depth", [0, -1])
@@ -1141,3 +1197,43 @@ def test_scan_does_not_import_numpy_ma():
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
+
+
+_SCAN_AT_1E8 = """
+import json, resource
+from pretentious.arith import PrimeTable
+from pretentious.funcspec import CharacterSpec, Mobius, Product, Twist
+from pretentious.pretension import distance_squared, find_exceptional
+x = 10**8
+table = PrimeTable(x)
+rep = find_exceptional(Mobius(), x, 10, 2.0, table)
+try:  # this process's own peak; see the test
+    with open("/proc/self/status") as fh:
+        rss_mb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+except OSError:
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+q, t = rep.psi.q, rep.t
+g = Product((CharacterSpec(q, rep.psi.index), Twist(t)))
+direct = distance_squared(Mobius(), g, x, table, r=q).squared_distance
+print(json.dumps(dict(rss_mb=rss_mb, entries=len(rep.spectrum), best=rep.psi.serial, t=t,
+                      gap=abs(rep.squared_distance - direct))))
+"""
+
+
+def test_find_exceptional_at_1e8_in_bounded_memory():
+    # its own process, whose peak RSS is the scan's: PrimeTable(1e8) is
+    # about 160 MB, and the per-conductor direct D^2 that the kernel's
+    # values replaced took the scan to about 456 MB.  The peak is read as
+    # VmHWM where there is one: ru_maxrss keeps the high-water mark of the
+    # process that forked the child across exec, so under pytest it reads at
+    # least the test runner's own peak
+    src = str(Path(pretentious.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _SCAN_AT_1E8], capture_output=True,
+                          text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = json.loads(proc.stdout)
+    assert out["rss_mb"] <= 400
+    assert out["entries"] == 10
+    assert (out["best"], out["t"]) == ("char:5:2", 0.0)
+    assert out["gap"] <= 1e-12

@@ -3,8 +3,8 @@
 `perfbench/tracing.py` wraps pretentious functions and methods by name, so a
 renamed or removed name breaks traced benchmark runs; this test installs
 the tracer, runs one Halasz bound and one exceptional-character scan, checks
-that the scan's direct D^2 evaluations are traced, and checks that
-uninstalling puts every attribute back.
+that the scan's spans are traced and that it evaluates no direct objective,
+and checks that uninstalling puts every attribute back.
 """
 
 import importlib
@@ -58,12 +58,13 @@ def test_tracer_installs_runs_and_restores():
     names = {s[0] for s in spans}
     assert {"meanvalues.halasz_bound", "pretension.find_exceptional",
             "funcspec.prime_values"} <= names
-    # every character of conductor <= 5 fits the default depth, so each gets
-    # one objective built and evaluated inside the scan
+    # every character of conductor <= 5 fits the default depth; each D^2 is
+    # the scan kernel's value, so no direct objective is built or evaluated
+    # and the traced pretension.objective.* metrics read 0
     in_scan = [s[0] for i, s in enumerate(spans)
                if tracing._has_ancestor(spans, i, "pretension.find_exceptional")]
-    assert in_scan.count("pretension.objective.build") == len(rep.spectrum) == 6
-    assert in_scan.count("pretension.objective.eval") == len(rep.spectrum)
+    assert "funcspec.prime_values" in in_scan and len(rep.spectrum) == 6
+    assert not {"pretension.objective.build", "pretension.objective.eval"} & names
     after = _attributes(tracing)
     assert after.keys() == before.keys()
     assert all(after[k] is v for k, v in before.items())
