@@ -14,14 +14,15 @@ blockwise fill, `_fill_blocks`, which yields f on consecutive blocks of n,
 so that progression sums stream to x = 1e8 in bounded memory.  Each family
 fills any one range of n: closed forms for the periodic and twist families
 (and their products), and one vectorized multiplicative filler for
-everything else, with f at the primes from `prime_values`, f(p^k) for
+everything else, with f at the primes from `read_prime_values`, f(p^k) for
 k >= 2 from `prime_power_value`, and no per-n Python loop.  Each step of
 the fill writes two ranges at once, the second on a single worker thread
 that the first fill with two ranges starts.  numpy releases the interpreter
 lock inside its loops, so the complex closed forms run on two cores; the
 multiplicative filler's Python loop over the small primes does not.
 `values_upto` is the one call that holds all of f(0..x); it fills its
-array block by block.
+array block by block.  Every walk over the primes in the library is
+`over_primes`.
 """
 
 from __future__ import annotations
@@ -499,9 +500,8 @@ def _closed_form_fill(spec: FunctionSpec):
     return body
 
 
-# entries of one pass-1 scatter of the multiplicative filler, and primes per
-# `prime_values` call when it reads f at the primes; a scatter holds about
-# 24 bytes per entry, and the two ranges of a fill step scatter at once
+# entries of one pass-1 scatter of the multiplicative filler; a scatter holds
+# about 24 bytes per entry, and the two ranges of a fill step scatter at once
 _CHUNK = 1 << 15
 
 
@@ -521,17 +521,15 @@ def _multiplicative_fill(spec: FunctionSpec, x: int, table: PrimeTable):
     whatever the range.  The Python work per range is one step per prime
     p <= sqrt(x).
 
-    The setup runs once, here: f at the primes, read _CHUNK primes at a time
-    straight into the values' dtype, so the fill holds one such value per
-    prime (one byte for the sign families) besides its ranges, the split at
-    sqrt(x), and the tables f(p^k) of the primes below it.
+    The setup runs once, here: f at the primes from `read_prime_values`, so
+    the fill holds one value per prime in its own dtype (one byte for the
+    sign families) besides its ranges, the split at sqrt(x), and the tables
+    f(p^k) of the primes below it.
     """
     dtype = _fill_dtype(spec)
     root = math.isqrt(x)
     primes = table.primes_upto(x)
-    fp = np.empty(len(primes), dtype=dtype)
-    for i in range(0, len(primes), _CHUNK):
-        fp[i : i + _CHUNK] = prime_values(spec, primes[i : i + _CHUNK], table)
+    fp = read_prime_values(spec, primes, table)
     split = np.searchsorted(primes, root, side="right")
     # 1 * f(P) is the first product every n = m P takes; pass 1 stores it
     large, f_large = primes[split:], fp[split:]
@@ -599,6 +597,31 @@ def values_upto(spec: FunctionSpec, x: int, table: PrimeTable) -> np.ndarray:
             vals = np.empty(x + 1, dtype=block.dtype)
         vals[lo : lo + len(block)] = block
     return vals
+
+
+PRIME_CHUNK = 1 << 13
+
+
+def over_primes(primes: np.ndarray, term, r: int = 1, dtype=np.float64) -> np.ndarray:
+    """term(ps) for the primes of `primes` not dividing r, end to end in one
+    array of dtype: term runs in order on each PRIME_CHUNK primes less the
+    divisors of r, so one chunk is held besides the result, and one np.sum of
+    the result rounds as the pairwise sum of the whole array does."""
+    out = np.empty(len(primes), dtype)
+    k = 0
+    for lo in range(0, len(primes), PRIME_CHUNK):
+        ps = primes[lo : lo + PRIME_CHUNK]
+        if ps[0] <= r:  # no larger prime divides r
+            ps = ps[r % ps != 0]
+        out[k : k + len(ps)] = term(ps)
+        k += len(ps)
+    return out[:k]
+
+
+def read_prime_values(spec: FunctionSpec, primes: np.ndarray, table: PrimeTable) -> np.ndarray:
+    """f(p) for an array of primes, read through `over_primes` into f's fill
+    dtype (int8 for the sign families, complex128 otherwise)."""
+    return over_primes(primes, lambda ps: prime_values(spec, ps, table), dtype=_fill_dtype(spec))
 
 
 def prime_values(spec: FunctionSpec, primes: np.ndarray, table: PrimeTable) -> np.ndarray:

@@ -37,9 +37,10 @@ from .funcspec import (
     PrimeTableSpec,
     Product,
     _fill_blocks,
+    over_primes,
     prime_values,
 )
-from .pretension import _PRIME_CHUNK, ExceptionalReport, find_exceptional, min_distance_over_t
+from .pretension import ExceptionalReport, find_exceptional, min_distance_over_t
 
 
 @dataclass(frozen=True)
@@ -270,26 +271,6 @@ def _check_truncation(truncation: int | None, x: int) -> int:
     return P
 
 
-def _euler_factors(f: FunctionSpec, primes: np.ndarray, x: int, t: float, q: int,
-                   table: PrimeTable):
-    """Yield (1-1/p)(1 + f(p)/p^(1+it) + f(p^2)/p^(2+2it) + ...) for the
-    primes of `primes` not dividing q, _PRIME_CHUNK primes at a time."""
-    for lo in range(0, len(primes), _PRIME_CHUNK):
-        ps = primes[lo : lo + _PRIME_CHUNK]
-        ps = ps[q % ps != 0]
-        psc = ps.astype(np.float64)
-        fp = prime_values(f, ps, table).astype(np.complex128)
-        # base = p^(-(1+it)); series = 1 + f(p) base + f(p^2) base^2 + ...
-        base = np.exp(-1j * t * np.log(psc)) / psc
-        if f.completely_multiplicative:
-            series = 1.0 / (1.0 - fp * base)
-        elif _vanishes_on_higher_powers(f):
-            series = 1.0 + fp * base
-        else:
-            series = _explicit_series(f, ps, fp, base, x)
-        yield (1.0 - 1.0 / psc) * series
-
-
 def euler_product_mean(
     f: FunctionSpec,
     x: int,
@@ -308,33 +289,38 @@ def euler_product_mean(
     log |product| of the dropped factors: each is (1 - 1/p)(1 + w) with
     |w| <= 1/(p-1).
 
-    The primes stream through in chunks of _PRIME_CHUNK, so the working
-    memory is one float64 per prime plus a few chunks, and every field
-    equals that of the whole-array computation bit for bit.
+    The primes stream through `over_primes`, so the working memory is one
+    float64 per prime plus a few chunks, and every field equals that of the
+    whole-array computation bit for bit.
     """
     P = _check_truncation(truncation, x)
     primes = table.primes_upto(P)
-    # log |factor| of every chunk goes into one array, summed once: np.sum
-    # is pairwise, so a sum per chunk would round differently
-    logs = np.empty(len(primes))
-    k = 0
     product = 1 + 0j
-    for factors in _euler_factors(f, primes, x, t, q, table):
+
+    def log_abs_factors(ps):
+        nonlocal product
+        psc = ps.astype(np.float64)
+        fp = prime_values(f, ps, table).astype(np.complex128)
+        # base = p^(-(1+it)); series = 1 + f(p) base + f(p^2) base^2 + ...
+        base = np.exp(-1j * t * np.log(psc)) / psc
+        if f.completely_multiplicative:
+            series = 1.0 / (1.0 - fp * base)
+        elif _vanishes_on_higher_powers(f):
+            series = 1.0 + fp * base
+        else:
+            series = _explicit_series(f, ps, fp, base, x)
+        factors = (1.0 - 1.0 / psc) * series
         # np.prod multiplies one factor at a time from 1 + 0j, so carrying
-        # the product from chunk to chunk rounds exactly as it does
+        # the product from chunk to chunk, in order, rounds exactly as it does
         product = np.multiply.reduce(factors, initial=product)
-        np.log(np.abs(factors), out=logs[k : k + len(factors)])
-        k += len(factors)
-    log_abs = float(np.sum(logs[:k]))
+        return np.log(np.abs(factors))
+
+    log_abs = float(np.sum(over_primes(primes, log_abs_factors, q)))
     product = complex(product)
     s = 1.0 + 1j * t
     prediction = x**s / (q * s) * product
     tail_ps = table.primes_upto(x)[len(primes) :]  # P < p <= x
-    logs = np.empty(len(tail_ps))
-    for lo in range(0, len(tail_ps), _PRIME_CHUNK):
-        ps = tail_ps[lo : lo + _PRIME_CHUNK]
-        np.log1p(2.0 / (ps - 2), out=logs[lo : lo + len(ps)])
-    tail = float(np.sum(logs))
+    tail = float(np.sum(over_primes(tail_ps, lambda ps: np.log1p(2.0 / (ps - 2)))))
     return EulerProductValue(x=x, q=q, t=t, truncation=P, product=product,
                              log_abs_product=log_abs, prediction=prediction,
                              tail_log_bound=tail)

@@ -44,9 +44,10 @@ for x <= 1e8, sum 1/p < 3.2, so the bound is below 1e-14.  One pass over the
 primes builds a block's moments, and each grid point then costs a sum over
 about log(x)/delta cells instead of pi(x) primes.  psi(p) depends only on
 p mod q, so `_CellMoments` sums per residue class mod q and the unit-group
-transform turns the sums into every character mod q at once.  The scan
-over conductors r <= Q builds one kernel for all of them: every cell starts
-at log 2, so all columns share the cell centres, and the primes dividing r
+transform turns the sums into every character mod q at once.  Every scan
+runs on one kind of prime data, every prime up to x, and builds one kernel
+for all its characters, whatever their moduli: every cell starts at log 2,
+so all columns share the cell centres, and the primes dividing a modulus r
 fall into the classes mod r that the transform drops.  The phases
 e^(-itu_c) come from a two-level table, e^(-itu_aL) e^(-it(c - aL) delta)
 with L = PHASE_SPLIT: one complex exp per L cells plus L per point instead
@@ -71,7 +72,8 @@ from .characters import (
     unit_group_transform,
 )
 from .errors import PreconditionError
-from .funcspec import CharacterSpec, FunctionSpec, One, Product, Twist, prime_values
+from .funcspec import (PRIME_CHUNK, CharacterSpec, FunctionSpec, One, Product, Twist,
+                       over_primes, prime_values, read_prime_values)
 
 T_REFINE_TOL = 1e-6
 GRID_SPACING_FACTOR = math.pi / 4.0
@@ -86,7 +88,6 @@ TIE_TOL = 1e-12
 KERNEL_TOL = 1e-10
 _GRID_CHUNK = 64
 _BLOCKS_KEPT = 4
-_PRIME_CHUNK = 2**13
 _EVEN_PROBE = 64
 
 
@@ -129,50 +130,40 @@ def distance_squared(
 ) -> DistanceResult:
     """D_r(f, g; x)^2, summed over ascending primes with pairwise reduction.
 
-    The primes stream through in chunks of _PRIME_CHUNK, each writing its
-    terms (1 - Re f(p) conj(g(p))) / p into one float64 array that is summed
-    once, so the working memory is one float64 per prime plus a few chunks,
-    and the sum is that of the whole array bit for bit."""
+    The terms (1 - Re f(p) conj(g(p))) / p stream through `over_primes`
+    into one float64 array that is summed once."""
     if x < 2:
         raise PreconditionError(f"distance needs x >= 2, got {x}")
     if r < 1:
         raise PreconditionError(f"excluded modulus must be >= 1, got {r}")
-    primes = table.primes_upto(x)
-    terms = np.empty(len(primes))
-    k = 0
-    for lo in range(0, len(primes), _PRIME_CHUNK):
-        ps = primes[lo : lo + _PRIME_CHUNK]
-        ps = ps[r % ps != 0]
-        fv = prime_values(f, ps, table)
-        gv = prime_values(g, ps, table)
-        np.divide(1.0 - (fv * np.conj(gv)).real, ps, out=terms[k : k + len(ps)])
-        k += len(ps)
-    return DistanceResult(
-        squared_distance=float(np.sum(terms[:k])),
-        x=x,
-        excluded_modulus=r,
-        prime_count=k,
-    )
+
+    def term(ps):
+        fv, gv = prime_values(f, ps, table), prime_values(g, ps, table)
+        return (1.0 - (fv * np.conj(gv)).real) / ps
+
+    terms = over_primes(table.primes_upto(x), term, r)
+    return DistanceResult(squared_distance=float(np.sum(terms)), x=x, excluded_modulus=r,
+                          prime_count=len(terms))
 
 
 class _PrimeData:
-    """The primes p <= x not dividing q, with what the twist objectives of
-    the characters mod q share: f(p), 1/p and its sum, log p, and p mod q.
-    With q = 1 the classes are the primes themselves, so that characters of
-    every modulus can reduce them."""
+    """The primes p <= x, as the classes that characters of every modulus
+    reduce, with what all their twist objectives share: f(p) in f's fill
+    dtype (int8 for the sign families), 1/p and log p."""
 
-    def __init__(self, fv: np.ndarray, x: int, q: int, table: PrimeTable):
+    def __init__(self, f: FunctionSpec, x: int, table: PrimeTable):
         ps = table.primes_upto(x)
-        if q > 1:
-            keep = q % ps != 0
-            ps, fv = ps[keep], fv[keep]
-        self.fv = fv
-        self.cls = (ps % q).astype(np.min_scalar_type(q)) if q > 1 else ps
+        self.fv = read_prime_values(f, ps, table)
+        self.cls = ps
         self.inv_p = 1.0 / ps
-        self.base = float(np.sum(self.inv_p))
         self.logp = np.log(ps, dtype=np.float64)
         self.x = x
-        self.q = q
+
+    def base(self, q: int) -> float:
+        """sum of 1/p over the primes p <= x not dividing q, of which only
+        those up to q are tested: no other prime can divide q."""
+        small = self.cls[: np.searchsorted(self.cls, q, side="right")]
+        return float(np.sum(np.delete(self.inv_p, np.flatnonzero(q % small == 0))))
 
 
 def _twisted(fv: np.ndarray, cls: np.ndarray, psi: DirichletCharacter) -> np.ndarray:
@@ -188,10 +179,10 @@ def _is_even(data: _PrimeData, psi: DirichletCharacter) -> bool:
     a real character needs no look at the primes; otherwise they go through
     in chunks, and the first complex z_p ends the search.  A few primes
     settle most characters, so the first chunk holds only _EVEN_PROBE of
-    them and the rest hold _PRIME_CHUNK."""
+    them and the rest hold PRIME_CHUNK."""
     if np.isrealobj(data.fv) and not character_row(psi).imag.any():
         return True
-    edges = [0, *range(_EVEN_PROBE, len(data.fv), _PRIME_CHUNK), len(data.fv)]
+    edges = [0, *range(_EVEN_PROBE, len(data.fv), PRIME_CHUNK), len(data.fv)]
     return not any(_twisted(data.fv[lo:hi], data.cls[lo:hi] % psi.q, psi).imag.any()
                    for lo, hi in zip(edges, edges[1:]))
 
@@ -202,10 +193,8 @@ class _CellMoments:
     log p (see the module docstring).
 
     Each character chi excludes the primes dividing chi.q, as its objective
-    does.  The characters are mod data.q, whose data left those primes out,
-    or, with data.q = 1, of any moduli: data then holds every prime, and the
-    primes dividing chi.q fall into the classes mod chi.q that the
-    unit-group transform drops.
+    does: data holds every prime, and those primes fall into the classes
+    mod chi.q that the unit-group transform drops.
 
     The moments of a t-block are built on first use, one modulus at a time
     into one array for all the columns; the last _BLOCKS_KEPT blocks are
@@ -225,13 +214,17 @@ class _CellMoments:
             G = unit_group(q)
             bins = np.where(G.unit_index < 0, G.phi, G.unit_index)
             self._groups.append((q, cols, [chars[col].index for col in cols], bins))
-            self.base[cols] = (data.base if data.q == q else
-                               float(np.sum(data.inv_p[q % data.cls != 0])))
-        # the primes go through the class sums in chunks of whole cells
-        cell = np.floor(data.logp / CELL_WIDTH).astype(np.intp)
-        self._cells = int(cell[-1]) + 1 - FIRST_CELL if len(cell) else 0
-        starts = np.searchsorted(cell, cell[::_PRIME_CHUNK])
-        self._edges = [*sorted(set(starts.tolist())), len(cell)]
+            self.base[cols] = data.base(q)
+        # the primes go through the class sums in chunks of whole cells, from
+        # the first prime in the cell of each PRIME_CHUNK-th prime on
+        n = len(data.logp)
+        self._edges = [0]
+        for lo in range(0, n - PRIME_CHUNK, PRIME_CHUNK):
+            cell = np.floor(data.logp[lo : lo + PRIME_CHUNK + 1] / CELL_WIDTH)
+            if cell[0] < cell[-1]:
+                self._edges.append(lo + int(np.searchsorted(cell, cell[-1])))
+        self._edges.append(n)
+        self._cells = math.floor(data.logp[-1] / CELL_WIDTH) + 1 - FIRST_CELL if n else 0
         padded = -(-self._cells // PHASE_SPLIT) * PHASE_SPLIT
         self.centres = (np.arange(FIRST_CELL, FIRST_CELL + padded) + 0.5) * CELL_WIDTH
         self._offsets = np.arange(PHASE_SPLIT) * CELL_WIDTH
@@ -343,7 +336,7 @@ class _CellMoments:
 
 
 class TwistObjective:
-    """t -> D_q(f, psi(n) n^(it); x)^2 on the prime data of q = psi.q.
+    """t -> D_q(f, psi(n) n^(it); x)^2 on the prime data, q = psi.q.
 
     Writing z_p = f(p) conj(psi(p)), the objective is
     sum 1/p - sum |z_p|/p * cos(arg z_p - t log p); it is even in t when
@@ -353,8 +346,8 @@ class TwistObjective:
     """
 
     def __init__(self, data: _PrimeData, psi: DirichletCharacter):
-        z = _twisted(data.fv, data.cls if data.q > 1 else data.cls % psi.q, psi)
-        self.base = data.base
+        z = _twisted(data.fv, data.cls % psi.q, psi)
+        self.base = data.base(psi.q)
         self.amp = np.abs(z)
         self.amp *= data.inv_p
         self.phase = np.angle(z)
@@ -382,7 +375,7 @@ def _check_twist_bound(A: float):
 
 
 def _scan(data: _PrimeData, chars: list[DirichletCharacter], A: float,
-          depth: int) -> tuple[list[float], np.ndarray | None]:
+          depth: int) -> tuple[list[float], np.ndarray]:
     """The t minimizing each character's objective over |t| <= A, in the
     order of `chars` (characters as _CellMoments takes them on data), with
     the kernel's value at each t: a grid scan of [-A, A], or of [0, A] for
@@ -391,13 +384,13 @@ def _scan(data: _PrimeData, chars: list[DirichletCharacter], A: float,
     grid, and its value is that grid's.  All of it runs on one kernel: each
     coarse grid once, on the columns of its parity, and each refine round
     once per t-block for every character still refining there.  With A = 0
-    every t is 0 and no kernel is built, so there are no values.  A
+    every t is 0, and the values are the kernel read there.  A
     character whose LB (see the module docstring) exceeds v + TIE_TOL +
     4 KERNEL_TOL, v the depth-th smallest coarse minimum, is not refined."""
     _check_twist_bound(A)
-    t = np.zeros(len(chars))
     if A == 0:
-        return t.tolist(), None
+        return [0.0] * len(chars), _CellMoments(data, chars).grid(np.zeros(1))[0]
+    t = np.zeros(len(chars))
     value = np.empty(len(chars))
     # odd objectives first, so that each parity is a slice of the columns
     even = np.array([_is_even(data, chi) for chi in chars])
@@ -407,7 +400,12 @@ def _scan(data: _PrimeData, chars: list[DirichletCharacter], A: float,
     grids = [(_coarse_grid(par, A, data.x), cols) for par, cols in
              ((False, slice(0, n_odd)), (True, slice(n_odd, len(chars))))
              if cols.stop > cols.start]
-    M2 = float(np.sum(np.abs(data.fv) * data.inv_p * data.logp**2))
+    # M2's terms go chunk by chunk into one array that is summed once
+    terms = np.empty(len(data.logp))
+    for lo in range(0, len(terms), PRIME_CHUNK):
+        part = slice(lo, lo + PRIME_CHUNK)
+        terms[part] = np.abs(data.fv[part]) * data.inv_p[part] * data.logp[part] ** 2
+    M2 = float(np.sum(terms))
     cols, lo, hi, lb = [], [], [], []
     for (ts, c), vals in zip(grids, kernel.grids(grids)):
         i = np.argmin(vals, axis=1)
@@ -460,16 +458,6 @@ def _refine(kernel: _CellMoments, cols: np.ndarray, lo: np.ndarray,
     return t, value
 
 
-def _minima(data: _PrimeData, chars: list[DirichletCharacter], A: float,
-            depth: int) -> tuple[list[float], np.ndarray]:
-    """`_scan`'s t and kernel value for each character; with A = 0 the
-    kernel is read at t = 0."""
-    ts, values = _scan(data, chars, A, depth)
-    if values is None:
-        values = _CellMoments(data, chars).grid(np.zeros(1))[0]
-    return ts, values
-
-
 def min_distance_over_t(
     f: FunctionSpec,
     psi: DirichletCharacter,
@@ -481,8 +469,7 @@ def min_distance_over_t(
     q = psi.q; D^2 is the scan kernel's value, as in `find_exceptional`."""
     if x < 2:
         raise PreconditionError(f"distance needs x >= 2, got {x}")
-    fv = prime_values(f, table.primes_upto(x), table)
-    (t,), (d2,) = _minima(_PrimeData(fv, x, psi.q, table), [psi], A, 1)
+    (t,), (d2,) = _scan(_PrimeData(f, x, table), [psi], A, 1)
     return t, float(d2)
 
 
@@ -550,9 +537,8 @@ def find_exceptional(
     if depth < 1:
         raise PreconditionError(f"spectrum depth must be >= 1, got {depth}")
     _check_twist_bound(A)
-    fv = prime_values(f, table.primes_upto(x), table)
     chars = primitive_characters_upto(Q)
-    ts, k = _minima(_PrimeData(fv, x, 1, table), chars, A, depth)
+    ts, k = _scan(_PrimeData(f, x, table), chars, A, depth)
     m = np.sort(k)[min(depth, len(chars)) - 1]
     entries = _spectrum_order([SpectrumEntry(chars[i], chars[i].q, ts[i], float(k[i]))
                                for i in np.flatnonzero(k <= m + TIE_TOL)])

@@ -355,8 +355,7 @@ def mod1():
 
 
 def _q1_twist_objective(c):
-    fv = prime_values(Mobius(), c.table.primes_upto(10**4), c.table)
-    got = TwistObjective(_PrimeData(fv, 10**4, 1, c.table), c.chi)(0.7)
+    got = TwistObjective(_PrimeData(Mobius(), 10**4, c.table), c.chi)(0.7)
     ref = distance_squared(Mobius(), Twist(0.7), 10**4, c.table).squared_distance
     return got == pytest.approx(ref, abs=1e-12)
 

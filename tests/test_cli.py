@@ -249,7 +249,7 @@ def test_conductor_bound_above_max_modulus_exits_3_before_the_scan(monkeypatch, 
         raise AssertionError("the scan started")
 
     monkeypatch.setattr("pretentious.cli.PrimeTable", never)
-    monkeypatch.setattr("pretentious.pretension.prime_values", never)
+    monkeypatch.setattr("pretentious.pretension.read_prime_values", never)
     monkeypatch.setattr("pretentious.pretension.primitive_characters_upto", never)
     code, out, err = run_cli(capsys, [*command, "--x", "1000", "--Q", "10001", "--A", "1"])
     assert code == 3

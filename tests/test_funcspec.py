@@ -591,6 +591,7 @@ def test_fill_byte_identical_in_small_scatter_runs(block_width, case, chunk):
     want = _values_upto_whole(spec, x, _table())
     with block_width(width), pytest.MonkeyPatch.context() as mp:
         mp.setattr(funcspec, "_CHUNK", chunk)
+        mp.setattr(funcspec, "PRIME_CHUNK", chunk)
         got = values_upto(spec, x, _table())
     assert got.tobytes() == want.tobytes()
 

@@ -5,21 +5,15 @@ the twisted mobius sum; the published Mertens values for the summatory
 checks). Regression values were measured once on verified code and frozen.
 """
 
-import json
 import math
-import os
 import random
-import subprocess
-import sys
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
 
-import pretentious
 from pretentious.arith import PrimeTable
 from pretentious.characters import (
     MAX_MODULUS,
@@ -30,6 +24,7 @@ from pretentious.characters import (
 )
 from pretentious.errors import PreconditionError
 from pretentious.funcspec import (
+    PRIME_CHUNK,
     CharacterSpec,
     Mobius,
     One,
@@ -52,7 +47,6 @@ from pretentious.meanvalues import (
     progression_sums,
     twisted_sum,
 )
-from pretentious.pretension import _PRIME_CHUNK
 
 _TABLE = {}
 
@@ -226,7 +220,6 @@ def test_streamed_sums_peak_at_a_few_blocks(block_width, table_medium):
 
 
 _AT_1E8 = """
-import json, resource
 from pretentious.arith import PrimeTable
 from pretentious.funcspec import parse_spec
 from pretentious.meanvalues import decompose_via_characters, euler_product_mean, progression_sums
@@ -236,24 +229,17 @@ f = parse_spec("prod(char:5:2,nit:1.0)")
 pt = progression_sums(f, x, 5, table)
 lhs, rhs = decompose_via_characters(f, x, 5, 2, table)
 ev = euler_product_mean(f, x, table)
-print(json.dumps(dict(rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-                      counts=int(pt.counts.sum()), gap=abs(lhs - rhs),
-                      product=abs(ev.product))))
+out = dict(counts=int(pt.counts.sum()), gap=abs(lhs - rhs), product=abs(ev.product))
 """
 
 
-def test_progression_sums_at_1e8_in_bounded_memory():
-    # its own process, so ru_maxrss is this run's peak: building
+def test_progression_sums_at_1e8_in_bounded_memory(fresh_process):
+    # its own process, whose peak RSS is this run's: building
     # PrimeTable(1e8) peaks near 160 MB, and a complex f(0..1e8) alone would
     # be 1.6 GB; the gap bound is acceptance criterion 03's.  The Euler
     # product over the 5.76M primes held about ten arrays over all of them
     # (718 MB) before it streamed them in chunks
-    src = str(Path(pretentious.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", _AT_1E8], capture_output=True, text=True,
-                          env=env, timeout=600)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    out = json.loads(proc.stdout)
+    out = fresh_process(_AT_1E8)
     assert out["rss_mb"] <= 400
     assert out["counts"] == 10**8
     assert out["gap"] <= 1e-9
@@ -552,13 +538,13 @@ def test_euler_product_byte_identical_at_chunk_edges(text, table_medium):
     # prime (one dividing q) on either side of the first chunk edge
     x = 2 * 10**5
     ps = table_medium.primes_upto(x)
-    assert len(ps) > 2 * _PRIME_CHUNK + 1
+    assert len(ps) > 2 * PRIME_CHUNK + 1
     f = _euler_family(text, x, table_medium)
-    cases = [(1, int(ps[n - 1])) for k in (1, 2) for n in (k * _PRIME_CHUNK - 1,
-                                                         k * _PRIME_CHUNK,
-                                                         k * _PRIME_CHUNK + 1)]
-    cases += [(int(ps[i]), P) for i in (_PRIME_CHUNK - 1, _PRIME_CHUNK) for P in (None, int(ps[i]))]
-    cases += [(6 * int(ps[_PRIME_CHUNK]), None)]
+    cases = [(1, int(ps[n - 1])) for k in (1, 2) for n in (k * PRIME_CHUNK - 1,
+                                                         k * PRIME_CHUNK,
+                                                         k * PRIME_CHUNK + 1)]
+    cases += [(int(ps[i]), P) for i in (PRIME_CHUNK - 1, PRIME_CHUNK) for P in (None, int(ps[i]))]
+    cases += [(6 * int(ps[PRIME_CHUNK]), None)]
     for q, P in cases:
         for t in (0.0, 0.5):
             got = euler_product_mean(f, x, table_medium, t=t, q=q, truncation=P)
@@ -589,7 +575,7 @@ def test_euler_product_peak_is_one_float_per_prime(text, table_medium):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * len(table_medium.primes_upto(x)) + 12 * 16 * _PRIME_CHUNK
+        assert peak <= 8 * len(table_medium.primes_upto(x)) + 12 * 16 * PRIME_CHUNK
 
 
 @pytest.mark.parametrize("text", ["mobius", "liouville", "one", "char:5:2", "legendre:7"])

@@ -6,7 +6,6 @@ character twist and recovering it.
 """
 
 import itertools
-import json
 import math
 import os
 import subprocess
@@ -34,6 +33,7 @@ from pretentious.characters import (
 )
 from pretentious.errors import PreconditionError
 from pretentious.funcspec import (
+    PRIME_CHUNK,
     CharacterSpec,
     Mobius,
     One,
@@ -43,10 +43,12 @@ from pretentious.funcspec import (
     make_prime_table_spec,
     parse_spec,
     prime_values,
+    read_prime_values,
 )
 from pretentious.meanvalues import coprime_mean_bound, halasz_bound
 from pretentious.pretension import (
     CELL_WIDTH,
+    FIRST_CELL,
     GRID_SPACING_FACTOR,
     KERNEL_TOL,
     MOMENTS,
@@ -59,7 +61,6 @@ from pretentious.pretension import (
     _CellMoments,
     _coarse_grid,
     _is_even,
-    _PRIME_CHUNK,
     _PrimeData,
     _primitive_characters,
     _scan,
@@ -83,13 +84,33 @@ def _table():
     return _TABLE["t"]
 
 
+class _DivisorFreeData:
+    """The prime data of one modulus q that the scans built before they all
+    ran on the data of every prime, kept as the oracle: the primes up to x
+    not dividing q, f at them read over every prime at once (or fv, f at
+    table.primes_upto(x), when the caller has it), their classes mod q, and
+    base(q), the sum of 1/p over them.  Characters mod q alone run on it."""
+
+    def __init__(self, f, x, q, table, fv=None):
+        ps = table.primes_upto(x)
+        if fv is None:
+            fv = prime_values(f, ps, table)
+        keep = q % ps != 0
+        ps, self.fv = ps[keep], fv[keep]
+        self.cls = (ps % q).astype(np.min_scalar_type(q))
+        self.inv_p = 1.0 / ps
+        self.logp = np.log(ps, dtype=np.float64)
+        self.x, self.q = x, q
+        self._base = float(np.sum(self.inv_p))
+
+    def base(self, q):
+        assert q == self.q, (q, self.q)
+        return self._base
+
+
 def _data(f, psi, x, table, fv=None):
-    """The prime data of psi's objective for f: the primes up to x not
-    dividing psi.q; fv is f at table.primes_upto(x), when the caller has
-    it."""
-    if fv is None:
-        fv = prime_values(f, table.primes_upto(x), table)
-    return _PrimeData(fv, x, psi.q, table)
+    """The oracle's prime data of psi's objective for f."""
+    return _DivisorFreeData(f, x, psi.q, table, fv)
 
 
 def _objective(f, psi, x, table, fv=None):
@@ -166,11 +187,11 @@ def test_distance_byte_identical_at_chunk_edges(table_medium):
     # either side of the first chunk edge, and a table spec
     x = 2 * 10**5
     ps = table_medium.primes_upto(x)
-    assert len(ps) > 2 * _PRIME_CHUNK + 1
-    cases = [(int(ps[n - 1]), 1) for k in (1, 2) for n in (k * _PRIME_CHUNK - 1,
-                                                         k * _PRIME_CHUNK,
-                                                         k * _PRIME_CHUNK + 1)]
-    cases += [(x, int(ps[i])) for i in (_PRIME_CHUNK - 1, _PRIME_CHUNK)]
+    assert len(ps) > 2 * PRIME_CHUNK + 1
+    cases = [(int(ps[n - 1]), 1) for k in (1, 2) for n in (k * PRIME_CHUNK - 1,
+                                                         k * PRIME_CHUNK,
+                                                         k * PRIME_CHUNK + 1)]
+    cases += [(x, int(ps[i])) for i in (PRIME_CHUNK - 1, PRIME_CHUNK)]
     rng = np.random.default_rng(3)
     values = np.exp(1j * rng.uniform(-3, 3, len(ps)))
     table_spec = make_prime_table_spec(dict(zip(ps.tolist(), values.tolist())))
@@ -183,7 +204,7 @@ def test_distance_byte_identical_at_chunk_edges(table_medium):
 def test_distance_missing_table_prime_raises_like_the_whole_array(table_medium):
     # the first missing prime sits in the second chunk
     ps = table_medium.primes_upto(2 * 10**5)
-    missing = int(ps[_PRIME_CHUNK + 5])
+    missing = int(ps[PRIME_CHUNK + 5])
     spec = make_prime_table_spec({int(p): 0.5j for p in ps if p != missing})
     with pytest.raises(PreconditionError) as want:
         _distance_squared_whole(spec, One(), 2 * 10**5, table_medium)
@@ -205,7 +226,7 @@ def test_distance_peak_is_one_float_per_prime(table_large):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * len(table_large.primes_upto(x)) + 12 * 16 * _PRIME_CHUNK
+    assert peak <= 8 * len(table_large.primes_upto(x)) + 12 * 16 * PRIME_CHUNK
 
 
 def test_twist_objective_matches_distance():
@@ -381,10 +402,7 @@ def _kernel_values(f, x, chars, A):
     """{psi: (t, kernel value)} of one scan of chars, as find_exceptional
     runs it but refining every character; with A = 0, the kernel read at
     t = 0."""
-    data = _PrimeData(prime_values(f, _table().primes_upto(x), _table()), x, 1, _table())
-    ts, vals = _scan(data, chars, A, len(chars))
-    if vals is None:
-        vals = _CellMoments(data, chars).grid(np.zeros(1))[0]
+    ts, vals = _scan(_PrimeData(f, x, _table()), chars, A, len(chars))
     return {psi: (t, float(v)) for psi, t, v in zip(chars, ts, vals)}
 
 
@@ -476,15 +494,26 @@ def test_min_distance_over_t_agrees_with_the_scan(text):
 
 
 def test_find_exceptional_evaluates_f_once_per_scan(monkeypatch):
-    calls = []
+    # one read of f through the shared reader, whose chunks of at most
+    # PRIME_CHUNK primes cover the primes up to x once
+    reads, chunks = [], []
+
+    def reading(spec, primes, table):
+        reads.append(len(primes))
+        return read_prime_values(spec, primes, table)
 
     def counting(spec, primes, table):
-        calls.append(len(primes))
+        chunks.append(len(primes))
         return prime_values(spec, primes, table)
 
-    monkeypatch.setattr("pretentious.pretension.prime_values", counting)
-    find_exceptional(Mobius(), 10**4, 10, 1.0, _table())  # 17 characters
-    assert calls == [len(_table().primes_upto(10**4))]
+    monkeypatch.setattr("pretentious.pretension.read_prime_values", reading)
+    monkeypatch.setattr("pretentious.funcspec.prime_values", counting)
+    x = 10**5
+    find_exceptional(Mobius(), x, 10, 1.0, _table())  # 17 characters
+    n = len(_table().primes_upto(x))
+    assert reads == [n]
+    assert sum(chunks) == n and len(chunks) == -(-n // PRIME_CHUNK) > 1
+    assert max(chunks) <= PRIME_CHUNK
 
 
 def test_even_objective_reports_nonnegative_t():
@@ -506,15 +535,15 @@ def _is_even_oracle(data, psi):
 
 
 def _assert_is_even_matches_oracle(f, x, chars):
-    """_is_even against the oracle on the scan's data (q = 1) and on each
+    """_is_even against the oracle on the scan's data and on each
     character's own conductor data; returns the oracle's answers."""
     fv = prime_values(f, _table().primes_upto(x), _table())
-    scan = _PrimeData(fv, x, 1, _table())
+    scan = _PrimeData(f, x, _table())
     out = []
     for psi in chars:
         want = _is_even_oracle(scan, psi)
         assert _is_even(scan, psi) == want, psi.serial
-        own = _PrimeData(fv, x, psi.q, _table())
+        own = _data(f, psi, x, _table(), fv)
         assert _is_even(own, psi) == _is_even_oracle(own, psi) == want, psi.serial
         out.append(want)
     return out
@@ -643,8 +672,7 @@ def test_triangle_inequality(fa, fb, fc, x):
     st.integers(1, 120),
 )
 def test_rotated_grid_matches_direct_objective(text, psi, x, A, t0, n):
-    fv = prime_values(parse_spec(text), _table().primes_upto(x), _table())
-    data = _PrimeData(fv, x, psi.q, _table())
+    data = _PrimeData(parse_spec(text), x, _table())
     obj = TwistObjective(data, psi)
     ts = np.linspace(t0, t0 + A, n)
     direct = np.array([obj(float(t)) for t in ts])
@@ -655,8 +683,7 @@ def test_rotated_grid_drift_over_a_long_grid():
     # T = 100 at x = 1e5: 2,933 grid points, so the rounding of each
     # rotation step compounds over 2,932 multiplications
     x, T, psi = 10**5, 100.0, character_by_index(7, 3)
-    fv = prime_values(parse_spec("prod(char:5:2,nit:1.0)"), _table().primes_upto(x), _table())
-    data = _PrimeData(fv, x, psi.q, _table())
+    data = _PrimeData(parse_spec("prod(char:5:2,nit:1.0)"), x, _table())
     obj = TwistObjective(data, psi)
     h = GRID_SPACING_FACTOR / math.log(x)
     ts = np.linspace(-T, T, int(math.ceil(2 * T / h)) + 1)
@@ -667,8 +694,7 @@ def test_rotated_grid_drift_over_a_long_grid():
 
 def _character_grids(f, r, x, ts):
     """Every primitive character mod r on the grid ts, from one kernel."""
-    data = _PrimeData(prime_values(f, _table().primes_upto(x), _table()), x, r, _table())
-    return _CellMoments(data, _primitive_characters(r)).grid(ts)
+    return _CellMoments(_PrimeData(f, x, _table()), _primitive_characters(r)).grid(ts)
 
 
 @settings(max_examples=80, deadline=None)
@@ -731,7 +757,7 @@ def test_scan_peak_memory_within_the_per_character_scan(table_medium):
         fv = prime_values(f, table_medium.primes_upto(x), table_medium)
         for psi in primitive_characters_upto(Q):
             # each character's prime data stays alive while its objective runs
-            data = _PrimeData(fv, x, psi.q, table_medium)
+            data = _data(f, psi, x, table_medium, fv)
             _rotated_minimize_twist(TwistObjective(data, psi), A, x, _is_even_oracle(data, psi))
 
     find_exceptional(f, 10**4, Q, A, table_medium)  # warm the character caches
@@ -748,7 +774,7 @@ def test_scan_peak_memory_within_the_per_character_scan_at_q_20(table_medium):
         fv = prime_values(f, table_medium.primes_upto(x), table_medium)
         for psi in primitive_characters_upto(Q):
             # each character's prime data stays alive while its objective runs
-            data = _PrimeData(fv, x, psi.q, table_medium)
+            data = _data(f, psi, x, table_medium, fv)
             _rotated_minimize_twist(TwistObjective(data, psi), A, x, _is_even_oracle(data, psi))
 
     find_exceptional(f, 10**4, Q, A, table_medium)  # warm the character caches
@@ -817,8 +843,8 @@ class _ConductorCellMoments:
             steps[:, 1:] = (-1j * (t - 2.0 * T_BLOCK * j))[:, None] / np.arange(1, MOMENTS)
             E = np.exp(np.multiply.outer(t, self.centres) * -1j)
             R = (E @ W).reshape(len(rows), MOMENTS, k)
-            out[rows] = self.data.base - np.einsum("nm,nmk->nk", np.cumprod(steps, axis=1),
-                                                   R).real
+            out[rows] = self.data.base(self.data.q) - np.einsum(
+                "nm,nmk->nk", np.cumprod(steps, axis=1), R).real
         return out if col is None else out[:, 0]
 
 
@@ -851,7 +877,8 @@ def _conductor_oracle(f, x, Q, A):
     for r in range(1, Q + 1):
         chars = _primitive_characters(r)
         if chars:
-            out.update(zip(chars, _conductor_scan(_PrimeData(fv, x, r, _table()), chars, A)))
+            out.update(zip(chars, _conductor_scan(_DivisorFreeData(f, x, r, _table(), fv),
+                                                  chars, A)))
     return out
 
 
@@ -877,12 +904,12 @@ def test_all_conductor_kernel_matches_each_conductor_kernel(text):
     fv = prime_values(f, _table().primes_upto(x), _table())
     ts = np.linspace(-20.0, 20.0, 301)
     chars = primitive_characters_upto(Q)
-    vals = _CellMoments(_PrimeData(fv, x, 1, _table()), chars).grid(ts)
+    vals = _CellMoments(_PrimeData(f, x, _table()), chars).grid(ts)
     col = 0
     for r in range(1, Q + 1):
         own = _primitive_characters(r)
         if own:
-            kernel = _CellMoments(_PrimeData(fv, x, r, _table()), own)
+            kernel = _CellMoments(_DivisorFreeData(f, x, r, _table(), fv), own)
             assert np.array_equal(vals[:, col:col + len(own)], kernel.grid(ts)), r
             col += len(own)
     assert col == len(chars)
@@ -892,9 +919,8 @@ def test_per_column_grids_across_t_blocks():
     # each column's own grid spans several t-blocks; every point is taken
     # from the moments of its own block
     f, x = parse_spec("prod(char:5:2,nit:1.0)"), 10**5
-    fv = prime_values(f, _table().primes_upto(x), _table())
     chars = primitive_characters_upto(12)
-    kernel = _CellMoments(_PrimeData(fv, x, 1, _table()), chars)
+    kernel = _CellMoments(_PrimeData(f, x, _table()), chars)
     ts = np.sort(np.random.default_rng(7).uniform(-30.0, 30.0, (len(chars), 17)), axis=1)
     vals = kernel.grids([(ts, np.arange(len(chars)))])[0]
     for k, psi in enumerate(chars):
@@ -902,11 +928,24 @@ def test_per_column_grids_across_t_blocks():
         assert np.max(np.abs(vals[k] - [obj(float(t)) for t in ts[k]])) <= 1e-12, psi.serial
 
 
+def test_cell_edges_match_the_whole_array_edges(table_medium):
+    # the chunk edges of the class sums, found one window at a time, against
+    # those from the cells of every prime at once; pi(x) at and around a
+    # multiple of the chunk, where the last window ends
+    ps = table_medium.primes_upto(10**6)
+    for x in (*(int(ps[2 * PRIME_CHUNK + k]) for k in (-2, -1, 0)), 10**6):
+        data = _PrimeData(Mobius(), x, table_medium)
+        cell = np.floor(data.logp / CELL_WIDTH).astype(np.intp)
+        starts = np.searchsorted(cell, cell[::PRIME_CHUNK])
+        kernel = _CellMoments(data, [DirichletCharacter(1, ())])
+        assert kernel._edges == [*sorted(set(starts.tolist())), len(cell)], x
+        assert kernel._cells == int(cell[-1]) + 1 - FIRST_CELL
+
+
 def test_phase_table_matches_exp():
     # e^(-itu_aL) e^(-itb delta) against one exp per cell; both round the
     # phase t u_c, so they agree to a few ulp of |t u_c|
-    fv = prime_values(Mobius(), _table().primes_upto(10**5), _table())
-    kernel = _CellMoments(_PrimeData(fv, 10**5, 1, _table()), [DirichletCharacter(1, ())])
+    kernel = _CellMoments(_PrimeData(Mobius(), 10**5, _table()), [DirichletCharacter(1, ())])
     for T in (0.01, 1.0, 12.0, 100.0):
         ts = np.linspace(-T, T, 501)
         tu = np.multiply.outer(ts, kernel.centres)
@@ -964,7 +1003,7 @@ def test_conductor_bound_above_max_modulus_refused_before_the_scan(monkeypatch):
     def never(*args):
         raise AssertionError("the scan started")
 
-    monkeypatch.setattr("pretentious.pretension.prime_values", never)
+    monkeypatch.setattr("pretentious.pretension.read_prime_values", never)
     monkeypatch.setattr("pretentious.pretension.primitive_characters_upto", never)
     with pytest.raises(PreconditionError, match="conductor bound"):
         find_exceptional(Mobius(), 1000, MAX_MODULUS + 1, 1.0, _table())
@@ -972,7 +1011,7 @@ def test_conductor_bound_above_max_modulus_refused_before_the_scan(monkeypatch):
 
 # The scan's last stage before it reported the kernel's values, kept as the
 # oracle: the direct D^2 of every primitive character of conductor <= Q at
-# the t the scan chose, one _PrimeData per conductor, and the whole spectrum
+# the t the scan chose, one prime data per conductor, and the whole spectrum
 # in order.  Returned with the kernel values of the same scan.
 def _direct_spectrum(f, x, Q, A):
     fv = prime_values(f, _table().primes_upto(x), _table())
@@ -980,7 +1019,7 @@ def _direct_spectrum(f, x, Q, A):
     kernel = _kernel_values(f, x, chars, A)
     entries = []
     for r, group in itertools.groupby(chars, key=lambda psi: psi.q):
-        data = _PrimeData(fv, x, r, _table())
+        data = _DivisorFreeData(f, x, r, _table(), fv)
         entries += [SpectrumEntry(psi, r, kernel[psi][0],
                                   TwistObjective(data, psi)(kernel[psi][0])) for psi in group]
     return _spectrum_order(entries), kernel
@@ -1067,6 +1106,53 @@ def test_scans_build_one_prime_data_and_no_direct_objective(monkeypatch):
     assert "_PrimeData" in built and "TwistObjective" not in built
 
 
+@pytest.mark.parametrize("text", ["mobius", "liouville", "threshold:300000", "one",
+                                  "legendre:7"])
+def test_prime_data_holds_the_sign_families_as_int8(text, table_medium):
+    # f(p) in the fill's int8, beside 1/p and log p in float64: 17 bytes per
+    # prime, and the read holds one chunk of prime_values at a time
+    f, x = parse_spec(text), 10**6
+    ps = table_medium.primes_upto(x)
+    _PrimeData(f, x, table_medium)  # warm the caches
+    tracemalloc.start()
+    try:
+        data = _PrimeData(f, x, table_medium)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.fv.dtype == np.int8
+    assert np.array_equal(data.fv, prime_values(f, ps, table_medium))
+    assert peak <= 17 * len(ps) + 4 * 8 * PRIME_CHUNK, peak
+
+
+# the one-character scans of min_distance_over_t and coprime_mean_bound ran
+# on their modulus's divisor-free data before every scan shared one mode
+_ONE_CHARACTER_SCANS = [
+    *(character_by_index(q, 0) for q in (2, 6, 30, 210)),
+    *(induce(psi, 30) for psi in enumerate_characters(5)[1:]),
+    *(induce(psi, 42) for psi in enumerate_characters(7)[1:]),
+    *enumerate_characters(60)[:8],
+]
+
+
+@pytest.mark.parametrize("text", ["mobius", "prod(char:5:2,nit:1.0)"])
+def test_one_character_scans_match_the_divisor_free_data(text, table_medium):
+    f = parse_spec(text)
+    for x in (10**5, 10**6):
+        fv = prime_values(f, table_medium.primes_upto(x), table_medium)
+        for psi in _ONE_CHARACTER_SCANS:
+            oracle = _data(f, psi, x, table_medium, fv)
+            for A in (0.0, 2.0, 12.0):
+                (t,), (d2,) = _scan(oracle, [psi], A, 1)
+                got = min_distance_over_t(f, psi, x, A, table_medium)
+                assert got == (t, float(d2)), (x, psi.serial, psi.q, A)
+        for r in (2, 6, 30):
+            principal = character_by_index(r, 0)
+            (t,), (d2,) = _scan(_data(f, principal, x, table_medium, fv), [principal], 2.0, 1)
+            cb = coprime_mean_bound(f, x, r, 2.0, table_medium)
+            assert (cb.t_star, cb.squared_distance) == (t, float(d2)), (x, r)
+
+
 @pytest.mark.parametrize("depth", [0, -1])
 def test_find_exceptional_refuses_a_depth_below_one(depth):
     with pytest.raises(PreconditionError):
@@ -1081,12 +1167,12 @@ def test_scan_values_within_the_selection_margin_of_the_direct_sum(text):
     f, x, Q = parse_spec(text), 10**5, 20
     fv = prime_values(f, _table().primes_upto(x), _table())
     chars = primitive_characters_upto(Q)
-    data = _PrimeData(fv, x, 1, _table())
+    data = _PrimeData(f, x, _table())
     for A in (0.0, 2e-7, 3.0, 12.0):
         ts, vals = _scan(data, chars, A, len(chars))
         if A == 0:
-            assert vals is None
-            vals = _CellMoments(data, chars).grid(np.zeros(1))[0]
+            assert ts == [0.0] * len(chars)
+            assert np.array_equal(vals, _CellMoments(data, chars).grid(np.zeros(1))[0])
         for psi, t, v in zip(chars, ts, vals):
             d2 = _objective(f, psi, x, _table(), fv=fv)(t)
             assert abs(v - d2) <= 1e-12, (psi.serial, A, t, v, d2)
@@ -1156,7 +1242,7 @@ def test_pruned_characters_stay_above_their_lower_bound():
         f = parse_spec(text)
         fv = prime_values(f, ps, _table())
         M2 = float(np.sum(np.abs(fv) * np.log(ps) ** 2 / ps))
-        kernel = _CellMoments(_PrimeData(fv, x, 1, _table()), chars)
+        kernel = _CellMoments(_PrimeData(f, x, _table()), chars)
         coarse = {}
         for even in (False, True):
             ts = _coarse_grid(even, A, x)
@@ -1200,40 +1286,27 @@ def test_scan_does_not_import_numpy_ma():
 
 
 _SCAN_AT_1E8 = """
-import json, resource
 from pretentious.arith import PrimeTable
 from pretentious.funcspec import CharacterSpec, Mobius, Product, Twist
 from pretentious.pretension import distance_squared, find_exceptional
 x = 10**8
 table = PrimeTable(x)
 rep = find_exceptional(Mobius(), x, 10, 2.0, table)
-try:  # this process's own peak; see the test
-    with open("/proc/self/status") as fh:
-        rss_mb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
-except OSError:
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 q, t = rep.psi.q, rep.t
 g = Product((CharacterSpec(q, rep.psi.index), Twist(t)))
 direct = distance_squared(Mobius(), g, x, table, r=q).squared_distance
-print(json.dumps(dict(rss_mb=rss_mb, entries=len(rep.spectrum), best=rep.psi.serial, t=t,
-                      gap=abs(rep.squared_distance - direct))))
+out = dict(entries=len(rep.spectrum), best=rep.psi.serial, t=t,
+           gap=abs(rep.squared_distance - direct))
 """
 
 
-def test_find_exceptional_at_1e8_in_bounded_memory():
+def test_find_exceptional_at_1e8_in_bounded_memory(fresh_process):
     # its own process, whose peak RSS is the scan's: PrimeTable(1e8) is
     # about 160 MB, and the per-conductor direct D^2 that the kernel's
-    # values replaced took the scan to about 456 MB.  The peak is read as
-    # VmHWM where there is one: ru_maxrss keeps the high-water mark of the
-    # process that forked the child across exec, so under pytest it reads at
-    # least the test runner's own peak
-    src = str(Path(pretentious.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", _SCAN_AT_1E8], capture_output=True,
-                          text=True, env=env, timeout=600)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    out = json.loads(proc.stdout)
-    assert out["rss_mb"] <= 400
+    # values replaced took the scan to about 456 MB, the scan's arrays over
+    # all primes of M2's terms and of the cells to 324 MB
+    out = fresh_process(_SCAN_AT_1E8)
+    assert out["rss_mb"] <= 300
     assert out["entries"] == 10
     assert (out["best"], out["t"]) == ("char:5:2", 0.0)
     assert out["gap"] <= 1e-12
