@@ -1,17 +1,19 @@
 """Primes and factorization.
 
-Desk scale: PrimeTable(1e7) takes about 0.07 s and PrimeTable(1e8) about
-1.1 s at a peak RSS of 162 MB (2-CPU Xeon, numpy 2.4.6).  The sieve runs in
-fixed-width segments, so its working memory stays flat, and a PrimeTable
-holds nothing but the primes.  Every factorization, of table entries and
-of small integers (moduli, group orders, table keys) alike, is
-`factorize_small`'s trial division by 2 and the odd numbers.
+A PrimeTable holds its limit and sieves on first use, so a call that
+refuses its input before it reads the primes never sieves.  Desk scale:
+sieving to 1e7 takes about 0.07 s and to 1e8 about 1.1 s at a peak RSS of
+162 MB (2-CPU Xeon, numpy 2.4.6).  The sieve runs in fixed-width segments,
+so its working memory stays flat, and a PrimeTable holds nothing but the
+primes.  Every factorization, of table entries and of small integers
+(moduli, group orders, table keys) alike, is `factorize_small`'s trial
+division by 2 and the odd numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 
 import numpy as np
@@ -114,8 +116,8 @@ def sieve_primes(limit: int) -> np.ndarray:
 
 
 class PrimeTable:
-    """The primes up to `limit`, and the factorization of every n <= limit
-    by trial division."""
+    """The primes up to `limit`, sieved on first use, and the factorization
+    of every n <= limit by trial division."""
 
     def __init__(self, limit: int):
         if not 2 <= limit <= MAX_SIEVE_LIMIT:
@@ -123,7 +125,10 @@ class PrimeTable:
                 f"PrimeTable limit must be in [2, {MAX_SIEVE_LIMIT}], got {limit}"
             )
         self.limit = limit
-        self.primes = sieve_primes(limit)
+
+    @cached_property
+    def primes(self) -> np.ndarray:
+        return sieve_primes(self.limit)
 
     def __repr__(self):
         return f"PrimeTable(limit={self.limit}, primes={len(self.primes)})"

@@ -125,7 +125,10 @@ class UnitGroupStructure:
         return dict(zip(self.units.tolist(), map(tuple, self.exponents.tolist())))
 
 
-@lru_cache(maxsize=None)
+# bounded: the tables of every q <= MAX_MODULUS hold 1.3 GB, and a scan of
+# bad moduli to R = 10^4 visits them all; 1024 holds the groups of every
+# r <= 1000, which the scans at x = 10^6 and q >= 1 revisit
+@lru_cache(maxsize=1024)
 def unit_group(q: int) -> UnitGroupStructure:
     return UnitGroupStructure(q)
 

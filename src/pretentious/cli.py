@@ -10,12 +10,11 @@ parameters: `config.params` is every parsed flag except the ones in
 `STEERING`, which steer the run rather than parametrize it, and
 `config.threads` sits beside it. Each `_cmd_*` only computes and returns
 its result; `main` writes the report. The parser checks types, signs and
-finiteness. `pretension find`, `meanvalues report`, `halasz` and `euler`,
-and `sieve bad-moduli` and `legendre` run the library's own checks of Q, q,
-T, truncation, eta and a before they build a prime table; the library call
-checks every other precondition. Exit codes: 0 success, 2 malformed
-arguments or spec strings, 3 precondition violations, 4 theorem-assertion
-failures (the latter always indicate an implementation bug, not bad input).
+finiteness; the library call checks every other precondition before it
+reads the prime table, which sieves on first use. Exit codes: 0 success,
+2 malformed arguments or spec strings, 3 precondition violations, 4
+theorem-assertion failures (the latter always indicate an implementation
+bug, not bad input).
 """
 
 from __future__ import annotations
@@ -44,19 +43,10 @@ from .characters import (
 from .constants import all_constants, delta0, delta1, repulsion_constant, repulsion_minimum
 from .errors import PreconditionError, SpecParseError, TheoremViolation
 from .funcspec import FunctionSpec, parse_spec
-from .meanvalues import (
-    _check_halasz_T,
-    _check_report_modulus,
-    _check_truncation,
-    euler_product_mean,
-    halasz_bound,
-    progression_report,
-)
+from .meanvalues import euler_product_mean, halasz_bound, progression_report
 from .nearchar import ApproxHomomorphism, nearest_character
-from .pretension import _check_conductor_bound, find_exceptional
+from .pretension import find_exceptional
 from .sieve_experiments import (
-    _check_class,
-    _check_eta,
     bad_moduli,
     legendre_progression_experiment,
     multiplicativity_defect,
@@ -169,7 +159,6 @@ def _cmd_constants(args):
 
 def _cmd_pretension_find(args):
     f = parse_spec(args.f)
-    _check_conductor_bound(args.Q)
     return find_exceptional(f, args.x, args.Q, args.A, PrimeTable(args.x), depth=args.depth)
 
 
@@ -196,8 +185,6 @@ def _report_csv(report) -> str:
 
 def _cmd_meanvalues_report(args):
     f = parse_spec(args.f)
-    _check_report_modulus(args.q, args.x)
-    _check_conductor_bound(args.Q)
     report = progression_report(f, args.x, args.q, args.Q, args.A, PrimeTable(args.x))
     fmt = args.format
     if fmt is None:
@@ -207,13 +194,11 @@ def _cmd_meanvalues_report(args):
 
 def _cmd_meanvalues_halasz(args):
     f = parse_spec(args.f)
-    _check_halasz_T(args.T)
     return halasz_bound(f, args.x, args.T, PrimeTable(args.x))
 
 
 def _cmd_meanvalues_euler(args):
     f = parse_spec(args.f)
-    _check_truncation(args.truncation, args.x)
     return euler_product_mean(f, args.x, PrimeTable(args.x), t=args.t, q=args.q,
                               truncation=args.truncation)
 
@@ -223,8 +208,6 @@ def _cmd_meanvalues_euler(args):
 
 def _cmd_sieve_bad_moduli(args):
     f = parse_spec(args.f)
-    _check_eta(args.eta)
-    _check_class(args.q, args.a)
     # class values reach n*q + a <= x + q, so sieve slightly past x
     table = PrimeTable(args.x + args.q)
     report = bad_moduli(f, args.x, args.q, args.a, args.eta, table)
@@ -237,7 +220,6 @@ def _cmd_sieve_defect(args):
 
 
 def _cmd_sieve_legendre(args):
-    _check_class(args.q, args.a)
     table = PrimeTable(max(args.x, args.p_limit))
     report = legendre_progression_experiment(args.q, args.a, args.x, args.p_limit, table)
     return report if args.verbose else dataclasses.replace(report, running=())

@@ -106,14 +106,20 @@ def _class_sums(v: np.ndarray, r: int, start: int, acc: np.ndarray | None = None
     return c if acc is None else acc + c
 
 
-def progression_sums(f: FunctionSpec, x: int, q: int, table: PrimeTable) -> ProgressionTable:
-    """F(x; q, a) for every class a mod q, from f streamed one block of n
-    at a time: no length-x array is ever held.  Blocks are at least q wide,
-    so for q >= 2 the sums equal those of the whole array bit for bit."""
+def _check_sums(x: int, q: int, table: PrimeTable):
+    """progression_sums' preconditions; callers that build unit_group(q)
+    before the sums check them first, so their refusals come in one order."""
     if not 1 <= q <= x:
         raise PreconditionError(f"need 1 <= q <= x, got q={q}, x={x}")
     if x > table.limit:
         raise PreconditionError(f"x={x} exceeds table limit {table.limit}")
+
+
+def progression_sums(f: FunctionSpec, x: int, q: int, table: PrimeTable) -> ProgressionTable:
+    """F(x; q, a) for every class a mod q, from f streamed one block of n
+    at a time: no length-x array is ever held.  Blocks are at least q wide,
+    so for q >= 2 the sums equal those of the whole array bit for bit."""
+    _check_sums(x, q, table)
     sums = None
     for lo, block in _fill_blocks(f, x, table, min_width=q):
         # f(0) = 0, so class 0 needs no correction; int8 sums come back int64
@@ -146,9 +152,10 @@ def decompose_via_characters(
     """(F(x;q,a), character-sum reconstruction); equal up to float error."""
     if math.gcd(a, q) != 1:
         raise PreconditionError(f"decomposition needs gcd(a, q) = 1, got a={a}, q={q}")
+    _check_sums(x, q, table)
+    G = unit_group(q)
     pt = progression_sums(f, x, q, table)
     lhs = complex(pt.sums[a % q])
-    G = unit_group(q)
     # sum over units b of conj(chi(b)) F(x;q,b), for every chi in one
     # transform; in long double, since at x = 1e8 the class sums reach 1e7,
     # where one float64 rounding is already 2e-9
@@ -167,15 +174,11 @@ class HalaszBound:
     measured: float
 
 
-def _check_halasz_T(T: float):
-    if T < 1:
-        raise PreconditionError(f"need T >= 1, got {T}")
-
-
 def halasz_bound(f: FunctionSpec, x: int, T: float, table: PrimeTable) -> HalaszBound:
     """Upper bound (1 + D^2) e^(-D^2) + 1/sqrt(T) for |sum f(n)| / x,
     with D^2 the best unrestricted twist distance over |t| <= T."""
-    _check_halasz_T(T)
+    if T < 1:
+        raise PreconditionError(f"need T >= 1, got {T}")
     t_star, d2 = min_distance_over_t(f, character_by_index(1, 0), x, T, table)
     bound = (1.0 + d2) * math.exp(-d2) + 1.0 / math.sqrt(T)
     measured = abs(complex(progression_sums(f, x, 1, table).sums[0])) / x
@@ -263,14 +266,6 @@ class EulerProductValue:
     tail_log_bound: float
 
 
-def _check_truncation(truncation: int | None, x: int) -> int:
-    """The prime cutoff P, x when truncation is None, once 2 <= P <= x."""
-    P = x if truncation is None else truncation
-    if not 2 <= P <= x:
-        raise PreconditionError(f"need 2 <= truncation <= x, got {P}")
-    return P
-
-
 def euler_product_mean(
     f: FunctionSpec,
     x: int,
@@ -293,7 +288,11 @@ def euler_product_mean(
     float64 per prime plus a few chunks, and every field equals that of the
     whole-array computation bit for bit.
     """
-    P = _check_truncation(truncation, x)
+    P = x if truncation is None else truncation
+    if not 2 <= P <= x:
+        raise PreconditionError(f"need 2 <= truncation <= x, got {P}")
+    if q < 1:
+        raise PreconditionError(f"need q >= 1, got q={q}")
     primes = table.primes_upto(P)
     product = 1 + 0j
 
@@ -350,11 +349,6 @@ class ProgressionReport:
     error_ref_log_window: float
 
 
-def _check_report_modulus(q: int, x: int):
-    if not 1 <= q <= min(x, MAX_MODULUS):
-        raise PreconditionError(f"need 1 <= q <= min(x, {MAX_MODULUS}), got q={q}, x={x}")
-
-
 def progression_report(
     f: FunctionSpec,
     x: int,
@@ -376,7 +370,8 @@ def progression_report(
     Both take the unknowable o(1) to be 0, so they are reference curves,
     not bounds to assert.
     """
-    _check_report_modulus(q, x)
+    if not 1 <= q <= min(x, MAX_MODULUS):
+        raise PreconditionError(f"need 1 <= q <= min(x, {MAX_MODULUS}), got q={q}, x={x}")
     exc = find_exceptional(f, x, Q, A, table)
     r_div = q % exc.conductor == 0
     G = unit_group(q)

@@ -364,11 +364,6 @@ def _coarse_grid(even: bool, A: float, x: int) -> np.ndarray:
     return np.linspace(lo, A, max(3, int(math.ceil((A - lo) / h)) + 1))
 
 
-def _check_conductor_bound(Q: int):
-    if not 1 <= Q <= MAX_MODULUS:
-        raise PreconditionError(f"conductor bound must be in [1, {MAX_MODULUS}], got {Q}")
-
-
 def _check_twist_bound(A: float):
     if not 0 <= A < math.inf:
         raise PreconditionError(f"twist bound A must be finite and >= 0, got {A}")
@@ -387,7 +382,6 @@ def _scan(data: _PrimeData, chars: list[DirichletCharacter], A: float,
     every t is 0, and the values are the kernel read there.  A
     character whose LB (see the module docstring) exceeds v + TIE_TOL +
     4 KERNEL_TOL, v the depth-th smallest coarse minimum, is not refined."""
-    _check_twist_bound(A)
     if A == 0:
         return [0.0] * len(chars), _CellMoments(data, chars).grid(np.zeros(1))[0]
     t = np.zeros(len(chars))
@@ -469,6 +463,7 @@ def min_distance_over_t(
     q = psi.q; D^2 is the scan kernel's value, as in `find_exceptional`."""
     if x < 2:
         raise PreconditionError(f"distance needs x >= 2, got {x}")
+    _check_twist_bound(A)
     (t,), (d2,) = _scan(_PrimeData(f, x, table), [psi], A, 1)
     return t, float(d2)
 
@@ -533,7 +528,8 @@ def find_exceptional(
     """
     if x < 3 or x > table.limit:
         raise PreconditionError(f"need 3 <= x <= table limit {table.limit}, got {x}")
-    _check_conductor_bound(Q)
+    if not 1 <= Q <= MAX_MODULUS:
+        raise PreconditionError(f"conductor bound must be in [1, {MAX_MODULUS}], got {Q}")
     if depth < 1:
         raise PreconditionError(f"spectrum depth must be >= 1, got {depth}")
     _check_twist_bound(A)

@@ -34,7 +34,7 @@ from .arith import PrimeTable, divisors
 from .characters import primitive_mask, unit_group, unit_group_transform
 from .errors import PreconditionError, TheoremViolation
 from .funcspec import FunctionSpec, _fill_blocks, _legendre_row, evaluate
-from .meanvalues import _class_sums, progression_sums
+from .meanvalues import _check_sums, _class_sums, progression_sums
 
 LARGE_SIEVE_SLACK = 1e-9
 
@@ -193,6 +193,7 @@ def transfer_check(
     Preconditions: r squarefree, coprime to q, and "good": no divisor
     ell > 1 of r reaches the eta mass threshold.
     """
+    _check_eta(eta)
     if math.gcd(r, q) != 1:
         raise PreconditionError(f"need gcd(r, q) = 1, got r={r}, q={q}")
     fr = table.factorize(r)
@@ -231,8 +232,9 @@ def multiplicativity_defect(f: FunctionSpec, x: int, q: int, table: PrimeTable) 
     """max over unit pairs (a, b) of |F(ab)F(1) - F(a)F(b)|, normalized by
     (x/q) max_c |F(c)|.  Near-multiplicativity of a -> F(x;q,a) is an
     asymptotic statement far beyond desk scale, so treat this as trend data."""
-    pt = progression_sums(f, x, q, table)
+    _check_sums(x, q, table)
     G = unit_group(q)
+    pt = progression_sums(f, x, q, table)
     units = [int(u) for u in G.units]
     Fv = {a: complex(pt.sums[a]) for a in units}
     F1 = Fv[1 % q]

@@ -12,6 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pretentious import arith
 from pretentious.arith import (
     MAX_SIEVE_LIMIT,
     PrimeTable,
@@ -100,3 +101,20 @@ def test_table_limit_guard():
         PrimeTable(MAX_SIEVE_LIMIT + 1)
     with pytest.raises(PreconditionError):
         PrimeTable(0)
+
+
+def test_table_sieves_once_on_first_use(monkeypatch):
+    calls = []
+
+    def counted(limit):
+        calls.append(limit)
+        return sieve_primes(min(limit, 1000))
+
+    monkeypatch.setattr(arith, "sieve_primes", counted)
+    table = PrimeTable(10**8)
+    assert calls == []
+    assert table.factorize(360).divisor_count() == 24
+    assert calls == []
+    assert table.primes_upto(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert len(table.primes_upto(1000)) == 168
+    assert calls == [10**8]

@@ -121,6 +121,17 @@ def test_grid_walk_matches_dict_walk(qs):
             assert np.array_equal(got, table), (q, name)
 
 
+def test_unit_group_cache_is_bounded(fresh_process):
+    # the tables of every modulus <= 10^4 hold 1.3 GB, and a scan of bad
+    # moduli at R = 10^4 builds them all
+    out = fresh_process("""
+from pretentious.characters import MAX_MODULUS, unit_group
+out = {"phi_sum": sum(unit_group(r).phi for r in range(1, MAX_MODULUS + 1))}
+""")
+    assert out["phi_sum"] == 30397486
+    assert out["rss_mb"] <= 500
+
+
 # Test-only oracles: both orthogonality relations, exactly, from exponent
 # tuples.
 def orthogonality_row_sum(q: int, a: int, b: int) -> int:

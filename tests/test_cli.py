@@ -15,7 +15,11 @@ from pretentious.arith import PrimeTable
 from pretentious.errors import PreconditionError, TheoremViolation
 from pretentious.funcspec import Mobius
 from pretentious.meanvalues import euler_product_mean, halasz_bound
-from pretentious.sieve_experiments import bad_moduli, legendre_progression_experiment
+from pretentious.sieve_experiments import (
+    bad_moduli,
+    legendre_progression_experiment,
+    multiplicativity_defect,
+)
 
 TOP_KEYS = {"version", "command", "config", "timestamp", "result"}
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -248,7 +252,7 @@ def test_conductor_bound_above_max_modulus_exits_3_before_the_scan(monkeypatch, 
     def never(*args):
         raise AssertionError("the scan started")
 
-    monkeypatch.setattr("pretentious.cli.PrimeTable", never)
+    monkeypatch.setattr("pretentious.arith.sieve_primes", never)
     monkeypatch.setattr("pretentious.pretension.read_prime_values", never)
     monkeypatch.setattr("pretentious.pretension.primitive_characters_upto", never)
     code, out, err = run_cli(capsys, [*command, "--x", "1000", "--Q", "10001", "--A", "1"])
@@ -262,7 +266,7 @@ def test_report_modulus_out_of_range_exits_3_before_the_sieve(monkeypatch, capsy
     def never(*args):
         raise AssertionError("the sieve started")
 
-    monkeypatch.setattr("pretentious.cli.PrimeTable", never)
+    monkeypatch.setattr("pretentious.arith.sieve_primes", never)
     code, out, err = run_cli(capsys, ["meanvalues", "report", "--f", "mobius", "--q", q,
                                       "--x", x, "--Q", "10", "--A", "2"])
     assert code == 3
@@ -286,16 +290,20 @@ _SMALL = PrimeTable(2000)
      lambda: bad_moduli(Mobius(), 1000, 5, 5, 0.5, _SMALL)),
     (["sieve", "legendre", "--q", "6", "--a", "4", "--x", "100000000", "--p-limit", "100"],
      lambda: legendre_progression_experiment(6, 4, 1000, 100, _SMALL)),
+    (["sieve", "defect", "--f", "mobius", "--q", "200000000", "--x", "100000000"],
+     lambda: multiplicativity_defect(Mobius(), 100000000, 200000000, _SMALL)),
+    (["sieve", "defect", "--f", "mobius", "--q", "20011", "--x", "100000000"],
+     lambda: multiplicativity_defect(Mobius(), 10**8, 20011, PrimeTable(10**8))),
 ])
 def test_refused_flag_exits_3_before_the_sieve(monkeypatch, capsys, command, library):
-    # the library's own check runs before the prime table, with its message
+    # the library's own check refuses before the prime table sieves, with its message
     with pytest.raises(PreconditionError) as refused:
         library()
 
     def never(*args):
         raise AssertionError("the sieve started")
 
-    monkeypatch.setattr("pretentious.cli.PrimeTable", never)
+    monkeypatch.setattr("pretentious.arith.sieve_primes", never)
     code, out, err = run_cli(capsys, command)
     assert code == 3
     assert out == ""

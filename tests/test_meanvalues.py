@@ -251,6 +251,15 @@ def test_decompose_rejects_non_unit():
         decompose_via_characters(Mobius(), 100, 6, 3, _table())
 
 
+def test_decompose_refuses_a_modulus_above_max_before_the_fill(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("f was filled")
+
+    monkeypatch.setattr("pretentious.meanvalues._fill_blocks", never)
+    with pytest.raises(PreconditionError, match=r"modulus must be in \[1, 10000\], got 20011$"):
+        decompose_via_characters(Mobius(), 10**5, 20011, 1, PrimeTable(10**5))
+
+
 def test_decompose_random_corpus():
     rng = random.Random(20240817)
     pool = ["mobius", "liouville", "one", "legendre:7", "char:12:1", "nit:0.5"]
@@ -454,6 +463,13 @@ def test_euler_product_truncation_and_tail():
     assert dropped <= cut.tail_log_bound
     with pytest.raises(PreconditionError):
         euler_product_mean(parse_spec("liouville"), 100, t, truncation=1)
+
+
+@pytest.mark.parametrize("q", [0, -3])
+def test_euler_product_refuses_q_below_1(q):
+    # q = 0 divided by zero, and q = -3 returned a prediction
+    with pytest.raises(PreconditionError, match=f"need q >= 1, got q={q}$"):
+        euler_product_mean(Mobius(), 1000, _table(), q=q)
 
 
 def _euler_product_mean_whole(f, x, table, t=0.0, q=1, truncation=None):

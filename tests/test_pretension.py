@@ -248,8 +248,13 @@ def test_minimize_twist_flat_objective():
     assert v == pytest.approx(_objective(One(), trivial, 1000, _table())(0.0))
 
 
-def test_minimize_twist_negative_bound_rejected():
-    with pytest.raises(PreconditionError):
+def test_minimize_twist_negative_bound_rejected(monkeypatch):
+    # refused before f is read at the primes
+    def never(*args):
+        raise AssertionError("f was read")
+
+    monkeypatch.setattr("pretentious.pretension.read_prime_values", never)
+    with pytest.raises(PreconditionError, match=r"A must be finite and >= 0, got -1.0$"):
         min_distance_over_t(One(), character_by_index(1, 0), 1000, -1.0, _table())
 
 

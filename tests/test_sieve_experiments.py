@@ -592,6 +592,14 @@ def test_transfer_mobius_frozen(table_medium):
     assert tc6.difference <= tc6.budget
 
 
+@pytest.mark.parametrize("eta", [0.0, -0.5, 2.0])
+def test_transfer_refuses_eta_outside_0_1(eta):
+    # as bad_moduli does: eta <= 0 was refused as "r is not good", and eta = 2
+    # was accepted
+    with pytest.raises(PreconditionError, match=rf"need 0 < eta <= 1, got {eta}$"):
+        transfer_check(One(), 10**4, 4, 3, 3, eta, _table())
+
+
 def test_transfer_good_prime_near_hundred(table_medium):
     # a good prime well inside sqrt(x/q): difference sits far under budget
     tc = transfer_check(Mobius(), 10**6, 5, 1, 97, 0.5, table_medium)
@@ -622,6 +630,15 @@ def test_defect_zero_for_exact_characters():
     rep = multiplicativity_defect(parse_spec("char:5:2"), 10**4, 5, _table())
     assert rep.max_defect <= 1e-8
     assert rep.normalized_max_defect <= 1e-12
+
+
+def test_defect_refuses_a_modulus_above_max_before_the_fill(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("f was filled")
+
+    monkeypatch.setattr("pretentious.meanvalues._fill_blocks", never)
+    with pytest.raises(PreconditionError, match=r"modulus must be in \[1, 10000\], got 20011$"):
+        multiplicativity_defect(Mobius(), 10**5, 20011, PrimeTable(10**5))
 
 
 def test_defect_mobius_frozen(table_medium):
