@@ -6,14 +6,14 @@ sieving to 1e7 takes about 0.07 s and to 1e8 about 1.1 s at a peak RSS of
 162 MB (2-CPU Xeon, numpy 2.4.6).  The sieve runs in fixed-width segments,
 so its working memory stays flat, and a PrimeTable holds nothing but the
 primes.  Every factorization, of table entries and of small integers
-(moduli, group orders, table keys) alike, is `factorize_small`'s trial
-division by 2 and the odd numbers.
+(moduli, group orders, a Legendre spec's prime) alike, is
+`factorize_small`'s trial division by 2 and the odd numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -67,10 +67,8 @@ def factorize_small(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def is_prime_small(n: int) -> bool:
-    """Primality of a small n through `factorize_small`.  Memoized, because
-    table specs check every key and get rebuilt over the same primes."""
+    """Primality of a small n through `factorize_small`."""
     return factorize_small(n) == ((n, 1),)
 
 

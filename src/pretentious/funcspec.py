@@ -23,12 +23,18 @@ multiplicative filler's Python loop over the small primes does not.
 `values_upto` is the one call that holds all of f(0..x); it fills its
 array block by block.  Every walk over the primes in the library is
 `over_primes`.
+
+A table spec, f given at chosen prime powers, holds its keys and values as
+three sorted arrays, 25 bytes per key, so a table over the 5.76M primes up
+to 1e8 holds 144 MB.  Its keys are checked against one sieve up to the
+largest, and its lookups are binary searches.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import os
 import re
 import threading
@@ -37,7 +43,14 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arith import FILL_BLOCK_WIDTH, SIGN_FILL_BLOCK_WIDTH, PrimeTable, is_prime_small
+from .arith import (
+    FILL_BLOCK_WIDTH,
+    MAX_SIEVE_LIMIT,
+    SIGN_FILL_BLOCK_WIDTH,
+    PrimeTable,
+    is_prime_small,
+    sieve_primes,
+)
 from .characters import DirichletCharacter, character_by_index, character_row
 from .errors import PreconditionError, SpecParseError
 
@@ -198,27 +211,54 @@ class Product(FunctionSpec):
 COMPLETION_RULES = ("cm", "zero", "explicit")
 
 
-@dataclass(frozen=True)
 class PrimeTableSpec(FunctionSpec):
     """f given by an explicit table on prime powers.
 
-    entries: sorted tuple of ((p, k), value).  Completion rules:
+    PrimeTableSpec(entries, rule) takes entries as ((p, k), value) pairs,
+    in any order.  Each key must be a prime power p^k named once, with
+    p <= MAX_SIEVE_LIMIT and 1 <= k <= 127, and each |value| <= 1.
+    The table is held as three read-only arrays sorted by (p, k): p
+    (int64), k (int8) and f(p^k) (complex128), 25 bytes per key.  `entries`
+    rebuilds the sorted tuple of ((p, k), value) on each call.  Two specs
+    are equal when their rules, keys and values are; the hash comes from
+    the rule and the bytes of the keys.  Completion rules:
       cm        f(p^k) = f(p)^k from the k=1 entries
       zero      f(p^k) = 0 for k >= 2 (mobius-like support)
       explicit  every needed (p, k) must be present
     """
 
-    entries: tuple[tuple[tuple[int, int], complex], ...]
-    rule: str = "cm"
+    def __init__(self, entries, rule: str = "cm"):
+        entries = tuple(entries)
+        self.rule = rule
+        self._p, self._k, self._v = _table_columns(
+            [p for (p, _), _ in entries], [k for (_, k), _ in entries],
+            [v for _, v in entries], rule)
 
-    def __post_init__(self):
-        if self.rule not in COMPLETION_RULES:
-            raise SpecParseError(f"unknown completion rule {self.rule!r}")
-        for (p, k), v in self.entries:
-            if p < 2 or not is_prime_small(p) or k < 1:
-                raise PreconditionError(f"table key {p}^{k} is not a prime power")
-            if not abs(v) <= 1 + _VALUE_TOL:  # NaN fails this too
-                raise PreconditionError(f"|f({p}^{k})| = {abs(v):.6f} exceeds 1")
+    @classmethod
+    def _from_columns(cls, ps, ks, vs, rule: str) -> PrimeTableSpec:
+        spec = cls.__new__(cls)
+        spec.rule = rule
+        spec._p, spec._k, spec._v = _table_columns(ps, ks, vs, rule)
+        return spec
+
+    @property
+    def entries(self) -> tuple[tuple[tuple[int, int], complex], ...]:
+        return tuple(zip(zip(self._p.tolist(), self._k.tolist()), self._v.tolist()))
+
+    def __eq__(self, other):
+        # values compare as numbers, so that 0.0 and -0.0 stay equal: render
+        # drops the sign of a zero imaginary part
+        if not isinstance(other, PrimeTableSpec):
+            return NotImplemented
+        return self.rule == other.rule and all(
+            np.array_equal(a, b) for a, b in
+            ((self._p, other._p), (self._k, other._k), (self._v, other._v)))
+
+    def __hash__(self):
+        return hash((self.rule, self._p.tobytes(), self._k.tobytes()))
+
+    def __repr__(self):
+        return f"PrimeTableSpec({len(self._p)} keys, rule={self.rule!r})"
 
     @property
     def completely_multiplicative(self):  # type: ignore[override]
@@ -226,29 +266,35 @@ class PrimeTableSpec(FunctionSpec):
 
     @property
     def real_valued(self):  # type: ignore[override]
-        return all(complex(v).imag == 0 for _, v in self.entries)
-
-    @cached_property
-    def _map(self):
-        # memoized on the instance: keying an lru_cache by the entries tuple
-        # would re-hash every entry on each lookup
-        return dict(self.entries)
+        return not self._v.imag.any()
 
     @cached_property
     def _prime_arrays(self):
-        # sorted primes with a k = 1 entry and their values
-        ones = sorted((p, v) for (p, k), v in self._map.items() if k == 1)
-        return (np.array([p for p, _ in ones], dtype=np.int64),
-                np.array([v for _, v in ones], dtype=np.complex128))
+        # the primes with a k = 1 entry and their values; the whole table,
+        # uncopied, when every k is 1
+        ones = self._k == 1
+        if ones.all():
+            return self._p, self._v
+        return self._p[ones], self._v[ones]
+
+    def _row(self, p: int, k: int) -> int | None:
+        # the rows of p are consecutive, in increasing k
+        i = int(np.searchsorted(self._p, p))
+        while i < len(self._p) and self._p[i] == p:
+            if self._k[i] == k:
+                return i
+            i += 1
+        return None
 
     def prime_power_value(self, p, k):
-        m = self._map
-        if (p, k) in m:
-            return m[(p, k)]
+        i = self._row(p, k)
+        if i is not None:
+            return complex(self._v[i])
         if self.rule == "cm":
-            if (p, 1) not in m:
+            i = self._row(p, 1)
+            if i is None:
                 raise PreconditionError(f"table spec has no value at prime {p}")
-            return m[(p, 1)] ** k
+            return complex(self._v[i]) ** k
         if self.rule == "zero":
             if k >= 2:
                 return 0
@@ -261,6 +307,71 @@ class PrimeTableSpec(FunctionSpec):
             key = str(p) if k == 1 else f"{p}^{k}"
             parts.append(f"{key}:{_render_complex(v)}")
         return "table:{" + ",".join(parts) + f";rule={self.rule}" + "}"
+
+
+# a table key's exponent is held as int8
+_MAX_TABLE_EXPONENT = int(np.iinfo(np.int8).max)
+
+
+def _check_table_key(p, k) -> None:
+    """Refuse the key (p, k) if it cannot be a table key; primality aside."""
+    if not (isinstance(p, numbers.Integral) and isinstance(k, numbers.Integral)) or p < 2 or k < 1:
+        raise PreconditionError(f"table key {p}^{k} is not a prime power")
+    if p > MAX_SIEVE_LIMIT:
+        raise PreconditionError(f"table key {p}^{k} exceeds the sieve limit {MAX_SIEVE_LIMIT}")
+    if k > _MAX_TABLE_EXPONENT:
+        raise PreconditionError(f"table key {p}^{k} has an exponent above {_MAX_TABLE_EXPONENT}")
+
+
+def _increasing(p: np.ndarray, k: np.ndarray) -> bool:
+    """Whether the keys (p[i], k[i]) strictly increase."""
+    return bool(((p[1:] > p[:-1]) | ((p[1:] == p[:-1]) & (k[1:] > k[:-1]))).all())
+
+
+def _table_columns(ps, ks, vs, rule: str):
+    """The table with keys (ps[i], ks[i]) and values vs[i] as read-only
+    arrays sorted by (p, k): p int64, k int8 and f(p^k) complex128.
+
+    Refuses an unknown rule, duplicate keys (as the parser does), keys that
+    are not prime powers, keys above the sieve limit, exponents above 127
+    and values with |v| > 1 (NaN too).  Every check but primality runs
+    first; the primes of the keys are then checked against one
+    `sieve_primes` up to the largest.
+    """
+    if rule not in COMPLETION_RULES:
+        raise SpecParseError(f"unknown completion rule {rule!r}")
+    p, k = np.asarray(ps), np.asarray(ks)
+    if not p.dtype.kind == k.dtype.kind == "i":
+        # floats, or integers beyond int64, among the keys (or no keys)
+        for q, e in zip(ps, ks):
+            _check_table_key(q, e)
+    p, k = p.astype(np.int64, copy=False), k.astype(np.int64, copy=False)
+    v = np.asarray(vs, dtype=np.complex128)
+    if not _increasing(p, k):
+        order = np.lexsort((k, p))
+        p, k, v = p[order], k[order], v[order]
+        if not _increasing(p, k):
+            raise SpecParseError("duplicate keys in table spec")
+    bad = (p < 2) | (p > MAX_SIEVE_LIMIT) | (k < 1) | (k > _MAX_TABLE_EXPONENT)
+    if bad.any():
+        i = int(np.argmax(bad))
+        _check_table_key(int(p[i]), int(k[i]))
+    k = k.astype(np.int8)
+    big = ~(np.abs(v) <= 1 + _VALUE_TOL)  # NaN fails this too
+    if big.any():
+        i = int(np.argmax(big))
+        raise PreconditionError(f"|f({p[i]}^{k[i]})| = {abs(complex(v[i])):.6f} exceeds 1")
+    if len(p):
+        primes = sieve_primes(int(p[-1]))
+        at = np.searchsorted(primes, p)
+        np.minimum(at, len(primes) - 1, out=at)
+        composite = primes[at] != p
+        if composite.any():
+            i = int(np.argmax(composite))
+            raise PreconditionError(f"table key {p[i]}^{k[i]} is not a prime power")
+    for a in (p, k, v):
+        a.flags.writeable = False
+    return p, k, v
 
 
 @dataclass(frozen=True)
@@ -293,13 +404,15 @@ _INT8_FAMILIES = (Mobius, Liouville, Threshold, One, Legendre)
 
 
 def make_prime_table_spec(values: dict, rule: str = "cm") -> PrimeTableSpec:
-    """Normalize a {p: v} or {(p, k): v} dict into a PrimeTableSpec."""
-    entries = []
-    for key, v in values.items():
-        pk = key if isinstance(key, tuple) else (key, 1)
-        entries.append((pk, complex(v)))
-    entries.sort(key=lambda e: (e[0][0], e[0][1]))
-    return PrimeTableSpec(tuple(entries), rule)
+    """The table spec of a {p: v} or {(p, k): v} dict.
+
+    The keys and values are read into columns, one pass each, and checked
+    as `PrimeTableSpec` checks its entries; a dict that names one key twice,
+    as p and as (p, 1), is refused like a duplicate key in the parser."""
+    ps = [key[0] if isinstance(key, tuple) else key for key in values]
+    ks = [key[1] if isinstance(key, tuple) else 1 for key in values]
+    vs = np.fromiter(values.values(), np.complex128, count=len(values))
+    return PrimeTableSpec._from_columns(ps, ks, vs, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +886,7 @@ def _parse_table(body: str) -> PrimeTableSpec:
         rule = tail[len("rule="):].strip()
         aliases = {"completely_multiplicative": "cm", "zero_on_higher_powers": "zero"}
         rule = aliases.get(rule, rule)
-    entries = []
+    ps, ks, vs = [], [], []
     for item in _split_top_level(body, ","):
         item = item.strip()
         if not item:
@@ -781,14 +894,8 @@ def _parse_table(body: str) -> PrimeTableSpec:
         key, sep, val = item.partition(":")
         if not sep:
             raise SpecParseError(f"bad table entry {item!r}")
-        key = key.strip()
-        if "^" in key:
-            ps, _, ks = key.partition("^")
-            pk = (_parse_int(ps), _parse_int(ks))
-        else:
-            pk = (_parse_int(key), 1)
-        entries.append((pk, _parse_complex(val)))
-    entries.sort(key=lambda e: (e[0][0], e[0][1]))
-    if len(set(k for k, _ in entries)) != len(entries):
-        raise SpecParseError("duplicate keys in table spec")
-    return PrimeTableSpec(tuple(entries), rule)
+        p, caret, k = key.strip().partition("^")
+        ps.append(_parse_int(p))
+        ks.append(_parse_int(k) if caret else 1)
+        vs.append(_parse_complex(val))
+    return PrimeTableSpec._from_columns(ps, ks, vs, rule)

@@ -281,10 +281,151 @@ def test_value_bound_enforced():
 def test_table_memo_built_once_and_outside_eq_hash():
     spec = make_prime_table_spec({2: -1, 3: 0.5j, 5: 1})
     twin = make_prime_table_spec({2: -1, 3: 0.5j, 5: 1})
-    assert spec._map is spec._map
-    assert spec._prime_arrays is spec._prime_arrays
+    mixed = make_prime_table_spec({2: -1, (2, 2): 0.5, 3: 1}, rule="explicit")
+    for table in (spec, mixed):
+        assert table._prime_arrays is table._prime_arrays
     assert spec._prime_arrays[0].tolist() == [2, 3, 5]
+    assert mixed._prime_arrays[0].tolist() == [2, 3]
+    # spec holds its memo and twin does not
+    assert "_prime_arrays" in vars(spec) and "_prime_arrays" not in vars(twin)
     assert spec == twin and hash(spec) == hash(twin)
+
+
+def test_duplicate_table_keys_refused_as_by_the_parser():
+    # 2 and (2, 1) name one key, which a render would write twice
+    with pytest.raises(SpecParseError) as parsed:
+        parse_spec("table:{2:-1.0,2:0.5;rule=cm}")
+    with pytest.raises(SpecParseError) as made:
+        make_prime_table_spec({2: -1.0, (2, 1): 0.5})
+    with pytest.raises(SpecParseError) as built:
+        PrimeTableSpec((((3, 1), 1.0), ((2, 1), -1.0), ((2, 1), 0.5)))
+    assert str(made.value) == str(built.value) == str(parsed.value) == "duplicate keys in table spec"
+
+
+def test_table_keys_and_values_refused_before_the_sieve(monkeypatch):
+    def never(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(funcspec, "sieve_primes", never)
+    cases = [
+        ({2: 1, 100000007: 1}, "table key 100000007^1 exceeds the sieve limit 100000000"),
+        ({2: 1, 2**63: 1}, f"table key {2**63}^1 exceeds the sieve limit 100000000"),
+        ({2: 1, 2**80: 1}, f"table key {2**80}^1 exceeds the sieve limit 100000000"),
+        ({1: 1, 3: 1}, "table key 1^1 is not a prime power"),
+        ({(3, 0): 1}, "table key 3^0 is not a prime power"),
+        ({2.0: 1}, "table key 2.0^1 is not a prime power"),
+        ({(2, 128): 1}, "table key 2^128 has an exponent above 127"),
+        ({2: 1, 3: 1.5}, "|f(3^1)| = 1.500000 exceeds 1"),
+        ({2: 1, (3, 2): complex("nan")}, "|f(3^2)| = nan exceeds 1"),
+    ]
+    for values, message in cases:
+        with pytest.raises(PreconditionError) as refused:
+            make_prime_table_spec(values)
+        assert str(refused.value) == message
+
+
+def _oracle_value(spec, p, k):
+    """The dict lookup that table specs ran before they held arrays, kept as
+    the oracle: the entries as a dict, then the rule's completion."""
+    m = dict(spec.entries)
+    if (p, k) in m:
+        return m[(p, k)]
+    if spec.rule == "cm":
+        if (p, 1) not in m:
+            raise PreconditionError(f"table spec has no value at prime {p}")
+        return m[(p, 1)] ** k
+    if spec.rule == "zero":
+        if k >= 2:
+            return 0
+        raise PreconditionError(f"table spec has no value at prime {p}")
+    raise PreconditionError(f"explicit table spec has no value at {p}^{k}")
+
+
+def _same_outcome(call, oracle):
+    """call() and oracle() return equal values, signed zeros alike, or raise
+    PreconditionError with one message."""
+    try:
+        want = oracle()
+    except PreconditionError as e:
+        with pytest.raises(PreconditionError) as got:
+            call()
+        assert str(got.value) == str(e)
+        return
+    got = call()
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    else:
+        assert repr(got) == repr(want)
+
+
+_TABLE_PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+@st.composite
+def _table_dicts(draw):
+    """A {p: v} / {(p, k): v} dict over a few prime powers, and a rule."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(_TABLE_PRIMES), st.integers(1, 3)),
+                         unique=True, max_size=12))
+    value = st.one_of(_complexes(), st.sampled_from([0j, 1 + 0j, -1 + 0j, 1j, -0.5 + 0j]))
+    values = {}
+    for p, k in keys:
+        values[p if k == 1 and draw(st.booleans()) else (p, k)] = draw(value)
+    return values, draw(st.sampled_from(funcspec.COMPLETION_RULES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_table_dicts())
+def test_table_spec_matches_the_dict_oracle(case):
+    values, rule = case
+    pairs = [((key, 1) if isinstance(key, int) else key, complex(v)) for key, v in values.items()]
+    spec = make_prime_table_spec(values, rule)
+    assert dict(spec.entries) == dict(pairs)
+    assert [pk for pk, _ in spec.entries] == sorted(pk for pk, _ in pairs)
+    # the same table from the parser and from the constructor, in the
+    # dict's order and reversed
+    text = ",".join(f"{p}^{k}:{funcspec._render_complex(v)}" for (p, k), v in pairs)
+    twins = [parse_spec(f"table:{{{text};rule={rule}}}"), PrimeTableSpec(pairs[::-1], rule),
+             parse_spec(spec.render())]
+    for twin in twins:
+        assert twin == spec and hash(twin) == hash(spec)
+        assert twin.render() == spec.render()
+    for p in _TABLE_PRIMES:
+        for k in range(1, 5):
+            _same_outcome(lambda: spec.prime_power_value(p, k), lambda: _oracle_value(spec, p, k))
+    covered = sorted(p for (p, k), _ in pairs if k == 1)
+    for ps in (np.array(_TABLE_PRIMES), np.array(covered, dtype=np.int64)):
+        _same_outcome(
+            lambda: prime_values(spec, ps, _table()),
+            lambda: np.array([_oracle_value(spec, int(p), 1) for p in ps], dtype=np.complex128))
+
+
+_TABLE_AT_1E7 = """
+import tracemalloc
+import numpy as np
+from pretentious.arith import sieve_primes
+from pretentious.funcspec import make_prime_table_spec
+ps = sieve_primes(10**7)
+thetas = np.random.default_rng(0).uniform(-np.pi, np.pi, len(ps))
+values = dict(zip(ps.tolist(), np.exp(1j * thetas).tolist()))
+del ps, thetas
+tracemalloc.start()
+spec = make_prime_table_spec(values, "cm")
+spec._prime_arrays
+held, peak = tracemalloc.get_traced_memory()
+tracemalloc.stop()
+out = dict(keys=len(values), held=held, peak=peak)
+"""
+
+
+def test_table_spec_over_the_primes_to_1e7_holds_arrays(fresh_process):
+    # its own process, as the 664,579-entry input dict alone is about 100 MB
+    # of Python objects: the spec holds 25 bytes per key (about 280 as a
+    # tuple of tuples with a dict beside it), and the one sieve of its keys
+    # and the sort scratch stay within a few arrays over the keys
+    out = fresh_process(_TABLE_AT_1E7)
+    assert out["keys"] == 664579
+    assert out["held"] <= 32 * out["keys"]
+    assert out["peak"] <= 96 * out["keys"]
 
 
 # ------------------------------------------------------------- sieving
