@@ -14,15 +14,15 @@ import argparse
 import sys
 
 from pretentious.arith import PrimeTable
-from pretentious.cli import _finite_float
+from pretentious.cli import _finite_float, _positive_int
 from pretentious.constants import delta1
 from pretentious.sieve_experiments import legendre_progression_experiment
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--q", type=int, default=4)
-    ap.add_argument("--a", type=int, default=3)
+    ap.add_argument("--q", type=_positive_int, default=4)
+    ap.add_argument("--a", type=_positive_int, default=3)
     ap.add_argument("--x", type=_finite_float, default=1e4)
     ap.add_argument("--p-limit", dest="p_limit", type=_finite_float, default=1e4)
     ap.add_argument("--out", default=None, help="CSV path (default stdout)")

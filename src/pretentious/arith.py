@@ -4,10 +4,11 @@ A PrimeTable holds its limit and sieves on first use, so a call that
 refuses its input before it reads the primes never sieves.  Desk scale:
 sieving to 1e7 takes about 0.07 s and to 1e8 about 1.1 s at a peak RSS of
 162 MB (2-CPU Xeon, numpy 2.4.6).  The sieve runs in fixed-width segments,
-so its working memory stays flat, and a PrimeTable holds nothing but the
-primes.  Every factorization, of table entries and of small integers
-(moduli, group orders, a Legendre spec's prime) alike, is
-`factorize_small`'s trial division by 2 and the odd numbers.
+so its working memory stays flat, and takes the primes up to sqrt(limit)
+from itself; a PrimeTable holds nothing but the primes.  Every
+factorization, of table entries and of small integers (moduli, group
+orders, a Legendre spec's prime) alike, is `factorize_small`'s trial
+division by 2 and the odd numbers.
 """
 
 from __future__ import annotations
@@ -80,31 +81,24 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _flag_sieve(limit: int) -> np.ndarray:
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return flags
-
-
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit, increasing, as an int64 array.
-
-    The primes up to sqrt(limit) come from one flag sieve; they then strike
-    their multiples from segments of SEGMENT_WIDTH flags above it."""
+    """All primes <= limit, increasing, as an int64 array."""
     if not 2 <= limit <= MAX_SIEVE_LIMIT:
         raise PreconditionError(f"sieve limit must be in [2, {MAX_SIEVE_LIMIT}], got {limit}")
+    return _sieve(limit)
+
+
+def _sieve(limit: int) -> np.ndarray:
+    """The primes up to sqrt(limit), sieved by this same routine, strike
+    their multiples from segments of SEGMENT_WIDTH flags above it."""
     root = isqrt(limit)
-    base = np.flatnonzero(_flag_sieve(root))
+    base = _sieve(root) if root >= 2 else np.empty(0, dtype=np.int64)
     chunks = [base]
     lo = root + 1
     while lo <= limit:
         hi = min(lo + SEGMENT_WIDTH, limit + 1)
         flags = np.ones(hi - lo, dtype=bool)
-        for p in base:
-            p = int(p)
+        for p in base.tolist():
             start = max(p * p, ((lo + p - 1) // p) * p)
             if start < hi:
                 flags[start - lo :: p] = False

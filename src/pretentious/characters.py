@@ -4,13 +4,13 @@ The unit group mod q is decomposed into cyclic components (one per odd
 prime power, the 2-part split as {-1} x <5> for 8 | q).  One numpy walk of
 the exponent grid, the products of generator powers in C order, gives every
 table of the group: the units, their exponent tuples and their grid
-positions, and the discrete logarithms read from those.  A character is an
-exponent tuple against the component generators, and its value at n is the
-exact rational angle  sum_i e_i * dlog_i(n) / d_i  (mod 1).  Keeping angles
-as Fractions makes orthogonality and multiplicativity checks exact; floats
-appear when a value is rendered to complex and in the unit-group transform,
-where the primitivity test compares sums that are exactly 0 or |K| against
-|K|/2.
+positions.  A character is an exponent tuple against the component
+generators, and its value at n is the exact rational angle
+sum_i e_i * b_i / d_i  (mod 1), where b is the exponent tuple of the unit
+n, its discrete log.  Keeping angles as Fractions makes orthogonality and
+multiplicativity checks exact; floats appear when a value is rendered to
+complex and in the unit-group transform, where the primitivity test
+compares sums that are exactly 0 or |K| against |K|/2.
 
 Canonical order: characters are enumerated lexicographically by exponent
 tuple, so the principal character is always index 0, and `char:q:index`
@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm, prod
 import itertools
 
@@ -69,7 +69,8 @@ class UnitGroupStructure:
     its outer product with g^0, ..., g^(d-1) (mod q), ravelled.  Position i
     of the final grid then holds the unit whose exponent tuple is the i-th
     in C order, and sorting the grid gives every table: `ravel` (the grid
-    position of each unit), `units`, `exponents` and `unit_index`.
+    position of each unit), `units`, `exponents` and `unit_index`.  The
+    discrete log of a unit a is its exponent tuple exponents[unit_index[a]].
     """
 
     def __init__(self, q: int):
@@ -118,11 +119,6 @@ class UnitGroupStructure:
 
     def __repr__(self):
         return f"UnitGroupStructure(q={self.q}, orders={self.orders})"
-
-    @cached_property
-    def dlog(self) -> dict[int, tuple[int, ...]]:
-        """dlog[a] = exponent tuple of the unit a."""
-        return dict(zip(self.units.tolist(), map(tuple, self.exponents.tolist())))
 
 
 # bounded: the tables of every q <= MAX_MODULUS hold 1.3 GB, and a scan of
@@ -210,11 +206,11 @@ class DirichletCharacter:
         if n < 0:
             raise PreconditionError("character argument must be >= 0")
         G = unit_group(self.q)
-        t = G.dlog.get(n % self.q)
-        if t is None:
+        i = G.unit_index[n % self.q]
+        if i < 0:
             return None
         total = Fraction(0)
-        for e, b, d in zip(self.exponents, t, G.orders):
+        for e, b, d in zip(self.exponents, G.exponents[i].tolist(), G.orders):
             total += Fraction(e * b, d)
         return total % 1
 
@@ -291,7 +287,6 @@ def character_row(chi: DirichletCharacter) -> np.ndarray:
     return row
 
 
-@lru_cache(maxsize=None)
 def conductor(chi: DirichletCharacter) -> int:
     """Smallest d | q through which chi factors.
 
@@ -314,36 +309,29 @@ def is_primitive(chi: DirichletCharacter) -> bool:
     return bool(primitive_mask(chi.q)[chi.index])
 
 
-def induce(psi: DirichletCharacter, q: int) -> DirichletCharacter:
-    """The character mod q agreeing with psi (mod r) on units; needs r | q."""
-    r = psi.q
-    if q % r != 0:
-        raise PreconditionError(f"cannot induce mod {q}: {r} does not divide {q}")
-    G = unit_group(q)
+def _carried(chi: DirichletCharacter, m: int) -> DirichletCharacter:
+    """The character mod m agreeing with chi at each generator g of
+    (Z/mZ)*, read at the first lift g + k m coprime to chi.q: chi induced
+    to m when chi.q | m, and chi read mod m when m | chi.q and chi factors
+    through m."""
+    G = unit_group(m)
     exps = []
     for g, d in zip(G.generators, G.orders):
-        a = psi.angle(g)
-        assert a is not None  # gcd(g, q) = 1 and r | q force gcd(g, r) = 1
-        e = a * d
-        assert e.denominator == 1, "induced exponent not integral"
+        while gcd(g, chi.q) != 1:
+            g += m
+        e = chi.angle(g) * d
+        assert e.denominator == 1, f"chi mod {chi.q} does not carry to {m}"
         exps.append(int(e) % d)
-    return DirichletCharacter(q, tuple(exps))
+    return DirichletCharacter(m, tuple(exps))
+
+
+def induce(psi: DirichletCharacter, q: int) -> DirichletCharacter:
+    """The character mod q agreeing with psi (mod r) on units; needs r | q."""
+    if q % psi.q != 0:
+        raise PreconditionError(f"cannot induce mod {q}: {psi.q} does not divide {q}")
+    return _carried(psi, q)
 
 
 def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
     """The primitive character inducing chi."""
-    q = chi.q
-    d = conductor(chi)
-    Gd = unit_group(d)
-    exps = []
-    for h, m in zip(Gd.generators, Gd.orders):
-        # lift h to a unit mod q in the same class mod d
-        n = h
-        while gcd(n, q) != 1:
-            n += d
-        a = chi.angle(n)
-        assert a is not None
-        e = a * m
-        assert e.denominator == 1, "primitive part exponent not integral"
-        exps.append(int(e) % m)
-    return DirichletCharacter(d, tuple(exps))
+    return _carried(chi, conductor(chi))

@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .arith import PrimeTable
+from .arith import MAX_SIEVE_LIMIT, PrimeTable
 from .characters import (
     DirichletCharacter,
     character_by_index,
@@ -208,8 +208,9 @@ def _cmd_meanvalues_euler(args):
 
 def _cmd_sieve_bad_moduli(args):
     f = parse_spec(args.f)
-    # class values reach n*q + a <= x + q, so sieve slightly past x
-    table = PrimeTable(args.x + args.q)
+    # class values reach (x // q) q + (a mod q) <= x + q - 1; past 10^8 the
+    # library refuses the scan before it sieves, and x = q = 1 needs no prime
+    table = PrimeTable(max(2, min(args.x + args.q - 1, MAX_SIEVE_LIMIT)))
     report = bad_moduli(f, args.x, args.q, args.a, args.eta, table)
     return report if args.verbose else dataclasses.replace(report, masses=None)
 

@@ -40,6 +40,8 @@ LARGE_SIEVE_SLACK = 1e-9
 
 
 def _check_class(q: int, a: int):
+    if q < 1:
+        raise PreconditionError(f"modulus must be >= 1, got q={q}")
     if math.gcd(a, q) != 1:
         raise PreconditionError(f"need gcd(a, q) = 1, got a={a}, q={q}")
 
@@ -194,6 +196,7 @@ def transfer_check(
     ell > 1 of r reaches the eta mass threshold.
     """
     _check_eta(eta)
+    _check_class(q, a)
     if math.gcd(r, q) != 1:
         raise PreconditionError(f"need gcd(r, q) = 1, got r={r}, q={q}")
     fr = table.factorize(r)

@@ -104,17 +104,16 @@ def _dict_walk(G) -> dict:
     exponents = np.array([dlog[int(u)] for u in units], dtype=np.int64).reshape(len(units), k)
     radix = np.array([math.prod(G.orders[i + 1:]) for i in range(k)], dtype=np.int64)
     return dict(phi=len(dlog), units=units, unit_index=unit_index, exponents=exponents,
-                ravel=exponents @ radix, dlog=dlog)
+                ravel=exponents @ radix)
 
 
 @pytest.mark.parametrize("qs", [range(1, 2001), (4096, 7560, 8192, 9240, 9973, 10000)],
                          ids=["q<=2000", "large"])
 def test_grid_walk_matches_dict_walk(qs):
     for q in qs:
-        G = UnitGroupStructure(q)  # uncached: 2000 dlog dicts would stay alive
+        G = UnitGroupStructure(q)  # uncached: 2000 groups stay out of unit_group's cache
         want = _dict_walk(G)
         assert G.phi == want.pop("phi") and type(G.phi) is int, q
-        assert G.dlog == want.pop("dlog"), q
         for name, table in want.items():
             got = getattr(G, name)
             assert got.dtype == table.dtype and got.shape == table.shape, (q, name)
@@ -142,12 +141,12 @@ def orthogonality_row_sum(q: int, a: int, b: int) -> int:
     the whole sum is an integer computed without floats.
     """
     G = unit_group(q)
-    ta = G.dlog.get(a % q)
-    tb = G.dlog.get(b % q)
-    if ta is None or tb is None:
+    ia = G.unit_index[a % q]
+    ib = G.unit_index[b % q]
+    if ia < 0 or ib < 0:
         raise PreconditionError("orthogonality_row_sum needs units a, b")
     out = 1
-    for x, y, d in zip(ta, tb, G.orders):
+    for x, y, d in zip(G.exponents[ia].tolist(), G.exponents[ib].tolist(), G.orders):
         if (x - y) % d != 0:
             return 0
         out *= d
@@ -335,6 +334,13 @@ def test_induce_round_trip():
                 for n in range(1, q + 1):
                     if math.gcd(n, q) == 1:
                         assert chi(n) == pytest.approx(psi(n), abs=1e-12)
+
+
+def test_primitive_part_induces_back_to_chi():
+    # the lift direction of carrying a character, at every conductor
+    for q in range(1, 121):
+        for chi in enumerate_characters(q):
+            assert induce(primitive_part(chi), q) == chi, (q, chi.index)
 
 
 def test_induce_requires_divisibility():

@@ -16,6 +16,7 @@ from pretentious.errors import PreconditionError, TheoremViolation
 from pretentious.funcspec import Mobius
 from pretentious.meanvalues import euler_product_mean, halasz_bound
 from pretentious.sieve_experiments import (
+    BadModuliReport,
     bad_moduli,
     legendre_progression_experiment,
     multiplicativity_defect,
@@ -308,6 +309,37 @@ def test_refused_flag_exits_3_before_the_sieve(monkeypatch, capsys, command, lib
     assert code == 3
     assert out == ""
     assert err == f"error: {refused.value}\n"
+
+
+def test_bad_moduli_table_stops_where_the_class_values_do(monkeypatch, capsys):
+    # n q + a for n <= x // q stops at 99,999,997 <= 10^8, so the scan runs
+    # at the top of the range; a real scan would take 2,236 class-sum passes
+    # over 2 * 10^7 values, so the library call is stubbed
+    limits = []
+
+    def stub(f, x, q, a, eta, table):
+        limits.append(table.limit)
+        return BadModuliReport(x=x, q=q, a=a, eta=eta, n_terms=0, modulus_bound=1,
+                               bad=(), sum_inverse_phi=0.0, large_sieve_bound=1.0,
+                               masses=())
+
+    monkeypatch.setattr(cli, "bad_moduli", stub)
+    rep = run_json(capsys, ["sieve", "bad-moduli", "--f", "mobius", "--x", "99999999",
+                            "--q", "5", "--a", "2", "--eta", "0.3"])
+    assert limits == [10**8]
+    assert rep["result"]["masses"] is None
+
+
+def test_bad_moduli_past_the_table_exits_3_before_the_sieve(monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("the sieve started")
+
+    monkeypatch.setattr("pretentious.arith.sieve_primes", never)
+    code, out, err = run_cli(capsys, ["sieve", "bad-moduli", "--f", "mobius", "--x",
+                                      "100000000", "--q", "5", "--a", "2", "--eta", "0.3"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: scan needs values up to 100000002; table stops at 100000000\n"
 
 
 def test_exit_0_is_returned_not_raised(capsys):

@@ -53,6 +53,17 @@ def test_legendre_infimum_smallest_scan(q, a):
     assert all(int(r["p"]) % 2 == 1 for r in rows)
 
 
+@pytest.mark.parametrize("flag", ["--q", "--a"])
+def test_legendre_infimum_refuses_a_nonpositive_class_at_the_flag(flag):
+    # --q 0 --a 1 used to end in a ZeroDivisionError traceback, and --a 0 in
+    # a PreconditionError one
+    args = {"--q": "4", "--a": "1", "--x": "100", "--p-limit": "50"}
+    args[flag] = "0"
+    proc = _launch("legendre_infimum.py", *(t for kv in args.items() for t in kv))
+    assert proc.returncode == 2, proc.stderr
+    assert "expected a positive integer, got 0" in proc.stderr
+
+
 @pytest.mark.parametrize("name,flag,value", [
     ("residual_trend.py", "--A", "inf"),
     ("residual_trend.py", "--A", "nan"),

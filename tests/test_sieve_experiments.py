@@ -600,6 +600,22 @@ def test_transfer_refuses_eta_outside_0_1(eta):
         transfer_check(One(), 10**4, 4, 3, 3, eta, _table())
 
 
+@pytest.mark.parametrize("q", [0, -4])
+def test_class_scans_refuse_a_modulus_below_1_before_the_sieve(monkeypatch, q):
+    # q = 0 used to end in a ZeroDivisionError, and the Legendre scan at
+    # q = -4 returned an infimum of -0.0 over an empty progression
+    def never(*args):
+        raise AssertionError("the sieve started")
+
+    monkeypatch.setattr("pretentious.arith.sieve_primes", never)
+    t = PrimeTable(1000)
+    for call in (lambda: legendre_progression_experiment(q, 1, 100, 50, t),
+                 lambda: bad_moduli(Mobius(), 100, q, 1, 0.5, t),
+                 lambda: transfer_check(Mobius(), 100, q, 1, 1, 0.5, t)):
+        with pytest.raises(PreconditionError, match=f"modulus must be >= 1, got q={q}$"):
+            call()
+
+
 def test_transfer_good_prime_near_hundred(table_medium):
     # a good prime well inside sqrt(x/q): difference sits far under budget
     tc = transfer_check(Mobius(), 10**6, 5, 1, 97, 0.5, table_medium)
