@@ -14,12 +14,12 @@ import argparse
 import sys
 
 from pretentious.arith import PrimeTable
-from pretentious.cli import _finite_float, _positive_int
+from pretentious.cli import _finite_float, _positive_int, _report_errors
 from pretentious.constants import delta1
 from pretentious.sieve_experiments import legendre_progression_experiment
 
 
-def main():
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--q", type=_positive_int, default=4)
     ap.add_argument("--a", type=_positive_int, default=3)
@@ -27,7 +27,10 @@ def main():
     ap.add_argument("--p-limit", dest="p_limit", type=_finite_float, default=1e4)
     ap.add_argument("--out", default=None, help="CSV path (default stdout)")
     args = ap.parse_args()
+    return _report_errors(lambda: _scan(args))
 
+
+def _scan(args) -> None:
     x, p_limit = int(args.x), int(args.p_limit)
     table = PrimeTable(max(x, p_limit))
     rep = legendre_progression_experiment(args.q, args.a, x, p_limit, table)
@@ -50,4 +53,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

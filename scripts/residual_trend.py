@@ -13,23 +13,33 @@ import sys
 import time
 
 from pretentious.arith import PrimeTable
-from pretentious.cli import _finite_float, _nonneg_float
+from pretentious.cli import _finite_float, _nonneg_float, _positive_int, _report_errors
 from pretentious.funcspec import parse_spec
 from pretentious.meanvalues import progression_report
 
 
-def main():
+def _moduli(text: str) -> list[int]:
+    try:
+        return [_positive_int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text}") from None
+
+
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--f", default="mobius")
-    ap.add_argument("--qs", default="3,4,5,8", help="comma-separated moduli")
+    ap.add_argument("--qs", type=_moduli, default="3,4,5,8", help="comma-separated moduli")
     ap.add_argument("--xmax", type=_finite_float, default=1e6)
     ap.add_argument("--Q", type=int, default=10, help="conductor bound for the scan")
     ap.add_argument("--A", type=_nonneg_float, default=2.0, help="twist bound")
     ap.add_argument("--out", default=None, help="CSV path (default stdout)")
     args = ap.parse_args()
+    return _report_errors(lambda: _sweep(args))
 
+
+def _sweep(args) -> None:
     f = parse_spec(args.f)
-    qs = [int(s) for s in args.qs.split(",")]
     xs = []
     x = 10**4
     while x <= args.xmax:
@@ -40,7 +50,7 @@ def main():
     print("f,q,x,normalized_max_residual,max_residual,conductor,t", file=fh)
     for x in xs:
         table = PrimeTable(x)  # one sieve per scale, shared across q
-        for q in qs:
+        for q in args.qs:
             t0 = time.time()
             rep = progression_report(f, x, q, args.Q, args.A, table)
             print(
@@ -55,4 +65,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -390,15 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _report_errors(run) -> int:
+    """Call run() and return the exit code of its outcome: 0 if it returns,
+    and for the library's errors one line on stderr and 2 (a malformed spec
+    or an unreadable or unwritable file), 3 (a precondition violation) or 4
+    (a theorem violation)."""
     try:
-        result = args.func(args)
-        if isinstance(result, str):
-            _write(args, result)
-        else:
-            _emit(args, result)
+        run()
         return 0
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -412,6 +410,19 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _run(args) -> None:
+    result = args.func(args)
+    if isinstance(result, str):
+        _write(args, result)
+    else:
+        _emit(args, result)
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return _report_errors(lambda: _run(args))
 
 
 if __name__ == "__main__":

@@ -8,14 +8,20 @@ serialize to a small textual grammar, and evaluate three ways:
   values_upto(spec, x, table)     numpy array of f(0..x) with f(0) := 0
   prime_values(spec, primes, ...) f at an array of primes
 
+Each family is one `FunctionSpec` subclass, which holds all the library
+asks of it: f at one prime power and at an array of primes, its text, its
+fill dtype, its range body and its flags.  No code outside the classes
+asks which family a spec is.
+
 The bulk paths matter: distance minimization and progression sums at
 x = 1e7 cannot afford per-n factorization loops.  Bulk values come from one
 blockwise fill, `_fill_blocks`, which yields f on consecutive blocks of n,
 so that progression sums stream to x = 1e8 in bounded memory.  Each family
-fills any one range of n: closed forms for the periodic and twist families
-(and their products), and one vectorized multiplicative filler for
-everything else, with f at the primes from `read_prime_values`, f(p^k) for
-k >= 2 from `prime_power_value`, and no per-n Python loop.  Each step of
+fills any one range of n with its `range_body`: a closed form for `One`,
+`Legendre`, `CharacterSpec` and `Twist`, the product of its factors' fills
+for `Product`, and for every other family one vectorized multiplicative
+filler, with f at the primes from `read_prime_values`, f(p^k) for k >= 2
+from `prime_power_value`, and no per-n Python loop.  Each step of
 the fill writes two ranges at once, the second on a single worker thread
 that the first fill with two ranges starts.  numpy releases the interpreter
 lock inside its loops, so the complex closed forms run on two cores; the
@@ -61,16 +67,39 @@ THRESHOLD_EXPONENT = 1.0 / (1.0 + math.sqrt(math.e))
 
 
 class FunctionSpec:
-    """Base class; subclasses implement prime_power_value and render."""
+    """Base class of the families: each subclass is everything the library
+    knows of its family.
+
+    A subclass implements prime_power_value (f(p^k) for one prime power),
+    at_primes (f at an array of primes) and render (its text in the spec
+    grammar), and overrides what differs from the defaults here:
+      fill_dtype                 dtype of its fills (int8 for values in
+                                 {-1, 0, 1}, complex128 otherwise)
+      range_body(x, table)       its range filler, by default the
+                                 multiplicative filler
+      completely_multiplicative  f(p^k) = f(p)^k
+      vanishes_on_higher_powers  f(p^k) = 0 for every k >= 2
+      real_valued                every value is real
+    """
 
     completely_multiplicative = False
+    vanishes_on_higher_powers = False
     real_valued = True
+    fill_dtype = np.complex128
 
     def prime_power_value(self, p: int, k: int):
         raise NotImplementedError
 
+    def at_primes(self, primes: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
     def render(self) -> str:
         raise NotImplementedError
+
+    def range_body(self, x: int, table: PrimeTable):
+        """body(lo, hi, out), which writes f(lo..hi-1) into out, of fill_dtype,
+        for any 0 <= lo < hi <= x + 1; `_range_fill` then sets n = 0 to 0."""
+        return _multiplicative_fill(self, x, table)
 
     def __str__(self):
         return self.render()
@@ -79,9 +108,14 @@ class FunctionSpec:
 @dataclass(frozen=True)
 class Mobius(FunctionSpec):
     completely_multiplicative = False
+    vanishes_on_higher_powers = True
+    fill_dtype = np.int8
 
     def prime_power_value(self, p, k):
         return -1 if k == 1 else 0
+
+    def at_primes(self, primes):
+        return -np.ones(len(primes), dtype=np.float64)
 
     def render(self):
         return "mobius"
@@ -90,9 +124,13 @@ class Mobius(FunctionSpec):
 @dataclass(frozen=True)
 class Liouville(FunctionSpec):
     completely_multiplicative = True
+    fill_dtype = np.int8
 
     def prime_power_value(self, p, k):
         return -1 if k % 2 else 1
+
+    def at_primes(self, primes):
+        return -np.ones(len(primes), dtype=np.float64)
 
     def render(self):
         return "liouville"
@@ -101,12 +139,19 @@ class Liouville(FunctionSpec):
 @dataclass(frozen=True)
 class One(FunctionSpec):
     completely_multiplicative = True
+    fill_dtype = np.int8
 
     def prime_power_value(self, p, k):
         return 1
 
+    def at_primes(self, primes):
+        return np.ones(len(primes), dtype=np.float64)
+
     def render(self):
         return "one"
+
+    def range_body(self, x, table):
+        return lambda lo, hi, out: out.fill(1)
 
 
 @dataclass(frozen=True)
@@ -115,8 +160,14 @@ class Legendre(FunctionSpec):
 
     p: int
     completely_multiplicative = True
+    fill_dtype = np.int8
 
     def __post_init__(self):
+        # its fills and reads hold one symbol per residue mod p; a larger p
+        # would also be trial-divided for a long time first
+        if self.p > MAX_SIEVE_LIMIT:
+            raise PreconditionError(
+                f"legendre modulus {self.p} exceeds the sieve limit {MAX_SIEVE_LIMIT}")
         if self.p < 3 or self.p % 2 == 0 or not is_prime_small(self.p):
             raise PreconditionError(f"legendre spec needs an odd prime, got {self.p}")
 
@@ -130,8 +181,14 @@ class Legendre(FunctionSpec):
             return 0
         return s if k % 2 else 1
 
+    def at_primes(self, primes):
+        return _legendre_row(self.p)[primes % self.p].astype(np.float64)
+
     def render(self):
         return f"legendre:{self.p}"
+
+    def range_body(self, x, table):
+        return _periodic_fill(_legendre_row(self.p))
 
 
 @dataclass(frozen=True)
@@ -156,8 +213,14 @@ class CharacterSpec(FunctionSpec):
     def prime_power_value(self, p, k):
         return self.character(pow(p, k, self.q))
 
+    def at_primes(self, primes):
+        return character_row(self.character)[primes % self.q]
+
     def render(self):
         return f"char:{self.q}:{self.index}"
+
+    def range_body(self, x, table):
+        return _periodic_fill(character_row(self.character))
 
 
 @dataclass(frozen=True)
@@ -178,8 +241,22 @@ class Twist(FunctionSpec):
     def prime_power_value(self, p, k):
         return cmath.exp(1j * self.t * k * math.log(p))
 
+    def at_primes(self, primes):
+        return np.exp(1j * self.t * np.log(primes.astype(np.float64)))
+
     def render(self):
         return f"nit:{_render_float(self.t)}"
+
+    def range_body(self, x, table):
+        def body(lo, hi, out):
+            n = np.arange(lo, hi, dtype=np.float64)
+            if lo == 0:
+                n[0] = 1.0
+            out.real = 0.0
+            np.multiply(np.log(n, out=n), self.t, out=out.imag)
+            np.exp(out, out=out)
+
+        return body
 
 
 @dataclass(frozen=True)
@@ -198,14 +275,44 @@ class Product(FunctionSpec):
     def real_valued(self):  # type: ignore[override]
         return all(f.real_valued for f in self.factors)
 
+    @property
+    def vanishes_on_higher_powers(self):  # type: ignore[override]
+        return any(f.vanishes_on_higher_powers for f in self.factors)
+
     def prime_power_value(self, p, k):
         out = 1
         for f in self.factors:
             out *= f.prime_power_value(p, k)
         return out
 
+    def at_primes(self, primes):
+        out = self.factors[0].at_primes(primes).astype(np.complex128)
+        for f in self.factors[1:]:
+            out = out * f.at_primes(primes)
+        return out
+
     def render(self):
         return "prod(" + ",".join(f.render() for f in self.factors) + ")"
+
+    def range_body(self, x, table):
+        """The first factor's range fill, times each later factor's, in place;
+        in complex128, whatever the factors' dtypes."""
+        (first_dtype, first), *rest = [(g.fill_dtype, _range_fill(g, x, table))
+                                       for g in self.factors]
+
+        def body(lo, hi, out):
+            if first_dtype == out.dtype:
+                first(lo, hi, out)
+            else:
+                vals = np.empty(hi - lo, first_dtype)
+                first(lo, hi, vals)
+                out[:] = vals
+            for dtype, g in rest:
+                vals = np.empty(hi - lo, dtype)
+                g(lo, hi, vals)
+                _multiply_in_place(out, vals)
+
+        return body
 
 
 COMPLETION_RULES = ("cm", "zero", "explicit")
@@ -265,6 +372,10 @@ class PrimeTableSpec(FunctionSpec):
         return self.rule == "cm"
 
     @property
+    def vanishes_on_higher_powers(self):  # type: ignore[override]
+        return self.rule == "zero"
+
+    @property
     def real_valued(self):  # type: ignore[override]
         return not self._v.imag.any()
 
@@ -300,6 +411,14 @@ class PrimeTableSpec(FunctionSpec):
                 return 0
             raise PreconditionError(f"table spec has no value at prime {p}")
         raise PreconditionError(f"explicit table spec has no value at {p}^{k}")
+
+    def at_primes(self, primes):
+        keys, vals = self._prime_arrays
+        i = np.searchsorted(keys, primes)
+        found = keys[np.minimum(i, len(keys) - 1)] == primes if len(keys) else i < 0
+        if not found.all():
+            self.prime_power_value(int(primes[np.argmin(found)]), 1)  # raises
+        return vals[i]
 
     def render(self):
         parts = []
@@ -382,10 +501,16 @@ class Threshold(FunctionSpec):
 
     x0: int
     completely_multiplicative = True
+    fill_dtype = np.int8
 
     def __post_init__(self):
         if self.x0 < 2:
             raise PreconditionError(f"threshold scale must be >= 2, got {self.x0}")
+        try:
+            float(self.x0)  # as the cutoff x0**THRESHOLD_EXPONENT converts it
+        except OverflowError:
+            raise PreconditionError(
+                f"threshold scale of {self.x0.bit_length()} bits overflows a float") from None
 
     @property
     def cutoff(self) -> float:
@@ -395,12 +520,11 @@ class Threshold(FunctionSpec):
         s = 1 if p <= self.cutoff else -1
         return s if k % 2 else 1
 
+    def at_primes(self, primes):
+        return np.where(primes <= self.cutoff, 1.0, -1.0)
+
     def render(self):
         return f"threshold:{self.x0}"
-
-
-# the families whose values are int8: signs, zero and the Legendre symbol
-_INT8_FAMILIES = (Mobius, Liouville, Threshold, One, Legendre)
 
 
 def make_prime_table_spec(values: dict, rule: str = "cm") -> PrimeTableSpec:
@@ -457,7 +581,7 @@ def _fill_blocks(spec: FunctionSpec, x: int, table: PrimeTable, min_width: int =
     are written, so the worker is idle whenever a block is handed out, and
     a fill holds one complex block or two int8 blocks at a time.
     """
-    int8 = isinstance(spec, _INT8_FAMILIES)
+    int8 = spec.fill_dtype == np.int8
     width = max(SIGN_FILL_BLOCK_WIDTH if int8 else FILL_BLOCK_WIDTH, min_width)
     fill = _range_fill(spec, x, table)
     if int8:
@@ -519,53 +643,23 @@ def _fill_two(fill, lo: int, mid: int, hi: int, near: np.ndarray, far: np.ndarra
     done.result()
 
 
-def _fill_dtype(spec: FunctionSpec):
-    return np.int8 if isinstance(spec, _INT8_FAMILIES) else np.complex128
-
-
 def _range_fill(spec: FunctionSpec, x: int, table: PrimeTable):
     """fill(lo, hi, out), which writes f(lo..hi-1) into out, of f's fill
-    dtype, for any 0 <= lo < hi <= x + 1, with f(0) := 0.
+    dtype, for any 0 <= lo < hi <= x + 1, with f(0) := 0: the spec's range
+    body, with n = 0 set after it.
 
-    What every range shares (f at the primes, the periodic rows) is read
-    here, in the calling thread.  fill only reads it and allocates its own
-    scratch, so two threads may fill two ranges at once, and it never hands
-    work to the worker, so the worker cannot wait on itself.  Periodic
-    families copy their row from the range's offset, `Twist` takes the log
-    of the range's n, `Product` multiplies its factors' ranges, and every
-    other spec goes through the multiplicative filler.
+    A body reads what every range shares (f at the primes, the periodic
+    rows) when it is made, in the calling thread.  It only reads that and
+    allocates its own scratch, so two threads may fill two ranges at once,
+    and it never hands work to the worker, so the worker cannot wait on
+    itself.
     """
-    if isinstance(spec, Product):
-        return _product_fill([(_fill_dtype(g), _range_fill(g, x, table)) for g in spec.factors])
-    if isinstance(spec, (One, Legendre, CharacterSpec, Twist)):
-        body = _closed_form_fill(spec)
-    else:
-        body = _multiplicative_fill(spec, x, table)
+    body = spec.range_body(x, table)
 
     def fill(lo, hi, out):
         body(lo, hi, out)
         if lo == 0:
             out[0] = 0
-
-    return fill
-
-
-def _product_fill(factors):
-    """The range fill of a `Product` of factors given as (dtype, fill): the
-    first factor's values, times each later factor's, in place."""
-    (first_dtype, first), *rest = factors
-
-    def fill(lo, hi, out):
-        if first_dtype == out.dtype:
-            first(lo, hi, out)
-        else:
-            vals = np.empty(hi - lo, first_dtype)
-            first(lo, hi, vals)
-            out[:] = vals
-        for dtype, g in rest:
-            vals = np.empty(hi - lo, dtype)
-            g(lo, hi, vals)
-            _multiply_in_place(out, vals)
 
     return fill
 
@@ -580,21 +674,8 @@ def _multiply_in_place(a: np.ndarray, b: np.ndarray) -> None:
         a[:] = a * b
 
 
-def _closed_form_fill(spec: FunctionSpec):
-    """The range body of the periodic families and the twist."""
-    if isinstance(spec, Twist):
-        def body(lo, hi, out):
-            n = np.arange(lo, hi, dtype=np.float64)
-            if lo == 0:
-                n[0] = 1.0
-            out.real = 0.0
-            np.multiply(np.log(n, out=n), spec.t, out=out.imag)
-            np.exp(out, out=out)
-
-        return body
-    if isinstance(spec, One):
-        return lambda lo, hi, out: out.fill(1)
-    row = _legendre_row(spec.p) if isinstance(spec, Legendre) else character_row(spec.character)
+def _periodic_fill(row: np.ndarray):
+    """The range body of a family periodic with one period `row`."""
     period = len(row)
 
     def body(lo, hi, out):
@@ -639,7 +720,7 @@ def _multiplicative_fill(spec: FunctionSpec, x: int, table: PrimeTable):
     sign families) besides its ranges, the split at sqrt(x), and the tables
     f(p^k) of the primes below it.
     """
-    dtype = _fill_dtype(spec)
+    dtype = spec.fill_dtype
     root = math.isqrt(x)
     primes = table.primes_upto(x)
     fp = read_prime_values(spec, primes, table)
@@ -696,11 +777,10 @@ def _multiplicative_fill(spec: FunctionSpec, x: int, table: PrimeTable):
 
 
 def values_upto(spec: FunctionSpec, x: int, table: PrimeTable) -> np.ndarray:
-    """f(n) for n = 0..x as an array (f(0) := 0).
+    """f(n) for n = 0..x as an array (f(0) := 0), of dtype `spec.fill_dtype`.
 
-    dtype is int8 for the sign-valued builtins, `One` and `Legendre`,
-    complex128 otherwise.  This is the one call that holds a length-x array:
-    it allocates the result once and fills it block by block.
+    This is the one call that holds a length-x array: it allocates the
+    result once and fills it block by block.
     """
     if x > table.limit:
         raise PreconditionError(f"values_upto({x}) exceeds table limit {table.limit}")
@@ -734,38 +814,13 @@ def over_primes(primes: np.ndarray, term, r: int = 1, dtype=np.float64) -> np.nd
 def read_prime_values(spec: FunctionSpec, primes: np.ndarray, table: PrimeTable) -> np.ndarray:
     """f(p) for an array of primes, read through `over_primes` into f's fill
     dtype (int8 for the sign families, complex128 otherwise)."""
-    return over_primes(primes, lambda ps: prime_values(spec, ps, table), dtype=_fill_dtype(spec))
+    return over_primes(primes, lambda ps: prime_values(spec, ps, table), dtype=spec.fill_dtype)
 
 
 def prime_values(spec: FunctionSpec, primes: np.ndarray, table: PrimeTable) -> np.ndarray:
-    """f(p) for an array of primes."""
-    if isinstance(spec, (Mobius, Liouville)):
-        return -np.ones(len(primes), dtype=np.float64)
-    if isinstance(spec, One):
-        return np.ones(len(primes), dtype=np.float64)
-    if isinstance(spec, Threshold):
-        return np.where(primes <= spec.cutoff, 1.0, -1.0)
-    if isinstance(spec, Legendre):
-        row = _legendre_row(spec.p)
-        return row[primes % spec.p].astype(np.float64)
-    if isinstance(spec, CharacterSpec):
-        row = character_row(spec.character)
-        return row[primes % spec.q]
-    if isinstance(spec, Twist):
-        return np.exp(1j * spec.t * np.log(primes.astype(np.float64)))
-    if isinstance(spec, Product):
-        out = prime_values(spec.factors[0], primes, table).astype(np.complex128)
-        for f in spec.factors[1:]:
-            out = out * prime_values(f, primes, table)
-        return out
-    if isinstance(spec, PrimeTableSpec):
-        keys, vals = spec._prime_arrays
-        i = np.searchsorted(keys, primes)
-        found = keys[np.minimum(i, len(keys) - 1)] == primes if len(keys) else i < 0
-        if not found.all():
-            spec.prime_power_value(int(primes[np.argmin(found)]), 1)  # raises
-        return vals[i]
-    return np.array([spec.prime_power_value(int(p), 1) for p in primes], dtype=np.complex128)
+    """f(p) for an array of primes: `spec.at_primes`, float64 for the sign
+    families and the Legendre symbol, complex128 otherwise."""
+    return spec.at_primes(primes)
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,6 @@ from .characters import (
 from .errors import PreconditionError
 from .funcspec import (
     FunctionSpec,
-    Mobius,
-    PrimeTableSpec,
-    Product,
     _fill_blocks,
     over_primes,
     prime_values,
@@ -221,16 +218,6 @@ def coprime_mean_bound(
                             bound=bound, bound_quarter_log=bound_q, measured=measured)
 
 
-def _vanishes_on_higher_powers(f: FunctionSpec) -> bool:
-    if isinstance(f, Mobius):
-        return True
-    if isinstance(f, PrimeTableSpec):
-        return f.rule == "zero"
-    if isinstance(f, Product):
-        return any(_vanishes_on_higher_powers(g) for g in f.factors)
-    return False
-
-
 def _explicit_series(f: FunctionSpec, ps: np.ndarray, fp: np.ndarray, base: np.ndarray,
                      x: int) -> np.ndarray:
     """1 + sum over k with p^k <= x of f(p^k) base^k, for each prime p of ps
@@ -304,7 +291,7 @@ def euler_product_mean(
         base = np.exp(-1j * t * np.log(psc)) / psc
         if f.completely_multiplicative:
             series = 1.0 / (1.0 - fp * base)
-        elif _vanishes_on_higher_powers(f):
+        elif f.vanishes_on_higher_powers:
             series = 1.0 + fp * base
         else:
             series = _explicit_series(f, ps, fp, base, x)

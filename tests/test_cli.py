@@ -192,6 +192,21 @@ def test_exit_3_on_precondition(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("spec", ["legendre:1000000000000000003", "threshold:1" + "0" * 400])
+def test_spec_beyond_the_library_range_exits_3_with_one_line(monkeypatch, capsys, spec):
+    # the Legendre modulus was trial-divided for minutes, and the threshold
+    # cutoff ended the run in an OverflowError traceback
+    def never(n):
+        raise AssertionError(f"trial division of {n}")
+
+    monkeypatch.setattr("pretentious.funcspec.is_prime_small", never)
+    code, out, err = run_cli(capsys, ["pretension", "find", "--f", spec, "--x", "1000",
+                                      "--Q", "5", "--A", "1"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_exit_4_on_theorem_violation(capsys, monkeypatch):
     def boom(tolerance):
         raise TheoremViolation("forced for the exit-code contract")

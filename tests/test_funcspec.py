@@ -7,6 +7,7 @@ summatory values against published tables.
 
 import cmath
 import contextlib
+import itertools
 import math
 import os
 import subprocess
@@ -28,6 +29,7 @@ from pretentious.characters import character_row
 from pretentious.errors import PreconditionError, SpecParseError
 from pretentious.funcspec import (
     CharacterSpec,
+    FunctionSpec,
     Legendre,
     Liouville,
     Mobius,
@@ -259,6 +261,27 @@ def test_threshold_signs():
         assert evaluate(spec, p, t) == expected
     # completely multiplicative completion
     assert evaluate(spec, 4, t) == 1
+
+
+def test_legendre_modulus_above_the_sieve_limit_refused_before_trial_division(monkeypatch):
+    # trial division to sqrt(p) ran for minutes on a 126-digit p, and every
+    # fill or read at the primes would hold a row of p residues
+    def never(n):
+        raise AssertionError(f"trial division of {n}")
+
+    monkeypatch.setattr(funcspec, "is_prime_small", never)
+    monkeypatch.setattr("pretentious.arith.is_prime_small", never)
+    for p in (100000007, 10**18 + 3, 10**125 + 3):
+        with pytest.raises(PreconditionError) as refused:
+            parse_spec(f"legendre:{p}")
+        assert str(refused.value) == f"legendre modulus {p} exceeds the sieve limit 100000000"
+
+
+def test_threshold_scale_whose_cutoff_overflows_is_refused():
+    # parsed, and then x0**THRESHOLD_EXPONENT ended the run in an OverflowError
+    with pytest.raises(PreconditionError, match="^threshold scale of 1329 bits overflows a float$"):
+        parse_spec("threshold:1" + "0" * 400)
+    assert Threshold(10**308).cutoff > 1
 
 
 def test_table_completion_rules():
@@ -522,6 +545,57 @@ def test_completely_multiplicative_flags():
     assert not Mobius().completely_multiplicative
     assert Product((Liouville(), One())).completely_multiplicative
     assert not Product((Mobius(), One())).completely_multiplicative
+
+
+def test_vanishes_on_higher_powers_flags():
+    assert Mobius().vanishes_on_higher_powers
+    assert not Liouville().vanishes_on_higher_powers
+    for rule in ("cm", "zero", "explicit"):
+        table = make_prime_table_spec({2: -1.0}, rule=rule)
+        assert table.vanishes_on_higher_powers is (rule == "zero")
+    assert parse_spec("prod(mobius,liouville)").vanishes_on_higher_powers
+    assert not parse_spec("prod(liouville,nit:0.5)").vanishes_on_higher_powers
+
+
+def test_every_family_defines_its_values_and_text():
+    families = [c for c in vars(funcspec).values()
+                if isinstance(c, type) and issubclass(c, FunctionSpec) and c is not FunctionSpec]
+    assert len(families) >= 9  # the built-in families
+    for cls in families:
+        assert {"prime_power_value", "at_primes", "render"} <= set(vars(cls)), cls.__name__
+
+
+# ------------------------------------------------------- family contract
+#
+# What the library reads off a spec's class, checked against its
+# prime_power_value for every family and every product of two.
+
+CONTRACT_X = 10**4
+CONTRACT_FAMILIES = ["mobius", "liouville", "one", "legendre:7", "char:28:5", "nit:0.5",
+                     "threshold:5000", "table:cm", "table:zero", "table:explicit"]
+CONTRACT_CASES = [[text] for text in CONTRACT_FAMILIES] + [
+    list(pair) for pair in itertools.combinations(CONTRACT_FAMILIES, 2)]
+
+
+@pytest.mark.parametrize("texts", CONTRACT_CASES, ids=",".join)
+def test_family_contract(texts):
+    factors = [_two_range_spec(text, CONTRACT_X) for text in texts]
+    spec = factors[0] if len(factors) == 1 else Product(tuple(factors))
+    t = _table()
+    ps = t.primes_upto(CONTRACT_X)
+    fp = spec.at_primes(ps)
+    assert fp.dtype == (np.float64 if spec.fill_dtype == np.int8 else np.complex128)
+    np.testing.assert_allclose(fp, [spec.prime_power_value(p, 1) for p in ps.tolist()],
+                               rtol=0, atol=1e-12)
+    vals = values_upto(spec, CONTRACT_X, t)
+    assert vals.dtype == spec.fill_dtype
+    if spec.fill_dtype == np.int8:
+        # the int8 class sums in meanvalues count on it
+        assert set(np.unique(vals).tolist()) <= {-1, 0, 1}
+    if spec.vanishes_on_higher_powers:
+        powers = [(p, k) for p in ps.tolist() for k in range(2, 14) if p**k <= CONTRACT_X]
+        assert all(spec.prime_power_value(p, k) == 0 for p, k in powers)
+        assert not vals[[p**k for p, k in powers]].any()
 
 
 # ------------------------------------------------ fill kernel vs oracles

@@ -38,7 +38,6 @@ from pretentious.funcspec import (
 from pretentious.meanvalues import (
     _class_sums,
     _explicit_series,
-    _vanishes_on_higher_powers,
     coprime_mean_bound,
     decompose_via_characters,
     euler_product_mean,
@@ -484,7 +483,7 @@ def _euler_product_mean_whole(f, x, table, t=0.0, q=1, truncation=None):
     if f.completely_multiplicative:
         z = fp * base
         series = 1.0 / (1.0 - z)
-    elif _vanishes_on_higher_powers(f):
+    elif f.vanishes_on_higher_powers:
         series = 1.0 + fp * base
     else:
         series = _explicit_series(f, ps, fp, base, x)

@@ -77,3 +77,23 @@ def test_scripts_refuse_non_finite_bounds(name, flag, value):
     proc = _launch(name, flag, value)
     assert proc.returncode == 2, proc.stderr
     assert "expected a finite number" in proc.stderr
+
+
+@pytest.mark.parametrize("name,args,code,message", [
+    ("legendre_infimum.py", ["--q", "4", "--a", "2", "--x", "100", "--p-limit", "50"], 3,
+     "error: need gcd(a, q) = 1, got a=2, q=4"),
+    ("residual_trend.py", ["--xmax", "1e4", "--qs", "3", "--Q", "0"], 3,
+     "error: conductor bound must be in [1, 10000], got 0"),
+    ("residual_trend.py", ["--xmax", "1e4", "--f", "bogus"], 2,
+     "error: unrecognized spec 'bogus'"),
+    ("residual_trend.py", ["--xmax", "1e4", "--qs", "0"], 2,
+     "argument --qs: expected a positive integer, got 0"),
+    ("residual_trend.py", ["--xmax", "1e4", "--qs", "4,x"], 2,
+     "argument --qs: expected comma-separated positive integers, got 4,x"),
+])
+def test_scripts_report_errors_as_the_cli_does(name, args, code, message):
+    # each of these used to end in a traceback
+    proc = _launch(name, *args)
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
