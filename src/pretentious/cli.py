@@ -1,6 +1,7 @@
 """Command line front end.
 
-One executable, one report per run. Every subcommand emits a single object
+One executable, one report per run. By default a subcommand emits a single
+object
 
     {"version", "command", "config", "timestamp", "result"}
 
@@ -9,12 +10,22 @@ from the timestamp. The parser is the only place that knows a command's
 parameters: `config.params` is every parsed flag except the ones in
 `STEERING`, which steer the run rather than parametrize it, and
 `config.threads` sits beside it. Each `_cmd_*` only computes and returns
-its result; `main` writes the report. The parser checks types, signs and
-finiteness; the library call checks every other precondition before it
-reads the prime table, which sieves on first use. Exit codes: 0 success,
-2 malformed arguments or spec strings, 3 precondition violations, 4
+its result; `main` writes the report, and only after the run succeeds.
+
+Three commands can write CSV instead: `meanvalues report` (one row per
+class), `meanvalues trend` (one row per decade of x and modulus q) and
+`sieve legendre` (one row per record low). They write CSV when `--format
+csv` is given, or when `--format` is absent and `--out` ends in `.csv`;
+otherwise JSON. Every CSV goes through `_csv`, floats as their repr.
+
+The parser checks types, signs and finiteness; the library call checks
+every other precondition before it reads the prime table, which sieves on
+first use. `meanvalues trend` builds all of its tables before the first
+scan, so an xmax past the sieve's range is refused before anything
+sieves. Exit codes: 0 success, 2 malformed arguments or spec strings
+(or an unreadable or unwritable file), 3 precondition violations, 4
 theorem-assertion failures (the latter always indicate an implementation
-bug, not bad input).
+bug, not bad input); each failure prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -103,6 +114,21 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _wants_csv(args) -> bool:
+    """CSV when --format says so, or without --format when --out ends in .csv."""
+    if args.format is not None:
+        return args.format == "csv"
+    return bool(args.out) and args.out.endswith(".csv")
+
+
+def _csv(columns, rows) -> str:
+    """The CSV text of `rows` under a header of `columns`. A cell is its
+    str, which for a float is its repr; None is an empty cell."""
+    lines = [",".join(columns)]
+    lines += [",".join("" if v is None else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
@@ -122,6 +148,14 @@ def _nonneg_float(text: str) -> float:
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text}")
     return value
+
+
+def _moduli(text: str) -> list[int]:
+    try:
+        return [_positive_int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text}") from None
 
 
 def _repulsion_order(text: str) -> str:
@@ -165,31 +199,49 @@ def _cmd_pretension_find(args):
 # --------------------------------------------------------------- meanvalues
 
 
-_CSV_HEADER = "a,Re F,Im F,residual,main_term,error_ref_brancha,error_ref_branchb"
-
-
-def _report_csv(report) -> str:
-    # one row per reduced class; the two reference-curve columns repeat so the
-    # file stays self-contained for plotting
-    lines = [_CSV_HEADER]
-    brancha = "" if report.error_ref_power_window is None else repr(report.error_ref_power_window)
-    branchb = repr(report.error_ref_log_window)
-    for row in report.rows:
-        value = complex(row.value)
-        main_term = "" if row.main_term is None else repr(abs(row.main_term))
-        cells = [str(row.a), repr(value.real), repr(value.imag), repr(abs(row.residual)),
-                 main_term, brancha, branchb]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+_REPORT_COLUMNS = ("a", "Re F", "Im F", "residual", "main_term",
+                   "error_ref_brancha", "error_ref_branchb")
+_TREND_COLUMNS = ("f", "q", "x", "normalized_max_residual", "max_residual", "conductor", "t")
+_RECORD_COLUMNS = ("p", "record_low")
 
 
 def _cmd_meanvalues_report(args):
     f = parse_spec(args.f)
     report = progression_report(f, args.x, args.q, args.Q, args.A, PrimeTable(args.x))
-    fmt = args.format
-    if fmt is None:
-        fmt = "csv" if args.out and args.out.endswith(".csv") else "json"
-    return _report_csv(report) if fmt == "csv" else report
+    if not _wants_csv(args):
+        return report
+    # one row per reduced class; the two reference-curve columns repeat so the
+    # file stays self-contained for plotting
+    rows = []
+    for row in report.rows:
+        value = complex(row.value)
+        main_term = None if row.main_term is None else abs(row.main_term)
+        rows.append((row.a, value.real, value.imag, abs(row.residual), main_term,
+                     report.error_ref_power_window, report.error_ref_log_window))
+    return _csv(_REPORT_COLUMNS, rows)
+
+
+def _cmd_meanvalues_trend(args):
+    f = parse_spec(args.f)
+    decades = []
+    x = 10**4
+    while x <= args.xmax:
+        decades.append(x)
+        x *= 10
+    if not decades:
+        raise PreconditionError(f"xmax must be >= 10000 for one decade, got {args.xmax}")
+    # every table before the first scan, so an xmax past the sieve's range is
+    # refused before anything sieves; one table per decade, shared across q
+    tables = [PrimeTable(x) for x in decades]
+    rows = []
+    for x, table in zip(decades, tables):
+        for q in args.qs:
+            rep = progression_report(f, x, q, args.Q, args.A, table)
+            rows.append((args.f, q, x, rep.normalized_max_residual, rep.max_residual,
+                         rep.exceptional.conductor, rep.exceptional.t))
+    if _wants_csv(args):
+        return _csv(_TREND_COLUMNS, rows)
+    return [dict(zip(_TREND_COLUMNS, row)) for row in rows]
 
 
 def _cmd_meanvalues_halasz(args):
@@ -223,6 +275,8 @@ def _cmd_sieve_defect(args):
 def _cmd_sieve_legendre(args):
     table = PrimeTable(max(args.x, args.p_limit))
     report = legendre_progression_experiment(args.q, args.a, args.x, args.p_limit, table)
+    if _wants_csv(args):
+        return _csv(_RECORD_COLUMNS, report.running)
     return report if args.verbose else dataclasses.replace(report, running=())
 
 
@@ -299,6 +353,10 @@ _F = ("--f", dict(required=True))
 _X = ("--x", dict(type=_positive_int, required=True))
 _Q = ("--q", dict(type=_positive_int, required=True))
 _INDEX = ("--index", dict(type=int, required=True))
+_SCAN_Q = ("--Q", dict(type=_positive_int, required=True))
+_SCAN_A = ("--A", dict(type=_nonneg_float, required=True))
+_FORMAT = ("--format", dict(choices=["json", "csv"],
+                            help="default json, or csv if --out ends in .csv"))
 
 
 def _command(sub, name: str, help: str, func, *flags) -> None:
@@ -339,11 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     mv = sub.add_parser("meanvalues", help="progression sums, bounds, Euler products")
     mv_sub = mv.add_subparsers(dest="subcommand", required=True)
     _command(mv_sub, "report", "residuals against the best character model",
-             _cmd_meanvalues_report, _F, _X, _Q,
-             ("--Q", dict(type=_positive_int, required=True)),
-             ("--A", dict(type=_nonneg_float, required=True)),
-             ("--format", dict(choices=["json", "csv"],
-                               help="default json, or csv if --out ends in .csv")))
+             _cmd_meanvalues_report, _F, _X, _Q, _SCAN_Q, _SCAN_A, _FORMAT)
+    _command(mv_sub, "trend", "normalized max residual per decade of x and modulus q",
+             _cmd_meanvalues_trend, _F,
+             ("--qs", dict(type=_moduli, default="3,4,5,8", help="comma-separated moduli")),
+             ("--xmax", dict(type=_finite_float, default=1e6,
+                             help="largest x; rows at x = 10^4, 10^5, ... <= xmax")),
+             _SCAN_Q, _SCAN_A, _FORMAT)
     _command(mv_sub, "halasz", "mean value bound from the best twist", _cmd_meanvalues_halasz,
              _F, _X,
              ("--T", dict(type=_nonneg_float, default=1.0, help="twist scan bound, >= 1")))
@@ -371,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
              ("--a", dict(type=_positive_int, required=True)),
              _X,
              ("--p-limit", dict(dest="p_limit", type=_positive_int, required=True)),
-             ("--verbose", dict(action="store_true", help="include the running-infimum trace")))
+             ("--verbose", dict(action="store_true", help="include the running-infimum trace")),
+             _FORMAT)
 
     nc = sub.add_parser("nearchar", help="approximate-character recovery")
     nc_sub = nc.add_subparsers(dest="subcommand", required=True)
@@ -390,13 +451,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_errors(run) -> int:
-    """Call run() and return the exit code of its outcome: 0 if it returns,
-    and for the library's errors one line on stderr and 2 (a malformed spec
-    or an unreadable or unwritable file), 3 (a precondition violation) or 4
-    (a theorem violation)."""
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    # the report is written only once the run has succeeded, so a refused
+    # run leaves one stderr line and nothing else
     try:
-        run()
+        result = args.func(args)
+        if isinstance(result, str):
+            _write(args, result)
+        else:
+            _emit(args, result)
         return 0
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -410,19 +474,6 @@ def _report_errors(run) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _run(args) -> None:
-    result = args.func(args)
-    if isinstance(result, str):
-        _write(args, result)
-    else:
-        _emit(args, result)
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return _report_errors(lambda: _run(args))
 
 
 if __name__ == "__main__":

@@ -288,13 +288,17 @@ def legendre_progression_experiment(
     ps = [p for p in table.primes_upto(p_limit).tolist() if p != 2 and q % p]
     if not ps:
         raise PreconditionError(f"no odd prime p <= {p_limit} is coprime to q={q}")
-    ns = np.arange(start, x + 1, q, dtype=np.int64)
+    # the terms are n = start + jq for j < N. As gcd(p, q) = 1, n mod p runs
+    # through every residue once in any p consecutive j, and the symbol sums
+    # to 0 over them, so only the first N mod p terms are left
+    N = (x - start) // q + 1
     best = math.inf
     best_p = 0
     running = []
     for p in ps:
         row = _legendre_row(p)
-        s = float(np.sum(row[ns % p])) * q / x
+        residues = (start + (q % p) * np.arange(N % p, dtype=np.int64)) % p
+        s = float(np.sum(row[residues])) * q / x
         if s < best:
             best = s
             best_p = p

@@ -5,6 +5,7 @@ against sympy, which uses entirely different algorithms.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,3 +119,18 @@ def test_table_sieves_once_on_first_use(monkeypatch):
     assert table.primes_upto(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(table.primes_upto(1000)) == 168
     assert calls == [10**8]
+
+
+def test_sieve_holds_one_copy_of_a_segment_beside_its_flags():
+    # 10^7 fits one segment: 10^7 flag bytes, then 5.3 MB of primes.  The
+    # sieve drops the flags before it joins the segments and shifts the
+    # segment's offsets in place, where it once held the flags, the offsets
+    # and the shifted copy at once (20.6 MB traced)
+    tracemalloc.start()
+    try:
+        primes = arith._sieve(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(primes) == 664579
+    assert peak <= 10**7 + 1.5 * primes.nbytes

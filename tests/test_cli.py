@@ -1,6 +1,8 @@
 """Command line reports: schema, determinism, formats, exit codes."""
 
 import argparse
+import csv
+import io
 import json
 import shlex
 from pathlib import Path
@@ -14,7 +16,7 @@ from pretentious.characters import character_by_index, character_row, unit_group
 from pretentious.arith import PrimeTable
 from pretentious.errors import PreconditionError, TheoremViolation
 from pretentious.funcspec import Mobius
-from pretentious.meanvalues import euler_product_mean, halasz_bound
+from pretentious.meanvalues import euler_product_mean, halasz_bound, progression_report
 from pretentious.sieve_experiments import (
     BadModuliReport,
     bad_moduli,
@@ -27,7 +29,11 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, argv):
-    code = cli.main(argv)
+    """(exit code, stdout, stderr) of one in-process run, argparse's refusals included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -171,6 +177,154 @@ def test_json_report_still_default(capsys):
     assert rep["command"] == "meanvalues report"
     assert rep["result"]["q"] == 4
     assert len(rep["result"]["rows"]) == 2
+
+
+# ------------------------------------------------------------------ sweeps
+
+
+def _csv_rows(text):
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+def test_trend_smallest_sweep(capsys):
+    code, out, err = run_cli(capsys, ["meanvalues", "trend", "--f", "mobius", "--xmax", "1e4",
+                                      "--qs", "3", "--Q", "10", "--A", "2", "--format", "csv"])
+    assert code == 0, err
+    rows = _csv_rows(out)
+    assert len(rows) == 1
+    row = rows[0]
+    assert list(row) == ["f", "q", "x", "normalized_max_residual", "max_residual",
+                         "conductor", "t"]
+    assert (row["f"], row["q"], row["x"]) == ("mobius", "3", "10000")
+    assert float(row["normalized_max_residual"]) >= 0
+    assert int(row["conductor"]) >= 1
+    float(row["t"])
+
+
+def test_trend_rows_are_the_reports_of_each_decade_and_modulus(tmp_path, capsys):
+    argv = ["meanvalues", "trend", "--f", "mobius", "--xmax", "200000", "--qs", "3,8",
+            "--Q", "10", "--A", "2"]
+    rep = run_json(capsys, argv)
+    assert rep["config"]["params"] == {"f": "mobius", "qs": [3, 8], "xmax": 200000.0,
+                                       "Q": 10, "A": 2.0}
+    want = []
+    for x in (10**4, 10**5):
+        for q in (3, 8):
+            r = progression_report(Mobius(), x, q, 10, 2.0, PrimeTable(x))
+            want.append({"f": "mobius", "q": q, "x": x,
+                         "normalized_max_residual": r.normalized_max_residual,
+                         "max_residual": r.max_residual,
+                         "conductor": r.exceptional.conductor, "t": r.exceptional.t})
+    assert rep["result"] == want
+    # the same rows as CSV, chosen by the --out extension
+    path = tmp_path / "trend.csv"
+    code, out, err = run_cli(capsys, argv + ["--out", str(path)])
+    assert (code, out) == (0, ""), err
+    rows = _csv_rows(path.read_text())
+    assert [(int(r["x"]), int(r["q"]), float(r["normalized_max_residual"])) for r in rows] == \
+        [(w["x"], w["q"], w["normalized_max_residual"]) for w in want]
+
+
+@pytest.mark.parametrize("q,a", [(4, 3), (5, 1)])
+def test_legendre_csv_smallest_scan(capsys, q, a):
+    code, out, err = run_cli(capsys, ["sieve", "legendre", "--q", str(q), "--a", str(a),
+                                      "--x", "1000", "--p-limit", "100", "--format", "csv"])
+    assert code == 0, err
+    rows = _csv_rows(out)
+    assert rows and list(rows[0]) == ["p", "record_low"]
+    lows = [float(r["record_low"]) for r in rows]
+    assert all(b < a for a, b in zip(lows, lows[1:]))  # each row is a new record low
+    assert all(int(r["p"]) % 2 == 1 for r in rows)
+    full = legendre_progression_experiment(q, a, 1000, 100, PrimeTable(1000))
+    assert [(int(r["p"]), float(r["record_low"])) for r in rows] == list(full.running)
+
+
+@pytest.mark.parametrize("flag", ["--q", "--a"])
+def test_sieve_legendre_refuses_a_nonpositive_class_at_the_flag(capsys, flag):
+    # --q 0 --a 1 would divide by zero, and --a 0 is no unit
+    args = {"--q": "4", "--a": "1", "--x": "100", "--p-limit": "50"}
+    args[flag] = "0"
+    code, out, err = run_cli(capsys, ["sieve", "legendre", "--format", "csv",
+                                      *(t for kv in args.items() for t in kv)])
+    assert code == 2
+    assert out == ""
+    assert "expected a positive integer, got 0" in err
+
+
+_TREND = ["meanvalues", "trend", "--f", "mobius", "--Q", "10", "--A", "2"]
+_LEGENDRE = ["sieve", "legendre", "--q", "4", "--a", "3", "--x", "100", "--p-limit", "50",
+             "--format", "csv"]
+
+
+@pytest.mark.parametrize("argv,flag,value,message", [
+    pytest.param(_TREND, "--A", "inf", "expected a finite number", id="trend-A-inf"),
+    pytest.param(_TREND, "--A", "nan", "expected a finite number", id="trend-A-nan"),
+    pytest.param(_TREND, "--xmax", "inf", "expected a finite number", id="trend-xmax-inf"),
+    pytest.param(_LEGENDRE, "--x", "inf", "invalid _positive_int value", id="legendre-x-inf"),
+    pytest.param(_LEGENDRE, "--p-limit", "nan", "invalid _positive_int value",
+                 id="legendre-p-limit-nan"),
+])
+def test_sweeps_refuse_non_finite_bounds_at_the_flag(capsys, argv, flag, value, message):
+    # an infinite --xmax would sweep without end, --A inf overflow the scan
+    # grid, and --A nan scan quietly; the Legendre bounds are integers
+    code, out, err = run_cli(capsys, [*argv, flag, value])
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: {message}" in err
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    pytest.param(["sieve", "legendre", "--q", "4", "--a", "2", "--x", "100", "--p-limit", "50",
+                  "--format", "csv"], 3, "error: need gcd(a, q) = 1, got a=2, q=4",
+                 id="legendre-gcd"),
+    pytest.param([*_TREND[:4], "--xmax", "1e4", "--qs", "3", "--Q", "20000", "--A", "2"], 3,
+                 "error: conductor bound must be in [1, 10000], got 20000",
+                 id="trend-conductor-bound"),
+    pytest.param(["meanvalues", "trend", "--f", "bogus", "--xmax", "1e4", "--Q", "10",
+                  "--A", "2"], 2, "error: unrecognized spec 'bogus'", id="trend-bad-spec"),
+    pytest.param([*_TREND, "--xmax", "1e4", "--qs", "0"], 2,
+                 "argument --qs: expected a positive integer, got 0", id="trend-qs-zero"),
+    pytest.param([*_TREND, "--xmax", "1e4", "--qs", "4,x"], 2,
+                 "argument --qs: expected comma-separated positive integers, got 4,x",
+                 id="trend-qs-malformed"),
+])
+def test_sweeps_report_errors_in_one_line(capsys, argv, code, message):
+    got, out, err = run_cli(capsys, argv)
+    assert got == code
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,sieves", [
+    pytest.param([*_TREND, "--qs", "3", "--xmax", "1e4", "--Q", "0"], False, id="trend-Q-zero"),
+    pytest.param([*_TREND, "--qs", "3", "--xmax", "1e4", "--Q", "20000"], False,
+                 id="trend-Q-past-x"),
+    pytest.param([*_TREND, "--qs", "3", "--xmax", "1000000000"], False,
+                 id="trend-xmax-past-1e8"),
+    pytest.param([*_TREND, "--qs", "3", "--xmax", "9999"], False, id="trend-no-decade"),
+    # q = 3 is scanned at x = 10^4 before q = 20000 is refused there
+    pytest.param([*_TREND, "--qs", "3,20000", "--xmax", "1e5"], True, id="trend-q-past-x"),
+    pytest.param(["meanvalues", "report", "--f", "mobius", "--x", "1000", "--q", "1001",
+                  "--Q", "10", "--A", "2", "--format", "csv"], False, id="report-q-past-x"),
+    pytest.param(["sieve", "legendre", "--q", "4", "--a", "2", "--x", "100", "--p-limit", "50",
+                  "--format", "csv"], False, id="legendre-gcd"),
+])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_a_refused_run_writes_nothing(monkeypatch, tmp_path, capsys, argv, sieves, to_file):
+    # the trend script once printed its CSV header before the first refusal
+    def never(*args):
+        raise AssertionError("the sieve started")
+
+    if not sieves:
+        monkeypatch.setattr("pretentious.arith.sieve_primes", never)
+    path = tmp_path / "rows.csv"
+    code, out, err = run_cli(capsys, argv + (["--out", str(path)] if to_file else []))
+    assert code in (2, 3)
+    assert out == ""
+    assert not path.exists()
+    assert err.count("error:") == 1
+    assert "Traceback" not in err
 
 
 # -------------------------------------------------------------- exit codes
@@ -495,6 +649,11 @@ def test_meanvalues_euler_truncation_is_prime_cutoff(capsys):
 # ------------------------------------------------------- README and config
 
 
+# every CSV header the CLI writes
+CSV_HEADERS = {",".join(columns) for columns in
+               (cli._REPORT_COLUMNS, cli._TREND_COLUMNS, cli._RECORD_COLUMNS)}
+
+
 def _readme_cli_commands():
     section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     return [shlex.split(line)[1:] for line in section.splitlines()
@@ -513,7 +672,10 @@ def test_readme_cli_command_runs(argv, tmp_path, monkeypatch, capsys):
     assert code == 0, err
     if "--out" in argv:
         out = (tmp_path / argv[argv.index("--out") + 1]).read_text()
-    if out.startswith(cli._CSV_HEADER + "\n"):
+    header, _, rows = out.partition("\n")
+    if header in CSV_HEADERS:
+        width = header.count(",")
+        assert rows and all(row.count(",") == width for row in rows.splitlines())
         return
     rep = json.loads(out, parse_constant=_reject_constant)
     assert set(rep) == TOP_KEYS
@@ -534,6 +696,8 @@ SMALL_RUNS = {
     "constants": ["--name", "repulsion", "--m", "3"],
     "pretension find": ["--f", "mobius", "--x", "1000", "--Q", "3", "--A", "1"],
     "meanvalues report": ["--f", "one", "--x", "1000", "--q", "4", "--Q", "4", "--A", "1"],
+    "meanvalues trend": ["--f", "mobius", "--xmax", "10000", "--qs", "3", "--Q", "3",
+                         "--A", "1"],
     "meanvalues halasz": ["--f", "mobius", "--x", "1000"],
     "meanvalues euler": ["--f", "mobius", "--x", "1000"],
     "sieve bad-moduli": ["--f", "mobius", "--x", "1000", "--q", "3", "--a", "1", "--eta", "0.5"],

@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pretentious.arith import PrimeTable, divisors
@@ -29,7 +29,7 @@ from pretentious.characters import (
     unit_group_transform,
 )
 from pretentious.errors import PreconditionError
-from pretentious.funcspec import Mobius, One, parse_spec, values_upto
+from pretentious.funcspec import Mobius, One, _legendre_row, parse_spec, values_upto
 from pretentious import sieve_experiments
 from pretentious.sieve_experiments import (
     _class_sums,
@@ -762,6 +762,60 @@ def test_legendre_mean_value_oracle():
         all_vals.append(sum(row) * q / x)
     assert direct.infimum == pytest.approx(min(all_vals), abs=1e-12)
     assert expected == pytest.approx(all_vals[-1], abs=1e-12)
+
+
+def _legendre_scan_direct(q, a, x, p_limit, table):
+    """The scan's direct loop: every n = a mod q up to x reduced mod each p."""
+    start = a % q or q
+    ns = np.arange(start, x + 1, q, dtype=np.int64)
+    best, best_p, running = math.inf, 0, []
+    for p in table.primes_upto(p_limit).tolist():
+        if p == 2 or q % p == 0:
+            continue
+        s = float(np.sum(_legendre_row(p)[ns % p])) * q / x
+        if s < best:
+            best, best_p = s, p
+            running.append((p, s))
+    return best, best_p, tuple(running)
+
+
+@pytest.mark.parametrize("q, a, x, p_limit", [(4, 3, 10**4, 10**4), (4, 1, 10**4, 10**4),
+                                              (1, 1, 10**4, 10**3), (7, 3, 50, 2000)])
+def test_legendre_scan_equals_the_direct_loop(q, a, x, p_limit):
+    # the first two are criterion 10's settings; the last has x < p_limit,
+    # so most p exceed the number of terms
+    rep = legendre_progression_experiment(q, a, x, p_limit, _table())
+    assert (rep.infimum, rep.argmin_p, rep.running) == \
+        _legendre_scan_direct(q, a, x, p_limit, _table())
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.integers(1, 60), a=st.integers(1, 200), x=st.integers(1, 4000),
+       p_limit=st.integers(3, 600))
+def test_legendre_scan_equals_the_direct_loop_on_random_classes(q, a, x, p_limit):
+    assume(math.gcd(a, q) == 1)
+    assume(any(p % 2 and q % p for p in _table().primes_upto(p_limit).tolist()))
+    rep = legendre_progression_experiment(q, a, x, p_limit, _table())
+    assert (rep.infimum, rep.argmin_p, rep.running) == \
+        _legendre_scan_direct(q, a, x, p_limit, _table())
+
+
+_LEGENDRE_AT_1E8 = """
+from pretentious.arith import PrimeTable
+from pretentious.sieve_experiments import legendre_progression_experiment
+rep = legendre_progression_experiment(4, 3, 10**8, 10**4, PrimeTable(10**8))
+out = dict(infimum=rep.infimum, argmin_p=rep.argmin_p)
+"""
+
+
+def test_legendre_scan_at_1e8_holds_no_array_over_the_terms(fresh_process):
+    # its own process, whose peak RSS is this run's.  The sieve to 10^8
+    # peaks near 125 MB; the scan once held n = 3 mod 4 up to 10^8 and n mod p,
+    # 200 MB each (495 MB at p <= 50), and gathered 2.5e7 symbols per prime
+    out = fresh_process(_LEGENDRE_AT_1E8)
+    assert out["rss_mb"] <= 250
+    assert -1 <= out["infimum"] <= 0
+    assert 3 <= out["argmin_p"] <= 10**4
 
 
 def test_legendre_preconditions():
