@@ -287,6 +287,24 @@ def character_row(chi: DirichletCharacter) -> np.ndarray:
     return row
 
 
+def character_column(q: int, a: int) -> np.ndarray:
+    """chi(a) for every chi mod q, by canonical index, as complex128.
+
+    As in `character_row`, chi_e(a) = e(j/L) where j is the exponent tuple
+    e dotted with the discrete log of a scaled by L / d_i, so one product of
+    the exponent grid of all characters with that vector and one lookup in
+    the L-th roots give every value; 0 for every chi when a is not a unit."""
+    G = unit_group(q)
+    i = G.unit_index[a % q]
+    if i < 0:
+        return np.zeros(G.phi, dtype=np.complex128)
+    L = lcm(*G.orders)
+    scaled = np.array([b * (L // d) for b, d in zip(G.exponents[i].tolist(), G.orders)],
+                      dtype=np.int64)
+    grid = np.indices(G.orders).reshape(len(G.orders), G.phi).T  # row e: the tuple of index e
+    return _roots(L)[(grid @ scaled) % L]
+
+
 def conductor(chi: DirichletCharacter) -> int:
     """Smallest d | q through which chi factors.
 

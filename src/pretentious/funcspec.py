@@ -21,11 +21,15 @@ fills any one range of n with its `range_body`: a closed form for `One`,
 `Legendre`, `CharacterSpec` and `Twist`, the product of its factors' fills
 for `Product`, and for every other family one vectorized multiplicative
 filler, with f at the primes from `read_prime_values`, f(p^k) for k >= 2
-from `prime_power_value`, and no per-n Python loop.  Each step of
-the fill writes two ranges at once, the second on a single worker thread
-that the first fill with two ranges starts.  numpy releases the interpreter
-lock inside its loops, so the complex closed forms run on two cores; the
-multiplicative filler's Python loop over the small primes does not.
+from `prime_power_value`, and no per-n Python loop.  For the int8 sign
+families that filler multiplies f(p^k) in as in-place sign steps, set up
+once per fill: the multiples of p^k negated or zeroed, with no factor
+arrays, and f at the primes above sqrt(x) scattered as one value where it
+is one value.  Each step of the fill writes two ranges at once, the second
+on a single worker thread that the first fill with two ranges starts.
+numpy releases the interpreter lock inside its loops, so the complex
+closed forms run on two cores; the multiplicative filler's Python loop
+over the small primes, one numpy call per prime or sign step, does not.
 `values_upto` is the one call that holds all of f(0..x); it fills its
 array block by block.  Every walk over the primes in the library is
 `over_primes`.
@@ -707,20 +711,31 @@ def _multiplicative_fill(spec: FunctionSpec, x: int, table: PrimeTable):
     vectorized over m: the primes P of each cofactor m form one index range,
     and repeat/cumsum lay out the ranges of the cofactors end to end, cut
     into scatters of _CHUNK entries (a long cofactor, such as m = 1, spans
-    several).  Pass 2 walks the primes p <= sqrt(x) in descending order and
-    multiplies the multiples of p in the range by a factor array holding
-    f(p^k), p^k || n, whose multiples of p^2, p^3, ... are overwritten in
-    turn.  Each product is thus formed as
-    ((1 * f(P)) * f(p_r^k_r)) * ... * f(p_1^k_1), largest prime first,
-    whatever the range.  The Python work per range is one step per prime
-    p <= sqrt(x).
+    several).  Pass 2 walks the primes p <= sqrt(x).
+
+    A complex fill multiplies, for each p in descending order, the multiples
+    of p in the range by a factor array holding f(p^k), p^k || n, whose
+    multiples of p^2, p^3, ... are overwritten in turn.  Each product is
+    thus formed as ((1 * f(P)) * f(p_r^k_r)) * ... * f(p_1^k_1), largest
+    prime first, whatever the range.
+
+    An int8 fill takes values in {-1, 0, 1}, where every product is exact
+    in any order, so it needs no factor arrays: pass 2 runs the sign steps
+    that `_sign_steps` lists at setup, each one in-place negation or zeroing
+    of the multiples of some p^k, and the steps of a prime below a threshold
+    spec's cutoff drop out.  When f(P) is one value at every P > sqrt(x)
+    (mobius, liouville, a threshold spec whose cutoff is below sqrt(x)),
+    pass 1 scatters that value rather than gathering f(P) per entry.  The
+    Python work per range is one step per prime p <= sqrt(x), or per sign
+    step.
 
     The setup runs once, here: f at the primes from `read_prime_values`, so
     the fill holds one value per prime in its own dtype (one byte for the
     sign families) besides its ranges, the split at sqrt(x), and the tables
-    f(p^k) of the primes below it.
+    f(p^k) of the primes below it, or their sign steps.
     """
     dtype = spec.fill_dtype
+    int8 = dtype == np.int8
     root = math.isqrt(x)
     primes = table.primes_upto(x)
     fp = read_prime_values(spec, primes, table)
@@ -728,6 +743,8 @@ def _multiplicative_fill(spec: FunctionSpec, x: int, table: PrimeTable):
     # 1 * f(P) is the first product every n = m P takes; pass 1 stores it
     large, f_large = primes[split:], fp[split:]
     np.multiply(np.ones(1, dtype=dtype), f_large, out=f_large)
+    same = int8 and len(f_large) > 0 and bool((f_large == f_large[0]).all())
+    scatter = f_large[0] if same else None  # an int8 scalar, or gather per entry
     small = []  # (p, f(p^k) for k = 0, 1, ... while p^k <= x), p descending
     for i in range(split - 1, -1, -1):
         p = int(primes[i])
@@ -736,7 +753,11 @@ def _multiplicative_fill(spec: FunctionSpec, x: int, table: PrimeTable):
         while pk <= x // p:
             pk *= p
             f_pk.append(spec.prime_power_value(p, len(f_pk)))
-        small.append((p, np.array(f_pk, dtype=dtype)))
+        small.append((p, f_pk))
+    if int8:
+        steps = _sign_steps(small)
+    else:
+        small = [(p, np.array(f_pk, dtype=dtype)) for p, f_pk in small]
 
     def body(lo, hi, vals):
         vals.fill(1)
@@ -760,7 +781,17 @@ def _multiplicative_fill(spec: FunctionSpec, x: int, table: PrimeTable):
             n = large[idx]
             n *= np.repeat(m[run], cut)
             n -= lo
-            vals[n] = f_large[idx]
+            vals[n] = f_large[idx] if scatter is None else scatter
+        if int8:
+            for d, s in steps:
+                start = max(-(-lo // d), 1) * d  # the first multiple of d in [lo, hi), n > 0
+                if start < hi:
+                    v = vals[start - lo :: d]
+                    if s:
+                        np.negative(v, out=v)  # s = -1, twice as fast as v *= s
+                    else:
+                        v.fill(0)
+            return
         for p, f_pk in small:
             start = max(-(-lo // p), 1) * p  # the first multiple of p in [lo, hi), n > 0
             if start >= hi:
@@ -774,6 +805,33 @@ def _multiplicative_fill(spec: FunctionSpec, x: int, table: PrimeTable):
             _multiply_in_place(vals[start - lo :: p], factor)
 
     return body
+
+
+def _sign_steps(small) -> list[tuple[int, int]]:
+    """The steps (d, s) of an int8 fill, each multiplying the multiples of
+    d by s = -1 or 0, from the tables (p, f(p^k) for k = 0, 1, ...).
+
+    Multiplying the multiples of p by f(p), then those of p^k by
+    f(p^(k-1)) f(p^k) for k = 2, 3, ..., leaves f(p^k) on each n with
+    p^k || n, provided every f(p^k) is -1, 0 or 1 and no nonzero power
+    follows a zero: each f(p^j) with j < k is then a sign, and squares to 1.
+    A factor of 1 is no step, and a factor of 0 is the prime's last, as the
+    multiples of higher powers are zero already.
+    """
+    steps = []
+    for p, f_pk in small:
+        assert set(f_pk) <= {-1, 0, 1}, f"f({p}^k) = {f_pk} is not a sign"
+        prev, d = 1, p
+        for k in range(1, len(f_pk)):
+            s = prev * f_pk[k]
+            if s == 0:
+                assert not any(f_pk[k:]), f"f({p}^k) = {f_pk} is nonzero after a zero"
+                steps.append((d, 0))
+                break
+            if s == -1:
+                steps.append((d, -1))
+            prev, d = f_pk[k], d * p
+    return steps
 
 
 def values_upto(spec: FunctionSpec, x: int, table: PrimeTable) -> np.ndarray:

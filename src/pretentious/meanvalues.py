@@ -24,8 +24,8 @@ from .characters import (
     MAX_MODULUS,
     DirichletCharacter,
     character_by_index,
+    character_column,
     character_row,
-    enumerate_characters,
     induce,
     unit_group,
     unit_group_transform,
@@ -68,11 +68,13 @@ def _class_sums(v: np.ndarray, r: int, start: int, acc: np.ndarray | None = None
     so v is not copied (at x = 1e7 a complex copy is 160 MB); the short tail
     is added after.  For r >= 2 each class is accumulated one term at a time
     in index order, so float sums equal a sequential per-class loop bit for
-    bit.  A float acc goes ahead of v as row 0 (a copy of v, which callers
-    keep to one block), so each class stays one such chain: for r >= 2 a
+    bit.  A float acc is added into v's first r values in place, so that
+    each class stays one such chain starting acc[b] + v[i]: for r >= 2 a
     stream of blocks, each passed with the sums so far, gives the sums of
     one call on their concatenation bit for bit, provided the first block
-    is at least r long.
+    is at least r long.  So v must be the caller's own scratch when a float
+    acc is given.  With r = 1, which numpy sums pairwise, or a v shorter
+    than r or of another dtype, acc goes ahead of v as row 0 of a copy.
 
     int8 input must hold only -1, 0 and 1, as the sign families' fills do.
     Its rows, widened to w >= SLAB_WIDTH values (w a multiple of r), are
@@ -82,7 +84,10 @@ def _class_sums(v: np.ndarray, r: int, start: int, acc: np.ndarray | None = None
     back int64 and exact, and an integer acc is simply added.
     """
     if acc is not None and np.issubdtype(acc.dtype, np.inexact):
-        v = np.concatenate([np.roll(acc, -start), v])
+        if r >= 2 and len(v) >= r and v.dtype == acc.dtype:
+            v[:r] += np.roll(acc, -start)
+        else:
+            v = np.concatenate([np.roll(acc, -start), v])
         acc = None
     head = None
     if v.dtype == np.int8:
@@ -157,7 +162,7 @@ def decompose_via_characters(
     # transform; in long double, since at x = 1e8 the class sums reach 1e7,
     # where one float64 rounding is already 2e-9
     ghat = unit_group_transform(pt.sums[G.units].astype(np.clongdouble), q)
-    chi_a = np.array([chi(a) for chi in enumerate_characters(q)])
+    chi_a = character_column(q, a)
     return lhs, complex(np.dot(chi_a, ghat) / G.phi)
 
 
@@ -288,7 +293,12 @@ def euler_product_mean(
         psc = ps.astype(np.float64)
         fp = prime_values(f, ps, table).astype(np.complex128)
         # base = p^(-(1+it)); series = 1 + f(p) base + f(p^2) base^2 + ...
-        base = np.exp(-1j * t * np.log(psc)) / psc
+        # At t = 0 the exponential is 1 + 0j and numpy's complex division
+        # by p + 0j gives exactly 1/p + 0j, so the same bits come without it
+        if t == 0:
+            base = (1.0 / psc).astype(np.complex128)
+        else:
+            base = np.exp(-1j * t * np.log(psc)) / psc
         if f.completely_multiplicative:
             series = 1.0 / (1.0 - fp * base)
         elif f.vanishes_on_higher_powers:

@@ -21,6 +21,7 @@ from pretentious.characters import (
     DirichletCharacter,
     UnitGroupStructure,
     character_by_index,
+    character_column,
     character_row,
     conductor,
     divisors,
@@ -234,6 +235,28 @@ def test_character_row_byte_identical_to_unit_loop():
     for q in range(1, 301):
         for chi in enumerate_characters(q):
             assert character_row(chi).tobytes() == _character_row_loop(chi).tobytes(), chi
+
+
+# the moduli q <= 1000 with phi(q) = 240 and three cyclic factors, whose
+# characters the progression benchmark decomposes
+PHI_240_MODULI = [385, 429, 465, 488, 495, 496, 525, 572, 620, 700, 732, 770, 858, 900, 930, 990]
+
+
+def test_character_column_equals_every_character_at_a():
+    assert PHI_240_MODULI == [q for q in range(3, 1001) if unit_group(q).phi == 240
+                              and len(unit_group(q).orders) == 3]
+    for q in [*range(1, 201), *PHI_240_MODULI]:
+        chars = enumerate_characters(q)
+        for a in unit_group(q).units.tolist():
+            col = character_column(q, a)
+            assert col.dtype == np.complex128
+            assert col.tolist() == [chi(a) for chi in chars], (q, a)
+
+
+def test_character_column_is_zero_off_the_units():
+    for q in (2, 12, 30, 97):
+        for a in (n for n in range(q + 3) if math.gcd(n, q) != 1):
+            assert character_column(q, a).tolist() == [0j] * unit_group(q).phi, (q, a)
 
 
 def test_real_characters_are_exactly_signs():

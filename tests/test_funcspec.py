@@ -15,6 +15,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -1097,6 +1098,94 @@ def test_sign_fills_byte_identical_to_sieves():
         got = values_upto(spec, x, t)
         assert got.dtype == np.int8
         assert got.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------------- sign steps
+#
+# An int8 fill runs pass 2 as in-place negations and zeroings of the
+# multiples of p^k, and pass 1 scatters one value when f(P) is the same at
+# every prime P > sqrt(x).
+
+
+@st.composite
+def _sign_range_cases(draw, width):
+    """(spec, x, lo, hi): a sign family at x, and a range of `width` (cut at
+    x + 1) holding a multiple of p^2 or p^3 for a small prime p.  Threshold
+    cutoffs fall below sqrt(x), where pass 1 scatters -1, or between
+    2 sqrt(x) and x / 2, where f(P) takes both signs and pass 1 gathers."""
+    x = draw(st.integers(100, 2 * 10**4))
+    root = math.isqrt(x)
+    family = draw(st.sampled_from(["mobius", "liouville", "threshold-below", "threshold-above"]))
+    if family == "mobius":
+        spec = Mobius()
+    elif family == "liouville":
+        spec = Liouville()
+    elif family == "threshold-below":
+        spec = Threshold(draw(st.integers(2, x)))  # cutoff <= x^0.38 < sqrt(x)
+        assert spec.cutoff < root + 1
+    else:
+        cutoff = draw(st.integers(2 * root + 2, x // 2))
+        spec = Threshold(math.ceil(cutoff ** (1 / funcspec.THRESHOLD_EXPONENT)))
+        assert root + 1 < spec.cutoff < x
+    p = draw(st.sampled_from([q for q in (2, 3, 5, 7, 11) if q * q <= x]))
+    pk = p ** draw(st.sampled_from([j for j in (2, 3) if p**j <= x]))
+    center = draw(st.integers(1, x // pk)) * pk
+    lo = max(center - draw(st.integers(0, width - 1)), 0)
+    return spec, x, lo, min(lo + width, x + 1)
+
+
+@pytest.mark.parametrize("width", BLOCK_WIDTHS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sign_range_fill_byte_identical_to_whole_array(width, data):
+    spec, x, lo, hi = data.draw(_sign_range_cases(width))
+    want = _multiplicative_fill(spec, x, _table(), np.int8)
+    out = np.empty(hi - lo, np.int8)
+    funcspec._range_fill(spec, x, _table())(lo, hi, out)
+    assert out.tobytes() == want[lo:hi].tobytes()
+
+
+def test_sign_steps_negate_and_zero_the_multiples_of_prime_powers():
+    # f(p^k) for k = 0, 1, ...: a prime below a threshold cutoff has no step,
+    # mobius stops at its zero, liouville negates every power
+    small = [(2, [0, 1, 1, 1]), (3, [0, -1, 0]), (5, [0, -1, 1, -1])]
+    assert funcspec._sign_steps(small) == [(3, -1), (9, 0), (5, -1), (25, -1), (125, -1)]
+    with pytest.raises(AssertionError, match="not a sign"):
+        funcspec._sign_steps([(2, [0, -1, 0.5])])
+
+
+@dataclass(frozen=True)
+class _Revived(Mobius):
+    """Mobius, but f(p^3) = 1: a nonzero power after a zero."""
+
+    def prime_power_value(self, p, k):
+        return 1 if k == 3 else super().prime_power_value(p, k)
+
+
+def test_sign_fill_refuses_a_nonzero_power_after_a_zero():
+    with pytest.raises(AssertionError, match="nonzero after a zero"):
+        funcspec._range_fill(_Revived(), 100, _table())
+
+
+@pytest.mark.parametrize("spec", [Mobius(), Liouville(), Threshold(10**6), Threshold(10**15)])
+def test_sign_range_fill_allocates_no_factor_array(spec, table_large):
+    # with pass 1 in runs of 256 entries, a 2^20 range at x = 4 * 2^20 traced
+    # 0.90-0.98 MB while pass 2 built one factor array per prime (half a
+    # width for p = 2), and traces 33-107 kB of pass-1 scratch without them
+    width = funcspec.SIGN_FILL_BLOCK_WIDTH
+    x = 4 * width
+    out = np.empty(width, np.int8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(funcspec, "_CHUNK", 1 << 8)
+        fill = funcspec._range_fill(spec, x, table_large)
+        for lo in range(0, x, width):
+            tracemalloc.start()
+            try:
+                fill(lo, lo + width, out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= width // 8, (lo, peak)
 
 
 def test_explicit_table_missing_square_refuses():

@@ -198,6 +198,30 @@ def test_streamed_sums_bit_identical_to_whole_array(block_width, text):
     assert progression_sums(f, x, 1, _table()).sums.tobytes() == _whole_array_sums(vals, 1).tobytes()
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 634])
+def test_float_running_sums_go_into_the_block(r):
+    # the running sums are added into the block's first r values in place,
+    # which rounds as the copy with them ahead of the block as row 0 did; a
+    # block shorter than r and r = 1 (numpy sums one class pairwise) keep
+    # that copy and leave the block as it was
+    rng = np.random.default_rng(r)
+    for n in (r - 1, r, max(1000, 5 * r) + 3):
+        if n < 1:
+            continue
+        v = np.exp(1j * rng.uniform(0, 7, n))
+        acc = rng.uniform(-50, 50, r) + 1j * rng.uniform(-50, 50, r)
+        start = int(rng.integers(0, 10**6))
+        want = _class_sums(np.concatenate([np.roll(acc, -start), v]), r, start)
+        block = v.copy()
+        got = _class_sums(block, r, start, acc)
+        assert got.tobytes() == want.tobytes(), (r, n)
+        if r >= 2 and n >= r:
+            assert block[:r].tobytes() == (v[:r] + np.roll(acc, -start)).tobytes()
+            assert block[r:].tobytes() == v[r:].tobytes()
+        else:
+            assert block.tobytes() == v.tobytes()
+
+
 def test_streamed_sums_peak_at_a_few_blocks(block_width, table_medium):
     # a complex f(0..x) alone is 16 MB here, and filling it whole traced
     # about 40 MB; the stream holds a few 1 MB blocks (halasz_bound adds its

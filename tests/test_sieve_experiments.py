@@ -203,6 +203,25 @@ def test_primitive_mass_widens_int8_beyond_signs():
         assert primitive_mass(v, r) == primitive_mass(v.astype(np.int64), r)
 
 
+def test_class_values_are_only_read(table_medium):
+    # progression_sums adds its running sums into each fresh block in
+    # place; the class values the scan and primitive_mass are handed are not
+    # theirs, so they are frozen here and any write would raise
+    def frozen_class_values(*args):
+        cv = _class_values(*args)
+        cv.flags.writeable = False
+        return cv
+
+    for text in ("mobius", "prod(char:5:2,nit:1.0)"):
+        f = parse_spec(text)
+        want = bad_moduli(f, 10**5, 3, 1, 0.5, table_medium)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve_experiments, "_class_values", frozen_class_values)
+            assert bad_moduli(f, 10**5, 3, 1, 0.5, table_medium) == want
+        cv = frozen_class_values(f, 10**5, 3, 1, table_medium)
+        assert primitive_mass(cv, 30) == primitive_mass(cv.copy(), 30)
+
+
 def test_mass_matches_enumeration_oracle():
     rng = random.Random(5)
     for r in (2, 3, 4, 5, 6, 8, 9, 12, 15, 16, 21):
