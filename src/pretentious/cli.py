@@ -273,7 +273,7 @@ def _cmd_sieve_defect(args):
 
 
 def _cmd_sieve_legendre(args):
-    table = PrimeTable(max(args.x, args.p_limit))
+    table = PrimeTable(max(args.p_limit, 2))
     report = legendre_progression_experiment(args.q, args.a, args.x, args.p_limit, table)
     if _wants_csv(args):
         return _csv(_RECORD_COLUMNS, report.running)

@@ -22,14 +22,16 @@ fills any one range of n with its `range_body`: a closed form for `One`,
 for `Product`, and for every other family one vectorized multiplicative
 filler, with f at the primes from `read_prime_values`, f(p^k) for k >= 2
 from `prime_power_value`, and no per-n Python loop.  For the int8 sign
-families that filler multiplies f(p^k) in as in-place sign steps, set up
-once per fill: the multiples of p^k negated or zeroed, with no factor
-arrays, and f at the primes above sqrt(x) scattered as one value where it
-is one value.  Each step of the fill writes two ranges at once, the second
-on a single worker thread that the first fill with two ranges starts.
-numpy releases the interpreter lock inside its loops, so the complex
-closed forms run on two cores; the multiplicative filler's Python loop
-over the small primes, one numpy call per prime or sign step, does not.
+families that filler builds no factor arrays.  Where f is one sign at
+every prime above sqrt(x) (mobius, liouville, a threshold whose cutoff is
+below sqrt(x)), a one-byte log-and-parity sieve of the prime powers below
+sqrt(x) tells the n that carry such a prime, so they need no scatter;
+elsewhere f(p^k) goes in as in-place sign steps, the multiples of p^k
+negated or zeroed.  Each step of the fill writes two ranges at once, the
+second on a single worker thread that the first fill with two ranges
+starts.  numpy releases the interpreter lock inside its loops, so the
+complex closed forms run on two cores; the multiplicative filler's Python
+loop over the small primes, one numpy call per prime or step, does not.
 `values_upto` is the one call that holds all of f(0..x); it fills its
 array block by block.  Every walk over the primes in the library is
 `over_primes`.
@@ -702,6 +704,13 @@ def _periodic_fill(row: np.ndarray):
 # about 24 bytes per entry, and the two ranges of a fill step scatter at once
 _CHUNK = 1 << 15
 
+# bytes the rough-number sign fill decodes at a time, each with a one-byte flag
+_DECODE = 1 << 16
+
+# the rough-number sign fill lays down the adds of the prime powers dividing
+# this period as one periodic pattern, and adds the rest one by one
+_PRESIEVE = 2**4 * 3**2 * 5 * 7
+
 
 def _multiplicative_fill(spec: FunctionSpec, x: int, table: PrimeTable):
     """The range body vals[n] = product of f(p^k) over p^k || n.
@@ -723,11 +732,10 @@ def _multiplicative_fill(spec: FunctionSpec, x: int, table: PrimeTable):
     in any order, so it needs no factor arrays: pass 2 runs the sign steps
     that `_sign_steps` lists at setup, each one in-place negation or zeroing
     of the multiples of some p^k, and the steps of a prime below a threshold
-    spec's cutoff drop out.  When f(P) is one value at every P > sqrt(x)
+    spec's cutoff drop out.  When f(P) is one sign at every P > sqrt(x)
     (mobius, liouville, a threshold spec whose cutoff is below sqrt(x)),
-    pass 1 scatters that value rather than gathering f(P) per entry.  The
-    Python work per range is one step per prime p <= sqrt(x), or per sign
-    step.
+    `_rough_sign_fill` runs instead, with no pass 1.  The Python work per
+    range is one step per prime p <= sqrt(x), or per sign step or add.
 
     The setup runs once, here: f at the primes from `read_prime_values`, so
     the fill holds one value per prime in its own dtype (one byte for the
@@ -743,8 +751,6 @@ def _multiplicative_fill(spec: FunctionSpec, x: int, table: PrimeTable):
     # 1 * f(P) is the first product every n = m P takes; pass 1 stores it
     large, f_large = primes[split:], fp[split:]
     np.multiply(np.ones(1, dtype=dtype), f_large, out=f_large)
-    same = int8 and len(f_large) > 0 and bool((f_large == f_large[0]).all())
-    scatter = f_large[0] if same else None  # an int8 scalar, or gather per entry
     small = []  # (p, f(p^k) for k = 0, 1, ... while p^k <= x), p descending
     for i in range(split - 1, -1, -1):
         p = int(primes[i])
@@ -756,6 +762,9 @@ def _multiplicative_fill(spec: FunctionSpec, x: int, table: PrimeTable):
         small.append((p, f_pk))
     if int8:
         steps = _sign_steps(small)
+        sign = int(f_large[0]) if len(f_large) else 1
+        if sign in (-1, 1) and (f_large == sign).all():
+            return _rough_sign_fill(x, [p for p, _ in small], steps, sign)
     else:
         small = [(p, np.array(f_pk, dtype=dtype)) for p, f_pk in small]
 
@@ -781,7 +790,7 @@ def _multiplicative_fill(spec: FunctionSpec, x: int, table: PrimeTable):
             n = large[idx]
             n *= np.repeat(m[run], cut)
             n -= lo
-            vals[n] = f_large[idx] if scatter is None else scatter
+            vals[n] = f_large[idx]
         if int8:
             for d, s in steps:
                 start = max(-(-lo // d), 1) * d  # the first multiple of d in [lo, hi), n > 0
@@ -832,6 +841,89 @@ def _sign_steps(small) -> list[tuple[int, int]]:
                 steps.append((d, -1))
             prev, d = f_pk[k], d * p
     return steps
+
+
+def _rough_sign_fill(x: int, primes, steps, sign: int):
+    """The range body of an int8 multiplicative fill whose f is `sign` at
+    every prime P > sqrt(x), from one byte per n and no pass 1; primes are
+    those up to sqrt(x), and steps their `_sign_steps`.
+
+    The range's own bytes, read as uint8, take the adds of `_rough_steps`:
+    those of the prime powers dividing _PRESIEVE as one periodic pattern,
+    the rest as one strided add each.  Bit 0 is then the parity of n's sign
+    steps, and the byte lies between 6 log2 and 9 log2 of n's
+    sqrt(x)-smooth part.  A smooth n in [2^i, 2^(i+1)) thus reads at least
+    6i, while an n = m P reads at most 9 log2 m, which setup checks is below
+    6i for the largest m of every such sub-range; so a byte below 6i marks
+    the n that carry a prime above sqrt(x).  The decode, _DECODE bytes at a
+    time, writes the sign the parity gives, times `sign` on the marked n.
+    The zero steps run last, on the signs, so that no add lands on a zeroed
+    byte.
+    """
+    adds, zeros = _rough_steps(x, primes, steps)
+    root = math.isqrt(x)
+    assert x**9 < 1 << 256, f"a byte of the sign fill at x = {x} may exceed 255"
+    for i in range(x.bit_length()):
+        m = (min(2 << i, x + 1) - 1) // (root + 1)
+        assert m**9 < 1 << 6 * i, f"cofactors up to {m} may read 6*{i} at x = {x}"
+    pattern = np.zeros(_PRESIEVE, np.uint8)
+    for d, w in adds:
+        if _PRESIEVE % d == 0:
+            pattern[::d] += w
+    lay = _periodic_fill(pattern)
+    adds = [(d, w) for d, w in adds if _PRESIEVE % d]
+
+    def body(lo, hi, vals):
+        acc = vals.view(np.uint8)
+        lay(lo, hi, acc)
+        for d, w in adds:
+            start = max(-(-lo // d), 1) * d  # the first multiple of d in [lo, hi), n > 0
+            if start < hi:
+                v = acc[start - lo :: d]
+                v += w
+        rough = np.empty(min(_DECODE, hi - lo), np.bool_)
+        n0 = lo
+        while n0 < hi:
+            # n0..n1-1 lie in one [2^i, 2^(i+1)) (n = 0 goes with [1, 2)) and
+            # in one _DECODE-aligned span
+            i = max(n0.bit_length() - 1, 0)
+            n1 = min(hi, 2 << i, (n0 // _DECODE + 1) * _DECODE)
+            v, s = acc[n0 - lo : n1 - lo], vals[n0 - lo : n1 - lo]
+            if sign == -1:
+                np.bitwise_xor(v, np.less(v, 6 * i, out=rough[: n1 - n0]), out=v)
+            np.bitwise_and(v, 1, out=v)
+            np.negative(s, out=s)  # 0 -> 0, 1 -> -1
+            np.bitwise_or(s, 1, out=s)  # -> 1, -1
+            n0 = n1
+        for d in zeros:
+            start = max(-(-lo // d), 1) * d
+            if start < hi:
+                vals[start - lo :: d] = 0
+
+    return body
+
+
+def _rough_steps(x: int, primes, steps) -> tuple[list[tuple[int, int]], list[int]]:
+    """(adds, zeros) of the rough-number sign fill at x, from the primes
+    p <= sqrt(x) and their sign steps (`_sign_steps`).
+
+    adds holds (p^k, 2 floor(log2 p^4) + [a sign step at p^k flips the
+    sign]) for every p^k <= x below the prime's zero step, if any, and zeros
+    the d of the zero steps.  2 floor(log2 p^4) lies between 6 log2 p and
+    8 log2 p, so an add is at most 9 log2 p, and the adds on an n that no
+    zero step divides sum to between 6 log2 and 9 log2 of its
+    sqrt(x)-smooth part.
+    """
+    flips = {d for d, s in steps if s}
+    zeros = [d for d, s in steps if not s]
+    last = set(zeros)
+    adds = []
+    for p in primes:
+        w, d = 2 * ((p**4).bit_length() - 1), p
+        while d <= x and d not in last:
+            adds.append((d, w + (d in flips)))
+            d *= p
+    return adds, zeros
 
 
 def values_upto(spec: FunctionSpec, x: int, table: PrimeTable) -> np.ndarray:

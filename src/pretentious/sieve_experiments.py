@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import PrimeTable, divisors
+from .arith import MAX_SIEVE_LIMIT, PrimeTable, divisors
 from .characters import primitive_mask, unit_group, unit_group_transform
 from .errors import PreconditionError, TheoremViolation
 from .funcspec import FunctionSpec, _fill_blocks, _legendre_row, evaluate
@@ -146,12 +146,14 @@ def bad_moduli(
     # m = r floor(R/r), which lies in (R/2, R]: only those m read cv.  The
     # masses read only unit classes, and a unit u of r >= 2 is read at
     # b = u - 1 >= 0, whose fold sums c_m[b], c_m[b + r], ... in index order
+    folded = {}  # m -> the r whose largest multiple it is
+    for r in range(2, R + 1):
+        folded.setdefault(R // r * r, []).append(r)
     mass = {}
-    for m in range(max(2, R // 2 + 1), R + 1):
+    for m, rs in folded.items():
         c_m = _class_sums(cv, m, 0)
-        for r in divisors(m):
-            if r > 1 and R // r * r == m:
-                mass[r] = _mass_from_classes(_class_sums(c_m, r, 0), r)
+        for r in rs:
+            mass[r] = _mass_from_classes(_class_sums(c_m, r, 0), r)
     masses = sorted(mass.items())
     bad = [(r, m) for r, m in masses if m >= threshold]
     s = sum(1.0 / unit_group(r).phi for r, _ in bad)
@@ -277,11 +279,13 @@ def legendre_progression_experiment(
     Classes containing squares have asymptotic floor delta1 = -0.656...;
     classes with no squares can reach -1.  Finite scale drifts below the
     floor, so callers compare with slack.  With no such p there is no
-    infimum, and the scan is refused.
+    infimum, and the scan is refused.  The table is read only for the
+    primes up to p_limit, so it needs p_limit <= table.limit; x may be
+    any number up to the sieve limit.
     """
     _check_class(q, a)
-    if x > table.limit:
-        raise PreconditionError(f"x={x} exceeds table limit {table.limit}")
+    if x > MAX_SIEVE_LIMIT:
+        raise PreconditionError(f"x={x} exceeds the sieve limit {MAX_SIEVE_LIMIT}")
     start = a % q
     if start == 0:
         start = q

@@ -464,6 +464,8 @@ _SMALL = PrimeTable(2000)
      lambda: multiplicativity_defect(Mobius(), 100000000, 200000000, _SMALL)),
     (["sieve", "defect", "--f", "mobius", "--q", "20011", "--x", "100000000"],
      lambda: multiplicativity_defect(Mobius(), 10**8, 20011, PrimeTable(10**8))),
+    (["sieve", "legendre", "--q", "4", "--a", "3", "--x", "100000001", "--p-limit", "100"],
+     lambda: legendre_progression_experiment(4, 3, 100000001, 100, _SMALL)),
 ])
 def test_refused_flag_exits_3_before_the_sieve(monkeypatch, capsys, command, library):
     # the library's own check refuses before the prime table sieves, with its message
@@ -596,6 +598,28 @@ def test_sieve_legendre_verbose_toggle(capsys):
     assert quiet["result"]["running"] == []
     assert len(loud["result"]["running"]) >= 1
     assert quiet["result"]["infimum"] == loud["result"]["infimum"]
+
+
+_LEGENDRE_AT_1E8 = """
+import contextlib, io, json
+from pretentious import cli
+printed = io.StringIO()
+with contextlib.redirect_stdout(printed):
+    code = cli.main(["sieve", "legendre", "--q", "4", "--a", "3", "--x", "100000000",
+                     "--p-limit", "10000"])
+out = dict(code=code, result=json.loads(printed.getvalue())["result"])
+"""
+
+
+def test_sieve_legendre_sieves_only_to_the_p_limit(fresh_process):
+    # its own process, whose peak RSS is this run's: a sieve to x = 10^8
+    # peaked at 124-125 MB for the 1,229 primes below 10^4 that the scan
+    # reads; the process itself takes about 31 MB before any table
+    out = fresh_process(_LEGENDRE_AT_1E8)
+    assert out["code"] == 0
+    assert out["rss_mb"] <= 60
+    want = legendre_progression_experiment(4, 3, 10**8, 10**4, PrimeTable(10**4))
+    assert (out["result"]["infimum"], out["result"]["argmin_p"]) == (want.infimum, want.argmin_p)
 
 
 @pytest.mark.parametrize("q, a, p_limit", [("4", "3", "2"), ("3", "1", "3")])

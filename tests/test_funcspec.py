@@ -1061,18 +1061,21 @@ def test_sign_fill_peak_is_the_result_plus_a_few_blocks(table_medium):
 
 @pytest.mark.parametrize("chunk", [1 << 12, funcspec._CHUNK])
 def test_sign_range_scratch_is_set_by_the_chunk(chunk, table_large):
-    # one 2^20 range at x = 4 * 2^20: the cofactor m = 1 alone holds about
-    # 70k pass-1 entries, and a run that took it whole traced 1.7-1.9 block
-    # widths whatever _CHUNK was.  A run now holds at most _CHUNK entries,
-    # about 25 bytes each (its idx and n outlive it), beside pass 2's factor
-    # arrays for p = 2 and p = 3 (5/6 of a width while both are alive)
+    # one 2^20 range at x = 4 * 2^20 of a threshold whose f(P) takes both
+    # signs above sqrt(x), so that pass 1 gathers: the cofactor m = 1 alone
+    # holds about 70k pass-1 entries, and a run that took it whole traced
+    # 1.7-1.9 block widths whatever _CHUNK was.  A run now holds at most
+    # _CHUNK entries, about 25 bytes each (its idx and n outlive it), beside
+    # the per-cofactor arrays, about 50 bytes for each m < hi / sqrt(x)
+    spec = Threshold(10**15)
     width = funcspec.SIGN_FILL_BLOCK_WIDTH
     x = 4 * width
-    want = values_upto(Mobius(), x, table_large)
+    assert math.isqrt(x) < spec.cutoff < x
+    want = values_upto(spec, x, table_large)
     out = np.empty(width, np.int8)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(funcspec, "_CHUNK", chunk)
-        fill = funcspec._range_fill(Mobius(), x, table_large)
+        fill = funcspec._range_fill(spec, x, table_large)
         for lo in range(0, x, width):
             tracemalloc.start()
             try:
@@ -1081,7 +1084,8 @@ def test_sign_range_scratch_is_set_by_the_chunk(chunk, table_large):
             finally:
                 tracemalloc.stop()
             assert out.tobytes() == want[lo : lo + width].tobytes()
-            assert peak <= width + 25 * chunk, (lo, peak)
+            cofactors = (lo + width - 1) // (math.isqrt(x) + 1)
+            assert peak <= 25 * chunk + 64 * cofactors, (lo, peak)
 
 
 def test_sign_fills_byte_identical_to_sieves():
@@ -1102,17 +1106,18 @@ def test_sign_fills_byte_identical_to_sieves():
 
 # ------------------------------------------------------------- sign steps
 #
-# An int8 fill runs pass 2 as in-place negations and zeroings of the
-# multiples of p^k, and pass 1 scatters one value when f(P) is the same at
-# every prime P > sqrt(x).
+# An int8 fill whose f(P) takes both signs above sqrt(x) runs pass 2 as
+# in-place negations and zeroings of the multiples of p^k; the other int8
+# fills run the rough-number fill below.
 
 
 @st.composite
 def _sign_range_cases(draw, width):
     """(spec, x, lo, hi): a sign family at x, and a range of `width` (cut at
     x + 1) holding a multiple of p^2 or p^3 for a small prime p.  Threshold
-    cutoffs fall below sqrt(x), where pass 1 scatters -1, or between
-    2 sqrt(x) and x / 2, where f(P) takes both signs and pass 1 gathers."""
+    cutoffs fall below sqrt(x), where f(P) = -1 at every P > sqrt(x), or
+    between 2 sqrt(x) and x / 2, where f(P) takes both signs and pass 1
+    gathers."""
     x = draw(st.integers(100, 2 * 10**4))
     root = math.isqrt(x)
     family = draw(st.sampled_from(["mobius", "liouville", "threshold-below", "threshold-above"]))
@@ -1165,6 +1170,112 @@ class _Revived(Mobius):
 def test_sign_fill_refuses_a_nonzero_power_after_a_zero():
     with pytest.raises(AssertionError, match="nonzero after a zero"):
         funcspec._range_fill(_Revived(), 100, _table())
+
+
+# ------------------------------------------------------ rough-number fill
+#
+# Where f(P) is one sign at every prime P > sqrt(x), the int8 fill runs no
+# pass 1: a one-byte log-and-parity sieve of the prime powers p^k <= x,
+# p <= sqrt(x), tells the n that carry such a P.
+
+
+def _rough_families(x):
+    """mobius, liouville and a threshold whose cutoff is below sqrt(x)."""
+    threshold = Threshold(x)
+    assert threshold.cutoff < math.isqrt(x) + 1
+    return [Mobius(), Liouville(), threshold]
+
+
+@st.composite
+def _rough_range_cases(draw, width):
+    """(spec, x, lo, hi): a rough-fill family at x, and a range of `width`
+    (cut at x + 1) across a power of two, where the decode's threshold
+    changes, or a multiple of a small prime power."""
+    x = draw(st.integers(2, 2 * 10**4))
+    spec = draw(st.sampled_from(_rough_families(x)))
+    if draw(st.booleans()):
+        edge = 1 << draw(st.integers(0, x.bit_length() - 1))
+    else:
+        pk = draw(st.sampled_from([q for q in (2, 3, 4, 5, 8, 9, 16, 25, 27, 49, 121) if q <= x]))
+        edge = draw(st.integers(1, x // pk)) * pk
+    lo = max(edge - draw(st.integers(0, width)), 0)
+    return spec, x, lo, min(lo + width, x + 1)
+
+
+@pytest.mark.parametrize("width", BLOCK_WIDTHS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rough_sign_range_fill_byte_identical_to_whole_array(width, data):
+    spec, x, lo, hi = data.draw(_rough_range_cases(width))
+    want = _multiplicative_fill(spec, x, _table(), np.int8)
+    out = np.empty(hi - lo, np.int8)
+    funcspec._range_fill(spec, x, _table())(lo, hi, out)
+    assert out.tobytes() == want[lo:hi].tobytes()
+
+
+def test_rough_sign_fill_at_every_tiny_x(block_width):
+    # the cofactors of a sub-range read below its least smooth byte at every
+    # x, down to x = 2, where 2 and 3 carry the primes above sqrt(x)
+    for x in range(1, 300):
+        for spec in _rough_families(x) if x > 1 else [Mobius(), Liouville()]:
+            want = _multiplicative_fill(spec, x, _table(), np.int8)
+            with block_width(7):
+                assert values_upto(spec, x, _table()).tobytes() == want.tobytes(), (x, spec)
+
+
+def test_rough_sign_fill_separates_at_every_x_to_the_sieve_limit():
+    # the setup's check at every x <= 10^8 at once: for one r = isqrt(x),
+    # the largest cofactor of each [2^i, 2^(i+1)) grows with x, so the
+    # largest x with that root bounds every other
+    from pretentious.arith import MAX_SIEVE_LIMIT
+
+    assert MAX_SIEVE_LIMIT**9 < 1 << 256
+    for r in range(1, math.isqrt(MAX_SIEVE_LIMIT) + 1):
+        x = min((r + 1) ** 2 - 1, MAX_SIEVE_LIMIT)
+        for i in range(x.bit_length()):
+            m = (min(2 << i, x + 1) - 1) // (r + 1)
+            assert m**9 < 1 << 6 * i, (r, i, m)
+
+
+def test_rough_sign_fill_bytes_stay_below_240_at_1e8(table_large):
+    # liouville flips at every p^k, so its adds are the largest a sign
+    # family makes; each is at most 9 log2 p, so n reads at most 9 log2 n
+    x = 10**8
+    primes = table_large.primes_upto(math.isqrt(x)).tolist()
+    small = []
+    for p in primes[::-1]:
+        f_pk = [0, -1]
+        while p ** len(f_pk) <= x:
+            f_pk.append(Liouville().prime_power_value(p, len(f_pk)))
+        small.append((p, f_pk))
+    adds, zeros = funcspec._rough_steps(x, primes[::-1], funcspec._sign_steps(small))
+    assert zeros == []
+    assert len(adds) == sum(len(f_pk) - 1 for _, f_pk in small)
+    for d, w in adds:
+        p = next(q for q in primes if d % q == 0)
+        assert 1 << w <= p**9, (d, w)
+    assert x**9 < 1 << 240  # so no byte exceeds 239
+    assert sum(w for d, w in adds if (1 << 26) % d == 0) == 9 * 26
+
+
+def test_rough_sign_fill_runs_only_where_f_is_one_sign_above_sqrt_x(table_small):
+    # a threshold whose cutoff lies between sqrt(x) and x still gathers f(P)
+    x = 10**4
+    calls = []
+    rough = funcspec._rough_sign_fill
+
+    def counted(*args):
+        calls.append(args[-1])
+        return rough(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(funcspec, "_rough_sign_fill", counted)
+        for spec, uses in [(Threshold(10**9), False), (Threshold(10**4), True),
+                           (Liouville(), True), (Mobius(), True)]:
+            calls.clear()
+            got = values_upto(spec, x, table_small)
+            assert got.tobytes() == _multiplicative_fill(spec, x, table_small, np.int8).tobytes()
+            assert calls == ([-1] if uses else []), spec
 
 
 @pytest.mark.parametrize("spec", [Mobius(), Liouville(), Threshold(10**6), Threshold(10**15)])

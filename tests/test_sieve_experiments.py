@@ -840,5 +840,9 @@ def test_legendre_scan_at_1e8_holds_no_array_over_the_terms(fresh_process):
 def test_legendre_preconditions():
     with pytest.raises(PreconditionError):
         legendre_progression_experiment(4, 2, 10**3, 100, _table())
-    with pytest.raises(PreconditionError):
-        legendre_progression_experiment(4, 3, 10**5, 100, _table())  # x > table
+    with pytest.raises(PreconditionError, match="table stops at 20000"):
+        legendre_progression_experiment(4, 3, 100, 10**5, _table())  # p_limit > table
+    with pytest.raises(PreconditionError, match="exceeds the sieve limit"):
+        legendre_progression_experiment(4, 3, 10**8 + 1, 100, _table())
+    # the scan reads the table only for its primes: x may exceed its limit
+    assert legendre_progression_experiment(4, 3, 10**5, 100, _table()).argmin_p <= 100
