@@ -27,11 +27,13 @@ every prime above sqrt(x) (mobius, liouville, a threshold whose cutoff is
 below sqrt(x)), a one-byte log-and-parity sieve of the prime powers below
 sqrt(x) tells the n that carry such a prime, so they need no scatter;
 elsewhere f(p^k) goes in as in-place sign steps, the multiples of p^k
-negated or zeroed.  Each step of the fill writes two ranges at once, the
-second on a single worker thread that the first fill with two ranges
-starts.  numpy releases the interpreter lock inside its loops, so the
-complex closed forms run on two cores; the multiplicative filler's Python
-loop over the small primes, one numpy call per prime or step, does not.
+negated or zeroed.  A complex block is filled as two halves at once, the
+far one on a single worker thread that the first such block starts; numpy
+releases the interpreter lock inside its loops, so the complex closed
+forms run on two cores.  An int8 block is filled whole in the calling
+thread, since the sign fill is mostly a Python loop over the small primes,
+one numpy call per step or add, which holds the lock; a process that fills
+only signs starts no thread.
 `values_upto` is the one call that holds all of f(0..x); it fills its
 array block by block.  Every walk over the primes in the library is
 `over_primes`.
@@ -579,35 +581,32 @@ def _fill_blocks(spec: FunctionSpec, x: int, table: PrimeTable, min_width: int =
     there, bit for bit.
 
     Blocks are FILL_BLOCK_WIDTH wide, SIGN_FILL_BLOCK_WIDTH for int8 values,
-    and never narrower than min_width.  Each step fills two ranges at once,
-    one in the calling thread and one on the worker thread: the two halves
-    of a complex block, or two whole int8 blocks (halving an int8 block
-    would double the multiplicative filler's Python loop over the small
-    primes, which holds the interpreter lock).  A step ends when both ranges
-    are written, so the worker is idle whenever a block is handed out, and
-    a fill holds one complex block or two int8 blocks at a time.
+    and never narrower than min_width.  An int8 block is filled whole in the
+    calling thread: the sign fill is mostly a Python loop over the small
+    primes, which holds the interpreter lock, and ran slower split across
+    two threads.  A complex block is filled as two halves at once, the near
+    one in the calling thread and the far one on the worker thread.  A block
+    is handed out only once it is written, so the worker is idle whenever
+    the caller holds a block, and a fill holds one block at a time.
     """
     int8 = spec.fill_dtype == np.int8
     width = max(SIGN_FILL_BLOCK_WIDTH if int8 else FILL_BLOCK_WIDTH, min_width)
     fill = _range_fill(spec, x, table)
-    if int8:
-        for lo in range(0, x + 1, 2 * width):
-            mid, hi = min(lo + width, x + 1), min(lo + 2 * width, x + 1)
-            near, far = np.empty(mid - lo, np.int8), np.empty(hi - mid, np.int8)
-            _fill_two(fill, lo, mid, hi, near, far)
-            yield lo, near
-            del near  # let the caller free each block before the next step
-            if mid < hi:
-                yield mid, far
-            del far
-        return
     for lo in range(0, x + 1, width):
         hi = min(lo + width, x + 1)
-        mid = hi - (hi - lo) // 2  # the far half is never longer than the near one
-        block = np.empty(hi - lo, np.complex128)
-        _fill_two(fill, lo, mid, hi, block[: mid - lo], block[mid - lo :])
+        mid = hi if int8 else hi - (hi - lo) // 2  # the far half is never the longer
+        block = np.empty(hi - lo, spec.fill_dtype)
+        if mid == hi:
+            fill(lo, hi, block)
+        else:
+            done = _fill_worker().submit(fill, mid, hi, block[mid - lo :])
+            try:
+                fill(lo, mid, block[: mid - lo])
+            finally:
+                done.exception()  # waits for the worker, whatever happened here
+            done.result()
         yield lo, block
-        del block
+        del block  # let the caller free each block before the next
 
 
 _worker = None
@@ -634,21 +633,6 @@ def _forget_worker():
 os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _fill_two(fill, lo: int, mid: int, hi: int, near: np.ndarray, far: np.ndarray) -> None:
-    """fill(lo, mid, near) here while the worker runs fill(mid, hi, far), or
-    the near range alone when the far one is empty.  It returns, or raises
-    the first failure, only once the worker is idle again."""
-    if mid == hi:
-        fill(lo, mid, near)
-        return
-    done = _fill_worker().submit(fill, mid, hi, far)
-    try:
-        fill(lo, mid, near)
-    finally:
-        done.exception()  # waits for the worker, whatever happened here
-    done.result()
-
-
 def _range_fill(spec: FunctionSpec, x: int, table: PrimeTable):
     """fill(lo, hi, out), which writes f(lo..hi-1) into out, of f's fill
     dtype, for any 0 <= lo < hi <= x + 1, with f(0) := 0: the spec's range
@@ -657,8 +641,9 @@ def _range_fill(spec: FunctionSpec, x: int, table: PrimeTable):
     A body reads what every range shares (f at the primes, the periodic
     rows) when it is made, in the calling thread.  It only reads that and
     allocates its own scratch, so two threads may fill two ranges at once,
-    and it never hands work to the worker, so the worker cannot wait on
-    itself.
+    as they do the two halves of a complex block (an int8 range is always
+    filled in the calling thread), and it never hands work to the worker,
+    so the worker cannot wait on itself.
     """
     body = spec.range_body(x, table)
 
@@ -701,7 +686,7 @@ def _periodic_fill(row: np.ndarray):
 
 
 # entries of one pass-1 scatter of the multiplicative filler; a scatter holds
-# about 24 bytes per entry, and the two ranges of a fill step scatter at once
+# about 24 bytes per entry, and the two halves of a complex block scatter at once
 _CHUNK = 1 << 15
 
 # bytes the rough-number sign fill decodes at a time, each with a one-byte flag

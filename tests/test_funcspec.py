@@ -814,8 +814,8 @@ def test_fill_byte_identical_in_small_scatter_runs(block_width, case, chunk):
 
 # ------------------------------------------------------------- two-range fill
 #
-# Every step of the block fill writes two ranges at once, one of them on the
-# worker thread: the two halves of a complex block, or two whole int8 blocks.
+# A complex block is filled as two halves at once, the far one on the worker
+# thread; an int8 block is filled whole in the calling thread.
 
 
 class _RangeLog:
@@ -872,9 +872,9 @@ def _logged_ranges(raise_at=None, far_delay=0.0):
 TWO_RANGE_SPECS = NAMED_FILL_SPECS + ["prod(mobius,liouville)", "prod(nit:0.5,legendre:7)",
                                       "table:cm", "table:zero", "table:explicit",
                                       "prod(table:cm,mobius)"]
-# at x = 10^4, widths whose blocks number odd (11, 13, 1) and even (6, 2), with
-# a last block one long (1000, 2000), shorter than the rest (777, 5001) or
-# full (10001), and odd widths whose complex halves differ by one
+# at x = 10^4, widths with a last block one long (1000, 2000), shorter than
+# the rest (777, 5001) or full (10001), and odd widths whose complex halves
+# differ by one
 TWO_RANGE_WIDTHS = (1000, 2000, 777, 5001, 10001)
 
 
@@ -898,27 +898,26 @@ def test_two_range_fill_byte_identical_to_whole_array(text, block_width):
             got = values_upto(spec, x, _table())
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes(), width
-        blocks = -(-(x + 1) // width)
-        # the worker fills every odd int8 block, and the far half of every
-        # complex block longer than one
         if int8:
-            far = {(lo, min(lo + width, x + 1)) for lo in range(width, x + 1, 2 * width)}
+            # every block whole, in order, on the main thread
+            assert log.on_worker() == [], width
+            assert log.entries == [(True, lo, min(lo + width, x + 1))
+                                   for lo in range(0, x + 1, width)], width
         else:
+            # the worker fills the far half of every block longer than one
             far = {(hi - (hi - lo) // 2, hi) for lo in range(0, x + 1, width)
                    for hi in [min(lo + width, x + 1)] if hi - lo > 1}
-        assert set(log.on_worker()) == far, width
-        assert bool(far) == (blocks > 1 or not int8)
+            assert set(log.on_worker()) == far, width
 
 
-@pytest.mark.parametrize("text", ["mobius", "prod(char:5:2,nit:1.0)"])
+@pytest.mark.parametrize("text", ["prod(char:5:2,nit:1.0)"])
 def test_a_failing_range_reaches_the_caller_with_the_worker_idle(text, block_width):
     x, width = 10**4, 1000
     spec = parse_spec(text)
     want = _values_upto_whole(spec, x, _table())
-    # one step writes 2000..3999 as int8 blocks at 2000 and 3000, or the
-    # complex block at 3000 as halves at 3000 and 3500; the worker takes
-    # the second range
-    near, far = (2000, 3000) if want.dtype == np.int8 else (3000, 3500)
+    # the block at 3000 is written as halves at 3000 and 3500; the worker
+    # takes the second
+    near, far = 3000, 3500
     with block_width(width):
         with _logged_ranges(raise_at=far) as log:
             with pytest.raises(_RangeFailure, match="on the worker thread"):
@@ -932,7 +931,21 @@ def test_a_failing_range_reaches_the_caller_with_the_worker_idle(text, block_wid
         assert values_upto(spec, x, _table()).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("text", ["mobius", "prod(char:5:2,nit:1.0)"])
+def test_a_failing_sign_range_raises_in_the_calling_thread(block_width):
+    # int8 blocks never reach the worker, so the block at 3000 fails on the
+    # main thread and no range is logged on the worker
+    x, width = 10**4, 1000
+    want = _values_upto_whole(Mobius(), x, _table())
+    with block_width(width):
+        with _logged_ranges(raise_at=3000) as log:
+            with pytest.raises(_RangeFailure, match="on the main thread"):
+                values_upto(Mobius(), x, _table())
+            assert log.on_worker() == []
+            assert log.active == 0
+        assert values_upto(Mobius(), x, _table()).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("text", ["prod(char:5:2,nit:1.0)"])
 def test_closing_a_fill_early_leaves_the_worker_idle(text, block_width):
     x, width = 10**4, 1000
     spec = parse_spec(text)
@@ -949,8 +962,8 @@ def test_closing_a_fill_early_leaves_the_worker_idle(text, block_width):
 
 
 def test_concurrent_fills_share_the_worker(block_width):
-    # more calling threads than cores, all handing ranges to the one worker,
-    # with thread switches forced often
+    # more calling threads than cores, the complex fills handing ranges to
+    # the one worker, with thread switches forced often
     x = 10**4
     specs = [parse_spec(t) for t in ("mobius", "prod(char:5:2,nit:1.0)", "liouville", "nit:0.73")]
     wants = [_values_upto_whole(s, x, _table()) for s in specs]
@@ -981,8 +994,10 @@ import sys, threading
 import pretentious, pretentious.cli
 from pretentious.arith import PrimeTable
 from pretentious.funcspec import Mobius, parse_spec, values_upto
+from pretentious.meanvalues import progression_sums
 before = (threading.active_count(), "concurrent.futures" in sys.modules)
 values_upto(Mobius(), 10**5, PrimeTable(10**5))  # one int8 block: one range
+progression_sums(Mobius(), 3 * 2**20, 5, PrimeTable(3 * 2**20))  # int8 blocks, one range each
 one_range = (threading.active_count(), "concurrent.futures" in sys.modules)
 values_upto(parse_spec("nit:0.5"), 10**3, PrimeTable(10**3))  # two halves
 two_ranges = (threading.active_count(), "concurrent.futures" in sys.modules)
@@ -1000,7 +1015,7 @@ def _run_in_a_fresh_process(code: str) -> str:
 
 
 def test_no_thread_until_a_fill_has_two_ranges():
-    # CLI start-up and the one-block sign fills of the scans stay threadless
+    # CLI start-up and sign fills of any length stay threadless
     out = _run_in_a_fresh_process(_THREADS_AT_IMPORT)
     assert out.strip() == "(1, False) (1, False) (2, True)"
 
@@ -1025,15 +1040,15 @@ def test_a_forked_child_fills_without_the_parents_worker():
     assert _run_in_a_fresh_process(_FILL_AFTER_FORK).split() == ["True"]
 
 
-@pytest.mark.parametrize("text, bound", [("mobius", 8), ("prod(char:5:2,nit:1.0)", 4)])
+@pytest.mark.parametrize("text, bound", [("mobius", 2.5), ("prod(char:5:2,nit:1.0)", 4)])
 def test_multi_block_fill_peak_at_the_default_widths(text, bound, table_large):
-    # four blocks at the default widths: a sign step holds two blocks and the
-    # scratch of two ranges (measured 6.7 blocks beside the result), a complex
-    # step one block and the scratch of its two halves (3.5 blocks)
+    # four blocks at the default widths: a sign fill holds one block and the
+    # scratch of one range (measured 2.1 blocks beside the result), a complex
+    # fill one block and the scratch of its two halves (3.5 blocks)
     spec = parse_spec(text)
     int8 = isinstance(spec, Mobius)
     width = funcspec.SIGN_FILL_BLOCK_WIDTH if int8 else funcspec.FILL_BLOCK_WIDTH
-    values_upto(spec, 4 * width, table_large)  # warm the caches and start the worker
+    values_upto(spec, 4 * width, table_large)  # warm the caches, and start the worker for complex f
     tracemalloc.start()
     try:
         vals = values_upto(spec, 4 * width, table_large)
