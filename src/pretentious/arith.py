@@ -27,13 +27,6 @@ MAX_SIEVE_LIMIT = 10**8
 # Width of one sieve segment; 2**26 bytes of flags.
 SEGMENT_WIDTH = 1 << 26
 
-# Widths of one block of f(n) in funcspec's blockwise fill: 4 MB of
-# complex128, and wider blocks of int8, whose cheap per-n work would
-# otherwise be outweighed by the fixed cost of one step per prime up to
-# sqrt(x) in every block.
-FILL_BLOCK_WIDTH = 1 << 18
-SIGN_FILL_BLOCK_WIDTH = 1 << 20
-
 
 @dataclass(frozen=True)
 class FactoredInteger:

@@ -21,19 +21,21 @@ fills any one range of n with its `range_body`: a closed form for `One`,
 `Legendre`, `CharacterSpec` and `Twist`, the product of its factors' fills
 for `Product`, and for every other family one vectorized multiplicative
 filler, with f at the primes from `read_prime_values`, f(p^k) for k >= 2
-from `prime_power_value`, and no per-n Python loop.  For the int8 sign
-families that filler builds no factor arrays.  Where f is one sign at
-every prime above sqrt(x) (mobius, liouville, a threshold whose cutoff is
-below sqrt(x)), a one-byte log-and-parity sieve of the prime powers below
-sqrt(x) tells the n that carry such a prime, so they need no scatter;
-elsewhere f(p^k) goes in as in-place sign steps, the multiples of p^k
-negated or zeroed.  A complex block is filled as two halves at once, the
-far one on a single worker thread that the first such block starts; numpy
-releases the interpreter lock inside its loops, so the complex closed
-forms run on two cores.  An int8 block is filled whole in the calling
-thread, since the sign fill is mostly a Python loop over the small primes,
-one numpy call per step or add, which holds the lock; a process that fills
-only signs starts no thread.
+from `prime_power_value`, and no per-n Python loop.  That filler scatters
+f at the primes above sqrt(x) and multiplies in one factor array, in its
+fill dtype, per prime below it; an int8 fill skips the primes where
+f(p^k) is always 1.  Where an int8 f is one sign at every prime above
+sqrt(x) (mobius, liouville, a threshold whose cutoff is below sqrt(x)),
+the filler runs a one-byte log-and-parity sieve of the prime powers below
+sqrt(x) instead, which tells the n that carry such a prime, so they need
+no scatter and no factor array.  A
+complex block is filled as two halves at once, the far one on a single
+worker thread that the first such block starts; numpy releases the
+interpreter lock inside its loops, so the complex closed forms run on two
+cores.  An int8 block is filled whole in the calling thread, since the
+sign fill is mostly a Python loop over the small primes, a few numpy
+calls each, which holds the lock; a process that fills only signs
+starts no thread.
 `values_upto` is the one call that holds all of f(0..x); it fills its
 array block by block.  Every walk over the primes in the library is
 `over_primes`.
@@ -57,14 +59,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arith import (
-    FILL_BLOCK_WIDTH,
-    MAX_SIEVE_LIMIT,
-    SIGN_FILL_BLOCK_WIDTH,
-    PrimeTable,
-    is_prime_small,
-    sieve_primes,
-)
+from .arith import MAX_SIEVE_LIMIT, PrimeTable, is_prime_small, sieve_primes
 from .characters import DirichletCharacter, character_by_index, character_row
 from .errors import PreconditionError, SpecParseError
 
@@ -574,6 +569,13 @@ def _legendre_row(p: int) -> np.ndarray:
     return row
 
 
+# widths of one block of `_fill_blocks`: 4 MB of complex128, and wider
+# blocks of int8, whose cheap per-n work would otherwise be outweighed by the
+# fixed cost of a step per prime up to sqrt(x) in every block
+FILL_BLOCK_WIDTH = 1 << 18
+SIGN_FILL_BLOCK_WIDTH = 1 << 20
+
+
 def _fill_blocks(spec: FunctionSpec, x: int, table: PrimeTable, min_width: int = 1):
     """Yield (lo, f(lo..hi-1)) for consecutive blocks [lo, hi) that cover
     0..x, with f(0) := 0.  Every block is a fresh array the caller may write
@@ -707,25 +709,26 @@ def _multiplicative_fill(spec: FunctionSpec, x: int, table: PrimeTable):
     into scatters of _CHUNK entries (a long cofactor, such as m = 1, spans
     several).  Pass 2 walks the primes p <= sqrt(x).
 
-    A complex fill multiplies, for each p in descending order, the multiples
-    of p in the range by a factor array holding f(p^k), p^k || n, whose
-    multiples of p^2, p^3, ... are overwritten in turn.  Each product is
-    thus formed as ((1 * f(P)) * f(p_r^k_r)) * ... * f(p_1^k_1), largest
-    prime first, whatever the range.
+    Every fill multiplies, for each p in descending order, the multiples of
+    p in the range by a factor array of its own dtype holding f(p^k),
+    p^k || n, whose multiples of p^2, p^3, ... are overwritten in turn.
+    Each product is thus formed as ((1 * f(P)) * f(p_r^k_r)) * ... *
+    f(p_1^k_1), largest prime first, whatever the range.
 
-    An int8 fill takes values in {-1, 0, 1}, where every product is exact
-    in any order, so it needs no factor arrays: pass 2 runs the sign steps
-    that `_sign_steps` lists at setup, each one in-place negation or zeroing
-    of the multiples of some p^k, and the steps of a prime below a threshold
-    spec's cutoff drop out.  When f(P) is one sign at every P > sqrt(x)
+    An int8 fill must take values in {-1, 0, 1}, which setup asserts of
+    every f(p^k).  It skips the primes whose f(p^k) are all 1, as
+    multiplying by 1 changes no int8 value (in complex128, 1 + 0j can flip
+    the sign of a zero), so a threshold spec builds no factor array for a
+    prime below its cutoff.  When f(P) is one sign at every P > sqrt(x)
     (mobius, liouville, a threshold spec whose cutoff is below sqrt(x)),
-    `_rough_sign_fill` runs instead, with no pass 1.  The Python work per
-    range is one step per prime p <= sqrt(x), or per sign step or add.
+    `_rough_sign_fill` runs instead, with no pass 1 and no factor arrays.
+    The Python work per range is one step per prime p <= sqrt(x), or per
+    add of the rough fill.
 
     The setup runs once, here: f at the primes from `read_prime_values`, so
     the fill holds one value per prime in its own dtype (one byte for the
     sign families) besides its ranges, the split at sqrt(x), and the tables
-    f(p^k) of the primes below it, or their sign steps.
+    f(p^k) of the primes below it.
     """
     dtype = spec.fill_dtype
     int8 = dtype == np.int8
@@ -744,14 +747,14 @@ def _multiplicative_fill(spec: FunctionSpec, x: int, table: PrimeTable):
         while pk <= x // p:
             pk *= p
             f_pk.append(spec.prime_power_value(p, len(f_pk)))
+        assert not int8 or set(f_pk) <= {-1, 0, 1}, f"f({p}^k) = {f_pk} is not a sign"
         small.append((p, f_pk))
     if int8:
-        steps = _sign_steps(small)
         sign = int(f_large[0]) if len(f_large) else 1
         if sign in (-1, 1) and (f_large == sign).all():
-            return _rough_sign_fill(x, [p for p, _ in small], steps, sign)
-    else:
-        small = [(p, np.array(f_pk, dtype=dtype)) for p, f_pk in small]
+            return _rough_sign_fill(x, small, sign)
+        small = [(p, f_pk) for p, f_pk in small if set(f_pk[1:]) != {1}]
+    small = [(p, np.array(f_pk, dtype=dtype)) for p, f_pk in small]
 
     def body(lo, hi, vals):
         vals.fill(1)
@@ -776,16 +779,6 @@ def _multiplicative_fill(spec: FunctionSpec, x: int, table: PrimeTable):
             n *= np.repeat(m[run], cut)
             n -= lo
             vals[n] = f_large[idx]
-        if int8:
-            for d, s in steps:
-                start = max(-(-lo // d), 1) * d  # the first multiple of d in [lo, hi), n > 0
-                if start < hi:
-                    v = vals[start - lo :: d]
-                    if s:
-                        np.negative(v, out=v)  # s = -1, twice as fast as v *= s
-                    else:
-                        v.fill(0)
-            return
         for p, f_pk in small:
             start = max(-(-lo // p), 1) * p  # the first multiple of p in [lo, hi), n > 0
             if start >= hi:
@@ -801,51 +794,25 @@ def _multiplicative_fill(spec: FunctionSpec, x: int, table: PrimeTable):
     return body
 
 
-def _sign_steps(small) -> list[tuple[int, int]]:
-    """The steps (d, s) of an int8 fill, each multiplying the multiples of
-    d by s = -1 or 0, from the tables (p, f(p^k) for k = 0, 1, ...).
-
-    Multiplying the multiples of p by f(p), then those of p^k by
-    f(p^(k-1)) f(p^k) for k = 2, 3, ..., leaves f(p^k) on each n with
-    p^k || n, provided every f(p^k) is -1, 0 or 1 and no nonzero power
-    follows a zero: each f(p^j) with j < k is then a sign, and squares to 1.
-    A factor of 1 is no step, and a factor of 0 is the prime's last, as the
-    multiples of higher powers are zero already.
-    """
-    steps = []
-    for p, f_pk in small:
-        assert set(f_pk) <= {-1, 0, 1}, f"f({p}^k) = {f_pk} is not a sign"
-        prev, d = 1, p
-        for k in range(1, len(f_pk)):
-            s = prev * f_pk[k]
-            if s == 0:
-                assert not any(f_pk[k:]), f"f({p}^k) = {f_pk} is nonzero after a zero"
-                steps.append((d, 0))
-                break
-            if s == -1:
-                steps.append((d, -1))
-            prev, d = f_pk[k], d * p
-    return steps
-
-
-def _rough_sign_fill(x: int, primes, steps, sign: int):
+def _rough_sign_fill(x: int, small, sign: int):
     """The range body of an int8 multiplicative fill whose f is `sign` at
-    every prime P > sqrt(x), from one byte per n and no pass 1; primes are
-    those up to sqrt(x), and steps their `_sign_steps`.
+    every prime P > sqrt(x), from one byte per n and no pass 1; small holds
+    the tables (p, f(p^k) for k = 0, 1, ... while p^k <= x) of the primes
+    p <= sqrt(x).
 
     The range's own bytes, read as uint8, take the adds of `_rough_steps`:
     those of the prime powers dividing _PRESIEVE as one periodic pattern,
-    the rest as one strided add each.  Bit 0 is then the parity of n's sign
-    steps, and the byte lies between 6 log2 and 9 log2 of n's
-    sqrt(x)-smooth part.  A smooth n in [2^i, 2^(i+1)) thus reads at least
-    6i, while an n = m P reads at most 9 log2 m, which setup checks is below
-    6i for the largest m of every such sub-range; so a byte below 6i marks
-    the n that carry a prime above sqrt(x).  The decode, _DECODE bytes at a
-    time, writes the sign the parity gives, times `sign` on the marked n.
-    The zero steps run last, on the signs, so that no add lands on a zeroed
-    byte.
+    the rest as one strided add each.  Bit 0 is then the parity of the sign
+    flips on n's prime powers, and the byte lies between 6 log2 and 9 log2
+    of n's sqrt(x)-smooth part.  A smooth n in [2^i, 2^(i+1)) thus reads at
+    least 6i, while an n = m P reads at most 9 log2 m, which setup checks is
+    below 6i for the largest m of every such sub-range; so a byte below 6i
+    marks the n that carry a prime above sqrt(x).  The decode, _DECODE bytes
+    at a time, writes the sign the parity gives, times `sign` on the marked
+    n.  The zeros go in last, on the signs, so that no add lands on a
+    zeroed byte.
     """
-    adds, zeros = _rough_steps(x, primes, steps)
+    adds, zeros = _rough_steps(small)
     root = math.isqrt(x)
     assert x**9 < 1 << 256, f"a byte of the sign fill at x = {x} may exceed 255"
     for i in range(x.bit_length()):
@@ -888,26 +855,29 @@ def _rough_sign_fill(x: int, primes, steps, sign: int):
     return body
 
 
-def _rough_steps(x: int, primes, steps) -> tuple[list[tuple[int, int]], list[int]]:
-    """(adds, zeros) of the rough-number sign fill at x, from the primes
-    p <= sqrt(x) and their sign steps (`_sign_steps`).
+def _rough_steps(small) -> tuple[list[tuple[int, int]], list[int]]:
+    """(adds, zeros) of the rough-number sign fill, from the tables (p,
+    f(p^k) for k = 0, 1, ...) of the primes p <= sqrt(x), each f(p^k) a sign.
 
-    adds holds (p^k, 2 floor(log2 p^4) + [a sign step at p^k flips the
-    sign]) for every p^k <= x below the prime's zero step, if any, and zeros
-    the d of the zero steps.  2 floor(log2 p^4) lies between 6 log2 p and
-    8 log2 p, so an add is at most 9 log2 p, and the adds on an n that no
-    zero step divides sum to between 6 log2 and 9 log2 of its
-    sqrt(x)-smooth part.
+    adds holds (p^k, 2 floor(log2 p^4) + [f(p^k) != f(p^(k-1))]), with
+    f(p^0) = 1, for each p^k in the table below the prime's first zero, and
+    zeros that first p^k; no nonzero power may follow it, as the zeros go
+    in last, on every multiple.  The parity of the adds on n with p^k || n
+    is then that of the flips up to k, which is 1 where f(p^k) = -1.
+    2 floor(log2 p^4) lies between 6 log2 p and 8 log2 p, so an add is at
+    most 9 log2 p, and the adds on an n that no zero divides sum to between
+    6 log2 and 9 log2 of its sqrt(x)-smooth part.
     """
-    flips = {d for d, s in steps if s}
-    zeros = [d for d, s in steps if not s]
-    last = set(zeros)
-    adds = []
-    for p in primes:
-        w, d = 2 * ((p**4).bit_length() - 1), p
-        while d <= x and d not in last:
-            adds.append((d, w + (d in flips)))
-            d *= p
+    adds, zeros = [], []
+    for p, f_pk in small:
+        w, prev, d = 2 * ((p**4).bit_length() - 1), 1, p
+        for k in range(1, len(f_pk)):
+            if not f_pk[k]:
+                assert not any(f_pk[k:]), f"f({p}^k) = {f_pk} is nonzero after a zero"
+                zeros.append(d)
+                break
+            adds.append((d, w + int(f_pk[k] != prev)))
+            prev, d = f_pk[k], d * p
     return adds, zeros
 
 

@@ -1119,11 +1119,30 @@ def test_sign_fills_byte_identical_to_sieves():
         assert got.tobytes() == want.tobytes()
 
 
-# ------------------------------------------------------------- sign steps
+# ------------------------------------------------------- gathered sign fills
 #
-# An int8 fill whose f(P) takes both signs above sqrt(x) runs pass 2 as
-# in-place negations and zeroings of the multiples of p^k; the other int8
-# fills run the rough-number fill below.
+# An int8 fill whose f(P) takes both signs above sqrt(x) scatters f(P) and
+# multiplies in one int8 factor array per prime p <= sqrt(x) whose f(p^k)
+# are not all 1, as a complex fill does; the other int8 fills run the
+# rough-number fill below.
+
+
+@dataclass(frozen=True)
+class _MixedSigns(Threshold):
+    """A threshold spec, but mobius-like at 2 and 5 and liouville-like at 3
+    and 7, so that the primes p <= 7 take both signs and zeros."""
+
+    completely_multiplicative = False
+
+    def prime_power_value(self, p, k):
+        if p in (2, 5):
+            return -1 if k == 1 else 0
+        if p in (3, 7):
+            return -1 if k % 2 else 1
+        return super().prime_power_value(p, k)
+
+    def at_primes(self, primes):
+        return np.where(primes <= 7, -1.0, super().at_primes(primes))
 
 
 @st.composite
@@ -1132,10 +1151,11 @@ def _sign_range_cases(draw, width):
     x + 1) holding a multiple of p^2 or p^3 for a small prime p.  Threshold
     cutoffs fall below sqrt(x), where f(P) = -1 at every P > sqrt(x), or
     between 2 sqrt(x) and x / 2, where f(P) takes both signs and pass 1
-    gathers."""
+    gathers; there `_MixedSigns` builds int8 factor arrays for p <= 7."""
     x = draw(st.integers(100, 2 * 10**4))
     root = math.isqrt(x)
-    family = draw(st.sampled_from(["mobius", "liouville", "threshold-below", "threshold-above"]))
+    family = draw(st.sampled_from(["mobius", "liouville", "threshold-below", "threshold-above",
+                                   "mixed-above"]))
     if family == "mobius":
         spec = Mobius()
     elif family == "liouville":
@@ -1145,7 +1165,8 @@ def _sign_range_cases(draw, width):
         assert spec.cutoff < root + 1
     else:
         cutoff = draw(st.integers(2 * root + 2, x // 2))
-        spec = Threshold(math.ceil(cutoff ** (1 / funcspec.THRESHOLD_EXPONENT)))
+        x0 = math.ceil(cutoff ** (1 / funcspec.THRESHOLD_EXPONENT))
+        spec = _MixedSigns(x0) if family == "mixed-above" else Threshold(x0)
         assert root + 1 < spec.cutoff < x
     p = draw(st.sampled_from([q for q in (2, 3, 5, 7, 11) if q * q <= x]))
     pk = p ** draw(st.sampled_from([j for j in (2, 3) if p**j <= x]))
@@ -1165,13 +1186,31 @@ def test_sign_range_fill_byte_identical_to_whole_array(width, data):
     assert out.tobytes() == want[lo:hi].tobytes()
 
 
-def test_sign_steps_negate_and_zero_the_multiples_of_prime_powers():
-    # f(p^k) for k = 0, 1, ...: a prime below a threshold cutoff has no step,
-    # mobius stops at its zero, liouville negates every power
-    small = [(2, [0, 1, 1, 1]), (3, [0, -1, 0]), (5, [0, -1, 1, -1])]
-    assert funcspec._sign_steps(small) == [(3, -1), (9, 0), (5, -1), (25, -1), (125, -1)]
+@dataclass(frozen=True)
+class _NotASign(Threshold):
+    """A threshold spec, but f(3^2) = 0.5."""
+
+    def prime_power_value(self, p, k):
+        return 0.5 if (p, k) == (3, 2) else super().prime_power_value(p, k)
+
+
+def test_gathered_sign_fill_refuses_a_value_that_is_not_a_sign():
+    # a cutoff between sqrt(x) and x: f(P) takes both signs, and pass 1 gathers
     with pytest.raises(AssertionError, match="not a sign"):
-        funcspec._sign_steps([(2, [0, -1, 0.5])])
+        funcspec._range_fill(_NotASign(10**9), 10**4, _table())
+
+
+def test_rough_steps_add_log_weights_and_flips_and_zero_the_first_zero():
+    # f(p^k) for k = 0, 1, ...: a prime below a threshold cutoff never
+    # flips, mobius stops at its zero, liouville flips at every power; an
+    # add is 2 floor(log2 p^4), plus 1 where f(p^k) != f(p^(k-1))
+    small = [(2, [0, 1, 1, 1]), (3, [0, -1, 0]), (5, [0, -1, 1, -1])]
+    adds, zeros = funcspec._rough_steps(small)
+    assert adds == [(2, 8), (4, 8), (8, 8), (3, 13), (5, 19), (25, 19), (125, 19)]
+    assert zeros == [9]
+    # the setup refuses a value that is not a sign before the steps are made
+    with pytest.raises(AssertionError, match="not a sign"):
+        funcspec._range_fill(_NotASign(10**3), 10**3, _table())
 
 
 @dataclass(frozen=True)
@@ -1263,7 +1302,7 @@ def test_rough_sign_fill_bytes_stay_below_240_at_1e8(table_large):
         while p ** len(f_pk) <= x:
             f_pk.append(Liouville().prime_power_value(p, len(f_pk)))
         small.append((p, f_pk))
-    adds, zeros = funcspec._rough_steps(x, primes[::-1], funcspec._sign_steps(small))
+    adds, zeros = funcspec._rough_steps(small)
     assert zeros == []
     assert len(adds) == sum(len(f_pk) - 1 for _, f_pk in small)
     for d, w in adds:
