@@ -3,11 +3,14 @@
 The unit group mod q is decomposed into cyclic components (one per odd
 prime power, the 2-part split as {-1} x <5> for 8 | q).  One numpy walk of
 the exponent grid, the products of generator powers in C order, gives every
-table of the group: the units, their exponent tuples and their grid
-positions.  A character is an exponent tuple against the component
-generators, and its value at n is the exact rational angle
-sum_i e_i * b_i / d_i  (mod 1), where b is the exponent tuple of the unit
-n, its discrete log.  Keeping angles as Fractions makes orthogonality and
+table of the group: the units, their exponent tuples and the grid order,
+which unit sits at each grid position.  The exponent grid is the one layout
+the group is read in: the unit-group transform gathers its values into the
+grid in grid order, and the pair defect of `nearchar` reads g(ab) off the
+grid, where the position of ab is the sum of the positions of a and b.
+A character is an exponent tuple against the component generators, and
+its value at n is the exact rational angle sum_i e_i * b_i / d_i (mod 1),
+where b is the exponent tuple of the unit n, its discrete log.  Keeping angles as Fractions makes orthogonality and
 multiplicativity checks exact; floats appear when a value is rendered to
 complex and in the unit-group transform, where the primitivity test
 compares sums that are exactly 0 or |K| against |K|/2.
@@ -68,9 +71,10 @@ class UnitGroupStructure:
     The grid starts as [1 % q]; each generator g of order d replaces it by
     its outer product with g^0, ..., g^(d-1) (mod q), ravelled.  Position i
     of the final grid then holds the unit whose exponent tuple is the i-th
-    in C order, and sorting the grid gives every table: `ravel` (the grid
-    position of each unit), `units`, `exponents` and `unit_index`.  The
-    discrete log of a unit a is its exponent tuple exponents[unit_index[a]].
+    in C order, and sorting the grid gives every table: `units`,
+    `exponents`, `unit_index` and `grid_order`, whose entry i is the index
+    into `units` of the unit at grid position i.  The discrete log of a unit
+    a is its exponent tuple exponents[unit_index[a]].
     """
 
     def __init__(self, q: int):
@@ -107,15 +111,19 @@ class UnitGroupStructure:
             grid = np.multiply.outer(grid, powers[:d]).ravel() % q
         # ravel[i] = C-order position of units[i]'s exponent tuple, which is
         # also the canonical index of the character with that tuple
-        self.ravel = np.argsort(grid)
-        self.units = grid[self.ravel]
+        ravel = np.argsort(grid)
+        self.units = grid[ravel]
         assert np.all(self.units[1:] > self.units[:-1]), f"unit group mod {q}: repeated units"
         # unit_index[a] = position of a in self.units, -1 for non-units
         idx = np.full(max(q, 1), -1, dtype=np.int64)
         idx[self.units] = np.arange(len(self.units))
         self.unit_index = idx
         # exponent matrix aligned with self.units, shape (phi, k)
-        self.exponents = np.indices(orders).reshape(len(orders), self.phi).T[self.ravel]
+        self.exponents = np.indices(orders).reshape(len(orders), self.phi).T[ravel]
+        # the inverse permutation: grid_order[i] = index in self.units of the
+        # unit at grid position i
+        self.grid_order = np.empty_like(ravel)
+        self.grid_order[ravel] = np.arange(self.phi)
 
     def __repr__(self):
         return f"UnitGroupStructure(q={self.q}, orders={self.orders})"
@@ -136,16 +144,20 @@ def unit_group_transform(values, q: int) -> np.ndarray:
     independently.  It runs in complex128, or in clongdouble for long
     double values.
 
-    One FFT over the exponent grid: ghat(chi_e) = sum_beta V[beta]
-    e^(-2 pi i <e, beta/d>) is exactly numpy's fftn at index e.
+    One gather puts the values in grid order, values[..., grid_order], and
+    one FFT over the exponent grid follows: ghat(chi_e) = sum_beta V[beta]
+    e^(-2 pi i <e, beta/d>) is exactly numpy's fftn at index e.  It is run
+    as fftn runs it, one 1-D FFT per grid axis from the last to the first.
     """
     G = unit_group(q)
-    lead = np.shape(values)[:-1]
-    grid = np.zeros(lead + G.orders, dtype=np.result_type(values, np.complex128))
-    grid.reshape(lead + (G.phi,))[..., G.ravel] = values
+    values = np.asarray(values)
+    lead = values.shape[:-1]
+    grid = values[..., G.grid_order].astype(np.result_type(values, np.complex128), copy=False)
     del values  # a temporary argument is freed before the FFT
-    axes = tuple(range(len(lead), grid.ndim))
-    return np.fft.fftn(grid, s=G.orders, axes=axes).reshape(lead + (G.phi,))
+    grid = grid.reshape(lead + G.orders)
+    for axis in range(grid.ndim - 1, len(lead) - 1, -1):
+        grid = np.fft.fft(grid, axis=axis)
+    return grid.reshape(lead + (G.phi,))
 
 
 @lru_cache(maxsize=4096)

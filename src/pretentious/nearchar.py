@@ -9,12 +9,16 @@ nothing and the API refuses rather than guessing.
 The Fourier transform over all phi(q) characters is the unit-group
 transform of `characters` (one multidimensional FFT in exponent
 coordinates); the brute-force per-character dot product,
-`fourier_transform`, stays beside it as the tests' oracle.
+`fourier_transform`, stays beside it as the tests' oracle.  The pair
+defect reads the same exponent grid: the position of ab is the sum of the
+positions of a and b, so g(ab) for every pair is a strided view of g and
+no product is reduced mod q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -75,17 +79,40 @@ class ApproxHomomorphism:
 
 
 def _max_pair_defect(q: int, garr: np.ndarray) -> float:
-    """max |g(ab) - g(a) g(b)| over unit pairs, from rows a of about 2^16
-    pairs at a time: memory stays a few MB, whatever phi(q)."""
+    """max |g(ab) - g(a) g(b)| over unit pairs, read on the exponent grid.
+
+    The grid position of ab is the sum of the positions of a and b, mod the
+    orders, so g(ab) over all pairs is a read-only strided view of g tiled
+    twice along each axis: V[a, b] = W[a + b].  Rows a are taken in blocks
+    of about 2^16 pairs, the largest order first so that a block is a slice
+    of one axis under a fixed prefix: memory stays a few MB, whatever phi(q).
+    Every ordered pair is read, and its product comes from np.outer as in
+    a pass over unit pairs: with fused multiply-adds, g(a) g(b) and
+    g(b) g(a) can differ in the last bit, and so can one product formed
+    by two numpy loops.
+    """
     G = unit_group(q)
-    units = np.asarray(G.units)
+    orders = G.orders or (1,)
+    axes = sorted(range(len(orders)), key=lambda i: -orders[i])
+    d = tuple(orders[i] for i in axes)
+    g = np.ascontiguousarray(garr[G.grid_order].reshape(orders).transpose(axes))
+    w = np.pad(g, [(0, n - 1) for n in d], mode="wrap")
+    ab = np.lib.stride_tricks.as_strided(w, shape=d + d, strides=w.strides * 2, writeable=False)
+    # the row axes after `fixed` are whole in each block, and `step` rows of
+    # axis `fixed` make a block
+    block_rows = max(1, 2**16 // G.phi)
+    fixed = 0
+    while fixed < len(d) - 1 and prod(d[fixed + 1:]) > block_rows:
+        fixed += 1
+    step = max(1, block_rows // prod(d[fixed + 1:]))
     worst = 0.0
-    chunk = max(1, 2**16 // max(len(units), 1))
-    for lo in range(0, len(units), chunk):
-        hi = min(lo + chunk, len(units))
-        prod_index = G.unit_index[np.outer(units[lo:hi], units) % q]
-        block = np.abs(garr[prod_index] - np.outer(garr[lo:hi], garr))
-        worst = max(worst, float(block.max()))
+    for prefix in np.ndindex(d[:fixed]):
+        for lo in range(0, d[fixed], step):
+            rows = prefix + (slice(lo, lo + step),)
+            pairs = ab[rows]
+            block = np.outer(g[rows], g).reshape(pairs.shape)
+            np.subtract(pairs, block, out=block)
+            worst = max(worst, float(np.abs(block).max()))
     return worst
 
 

@@ -13,7 +13,8 @@ transfer identity F(x;q,a) ~ r f(r) F(x/r; q, a r^{-1}) up to a budget
 
 Per-modulus masses are computed from residue-class partial sums
 (`_class_sums`) followed by the unit-group transform in exponent
-coordinates, so nothing ever loops over characters times terms.  The scan
+coordinates, so nothing ever loops over characters times terms; a modulus
+r == 2 (mod 4) has no primitive character and costs no transform.  The scan
 sums the values into classes only for the moduli m in (R/2, R]; every
 r <= R folds the class sums of its largest multiple m <= R, which costs
 O(m) instead of O(x/q).  The sign families (mobius, liouville, threshold,
@@ -85,7 +86,11 @@ def _class_values(f: FunctionSpec, x: int, q: int, a: int, table: PrimeTable) ->
 def _mass_from_classes(c: np.ndarray, r: int) -> float:
     """Total |S_psi| over primitive psi mod r given the class sums
     c = _class_sums(v, r, 0) of terms v[i] of n = i + 1: c[b] holds the
-    class n == b + 1 (mod r), so the unit u is read at c[u - 1]."""
+    class n == b + 1 (mod r), so the unit u is read at c[u - 1].  A modulus
+    r == 2 (mod 4) has no primitive character, and its mass is 0.0 with no
+    transform."""
+    if r % 4 == 2:
+        return 0.0
     F = unit_group_transform(c[unit_group(r).units - 1], r)
     return float(np.sum(np.abs(F[primitive_mask(r)])))
 

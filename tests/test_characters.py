@@ -104,8 +104,10 @@ def _dict_walk(G) -> dict:
     k = len(G.orders)
     exponents = np.array([dlog[int(u)] for u in units], dtype=np.int64).reshape(len(units), k)
     radix = np.array([math.prod(G.orders[i + 1:]) for i in range(k)], dtype=np.int64)
+    grid_order = np.empty(len(units), dtype=np.int64)
+    grid_order[exponents @ radix] = np.arange(len(units))
     return dict(phi=len(dlog), units=units, unit_index=unit_index, exponents=exponents,
-                ravel=exponents @ radix)
+                grid_order=grid_order)
 
 
 @pytest.mark.parametrize("qs", [range(1, 2001), (4096, 7560, 8192, 9240, 9973, 10000)],
@@ -115,6 +117,7 @@ def test_grid_walk_matches_dict_walk(qs):
         G = UnitGroupStructure(q)  # uncached: 2000 groups stay out of unit_group's cache
         want = _dict_walk(G)
         assert G.phi == want.pop("phi") and type(G.phi) is int, q
+        assert {k for k, v in vars(G).items() if isinstance(v, np.ndarray)} == set(want), q
         for name, table in want.items():
             got = getattr(G, name)
             assert got.dtype == table.dtype and got.shape == table.shape, (q, name)

@@ -140,6 +140,71 @@ def test_pair_defect_equals_the_whole_matrix(q):
         assert _max_pair_defect(q, g) == _max_pair_defect_whole(q, g)
 
 
+def _max_pair_defect_rows(q, garr):
+    """The pair defect before it read the exponent grid: every product a b
+    reduced mod q and looked up in unit_index, rows a of about 2^16 pairs at
+    a time; kept as the oracle."""
+    G = unit_group(q)
+    units = np.asarray(G.units)
+    worst = 0.0
+    chunk = max(1, 2**16 // max(len(units), 1))
+    for lo in range(0, len(units), chunk):
+        hi = min(lo + chunk, len(units))
+        prod_index = G.unit_index[np.outer(units[lo:hi], units) % q]
+        block = np.abs(garr[prod_index] - np.outer(garr[lo:hi], garr))
+        worst = max(worst, float(block.max()))
+    return worst
+
+
+def _random_unit_values(q, seed, spread):
+    """A character mod q times noise of the given spread, in modulus and
+    phase: spread 0 is the character itself, and spread >= 1 draws moduli
+    over [0, 1 + spread), with exact zeros and some values purely real or
+    purely imaginary.  A small spread puts the defect in the last bits of
+    the products, where two numpy loops can round one product apart."""
+    rng = np.random.default_rng(seed)
+    phi = unit_group(q).phi
+    _, g = _char_units(q, int(rng.integers(phi)))
+    g = g * rng.uniform(1 - spread, 1 + spread, phi) * np.exp(1j * rng.uniform(-spread, spread, phi))
+    if spread >= 1:
+        g[rng.random(phi) < 0.1] = 0.0
+        g[rng.random(phi) < 0.1] = rng.standard_normal()
+        g[rng.random(phi) < 0.1] = 1j * rng.standard_normal()
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(min_value=1, max_value=600), seed=st.integers(0, 2**32 - 1),
+       spread=st.sampled_from([0.0, 1e-12, 1e-3, 0.2, 2.0]))
+def test_pair_defect_equals_the_row_oracle_on_random_moduli(q, seed, spread):
+    g = _random_unit_values(q, seed, spread)
+    assert _max_pair_defect(q, g) == _max_pair_defect_rows(q, g)
+
+
+# groups of 0 (1, 2) to 6 (9240) axes; 16 and 4096 split as {-1} x <5>
+@pytest.mark.parametrize("q", [1, 2, 4, 8, 16, 24, 360, 1155, 4080, 4096, 9240])
+def test_pair_defect_equals_the_row_oracle(q):
+    for seed, spread in enumerate([0.0, 1e-12, 1e-3, 0.2, 2.0]):
+        g = _random_unit_values(q, seed, spread)
+        assert _max_pair_defect(q, g) == _max_pair_defect_rows(q, g), (q, spread)
+
+
+def test_from_values_at_phi_9972_stays_a_few_mb(fresh_process):
+    # 10^8 unit pairs mod 9973: their product-index matrix alone would be
+    # 800 MB; the process itself takes about 31 MB before the call
+    out = fresh_process("""
+import numpy as np
+from pretentious.characters import unit_group
+from pretentious.nearchar import ApproxHomomorphism
+G = unit_group(9973)
+g = np.exp(1e-3j * np.arange(G.phi) ** 0.5)
+g[int(np.searchsorted(G.units, 1))] = 1.0
+out = {"epsilon": ApproxHomomorphism.from_values(9973, g).epsilon}
+""")
+    assert 0.0 < out["epsilon"] < 0.5
+    assert out["rss_mb"] <= 40
+
+
 def test_pair_defect_memory_stays_a_few_rows():
     # the whole 1440^2 product-index matrix alone is 16.6 MB, and building it
     # traced 79 MB; row chunks of about 2^16 pairs hold a few MB
@@ -200,12 +265,66 @@ def test_unit_group_transform_random_moduli(q, seed):
     _assert_transform_matches_per_character(q, seed)
 
 
+def _grid_positions(G):
+    """The grid position of each of G.units, exponents @ radix, with the
+    exponent tuples from this oracle's own walk of the generator powers."""
+    q = G.q
+    dlog = {1 % q: ()}
+    for g, d in zip(G.generators, G.orders):
+        dlog = {u * pow(g, j, q) % q: t + (j,) for u, t in dlog.items() for j in range(d)}
+    k = len(G.orders)
+    exponents = np.array([dlog[int(u)] for u in G.units], dtype=np.int64).reshape(G.phi, k)
+    radix = np.array([math.prod(G.orders[i + 1:]) for i in range(k)], dtype=np.int64)
+    return exponents @ radix
+
+
 def _unit_group_transform_1d(values, q):
     """The transform before it took leading batch axes, kept as the oracle."""
     G = unit_group(q)
     grid = np.zeros(G.orders, dtype=np.complex128)
-    grid.reshape(-1)[G.ravel] = values
+    grid.reshape(-1)[_grid_positions(G)] = values
     return np.fft.fftn(grid).reshape(-1)
+
+
+def _scatter_transform(values, q):
+    """The transform before it gathered in grid order: a zero-filled grid,
+    the values scattered to their grid positions, one fftn over the grid
+    axes; kept as the oracle."""
+    G = unit_group(q)
+    lead = np.shape(values)[:-1]
+    grid = np.zeros(lead + G.orders, dtype=np.result_type(values, np.complex128))
+    grid.reshape(lead + (G.phi,))[..., _grid_positions(G)] = values
+    axes = tuple(range(len(lead), grid.ndim))
+    return np.fft.fftn(grid, s=G.orders, axes=axes).reshape(lead + (G.phi,))
+
+
+def _value_bytes(a):
+    """a.tobytes() without the padding of an x87 long double, which holds
+    its value in 10 of its 16 bytes and leaves the rest as memory held."""
+    if a.dtype != np.clongdouble or np.finfo(np.longdouble).nmant != 63:
+        return a.tobytes()
+    size = np.dtype(np.longdouble).itemsize
+    return np.frombuffer(a.tobytes(), np.uint8).reshape(-1, size)[:, :10].tobytes()
+
+
+def _typed_values(rng, shape):
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return (rng.random(shape) < 0.5, rng.integers(-10**6, 10**6, shape),
+            rng.standard_normal(shape), z, z.astype(np.clongdouble) / 3)
+
+
+# groups of 0 (1, 2), 1 (4, 997), 2 (8, 15), 3 (24, 105) and 4 (120, 3003) axes
+@pytest.mark.parametrize("q", [1, 2, 4, 997, 8, 15, 24, 105, 120, 3003])
+def test_unit_group_transform_equals_the_scatter_oracle(q):
+    rng = np.random.default_rng(q)
+    phi = unit_group(q).phi
+    for lead in [(), (3,), (9, 5)]:
+        for values in _typed_values(rng, lead + (phi,)):
+            got = unit_group_transform(values, q)
+            want = _scatter_transform(values, q)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), (q, lead, values.dtype)
+            assert _value_bytes(got) == _value_bytes(want), (q, lead, values.dtype)
+            assert not np.shares_memory(got, values)
 
 
 @pytest.mark.parametrize("q", [1, 2, 5, 8, 16, 30, 385, 997])

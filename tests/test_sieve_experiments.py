@@ -578,6 +578,48 @@ def test_bad_moduli_reads_the_values_once_per_modulus_above_half(x, table_medium
     assert len(seen) == (R - R // 2) + (R - 1)
 
 
+def _bad_moduli_per_r(f, x, q, a, eta, table):
+    # oracle: every r = 2..R folded from its largest multiple m <= R and
+    # transformed, the primitive mask read even where it is empty
+    cv = _class_values(f, x, q, a, table)
+    R = math.isqrt(x // q)
+    masses = []
+    for r in range(2, R + 1):
+        c = _class_sums(_class_sums(cv, R // r * r, 0), r, 0)
+        F = unit_group_transform(c[unit_group(r).units - 1], r)
+        masses.append((r, float(np.sum(np.abs(F[primitive_mask(r)])))))
+    bad = [(r, m) for r, m in masses if m >= eta * (x / q)]
+    return masses, bad, sum(1.0 / unit_group(r).phi for r, _ in bad)
+
+
+@pytest.mark.parametrize("text", ["mobius", "liouville", "legendre:7", "prod(char:5:2,nit:1.0)"])
+def test_bad_moduli_transforms_only_moduli_with_a_primitive_character(text, table_medium,
+                                                                      monkeypatch):
+    # r == 2 (mod 4) has no primitive character: its mass is 0.0 with no
+    # transform, and every other r is transformed once
+    transformed = []
+
+    def counting(values, r):
+        transformed.append(r)
+        return unit_group_transform(values, r)
+
+    monkeypatch.setattr(sieve_experiments, "unit_group_transform", counting)
+    f = parse_spec(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for x in (10**4, 2 * 10**5):
+            for q in (1, 2, 3, 5):
+                transformed.clear()
+                rep = bad_moduli(f, x, q, 1, 0.1, table_medium)
+                R = rep.modulus_bound
+                assert sorted(transformed) == [r for r in range(2, R + 1) if r % 4 != 2]
+                assert all(m == 0.0 for r, m in rep.masses if r % 4 == 2)
+                masses, bad, s = _bad_moduli_per_r(f, x, q, 1, 0.1, table_medium)
+                assert list(rep.masses) == masses, (x, q)
+                assert list(rep.bad) == bad, (x, q)
+                assert rep.sum_inverse_phi == s, (x, q)
+
+
 # --------------------------------------------------------------- transfer
 
 
