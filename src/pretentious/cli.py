@@ -20,9 +20,9 @@ otherwise JSON. Every CSV goes through `_csv`, floats as their repr.
 
 The parser checks types, signs and finiteness; the library call checks
 every other precondition before it reads the prime table, which sieves on
-first use. `meanvalues trend` builds all of its tables before the first
-scan, so an xmax past the sieve's range is refused before anything
-sieves. Exit codes: 0 success, 2 malformed arguments or spec strings
+first use. `meanvalues trend` makes its one table, to the last decade,
+before the first scan, so an xmax past the sieve's range is refused before
+anything sieves. Exit codes: 0 success, 2 malformed arguments or spec strings
 (or an unreadable or unwritable file), 3 precondition violations, 4
 theorem-assertion failures (the latter always indicate an implementation
 bug, not bad input); each failure prints one line on stderr.
@@ -230,11 +230,11 @@ def _cmd_meanvalues_trend(args):
         x *= 10
     if not decades:
         raise PreconditionError(f"xmax must be >= 10000 for one decade, got {args.xmax}")
-    # every table before the first scan, so an xmax past the sieve's range is
-    # refused before anything sieves; one table per decade, shared across q
-    tables = [PrimeTable(x) for x in decades]
+    # one table to the last decade, made before the first scan, so an xmax
+    # past the sieve's range is refused before anything sieves
+    table = PrimeTable(decades[-1])
     rows = []
-    for x, table in zip(decades, tables):
+    for x in decades:
         for q in args.qs:
             rep = progression_report(f, x, q, args.Q, args.A, table)
             rows.append((args.f, q, x, rep.normalized_max_residual, rep.max_residual,

@@ -37,8 +37,8 @@ sign fill is mostly a Python loop over the small primes, a few numpy
 calls each, which holds the lock; a process that fills only signs
 starts no thread.
 `values_upto` is the one call that holds all of f(0..x); it fills its
-array block by block.  Every walk over the primes in the library is
-`over_primes`.
+array block by block.  Every elementwise sum over the primes walks them
+with `over_primes`; the twist scan's sums walk `pretension._PrimeData.edges`.
 
 A table spec, f given at chosen prime powers, holds its keys and values as
 three sorted arrays, 25 bytes per key, so a table over the 5.76M primes up
@@ -909,8 +909,8 @@ def over_primes(primes: np.ndarray, term, r: int = 1, dtype=np.float64) -> np.nd
     k = 0
     for lo in range(0, len(primes), PRIME_CHUNK):
         ps = primes[lo : lo + PRIME_CHUNK]
-        if ps[0] <= r:  # no larger prime divides r
-            ps = ps[r % ps != 0]
+        if ps[0] <= r:  # only the primes up to r can divide it
+            ps = np.delete(ps, np.flatnonzero(r % ps[: np.searchsorted(ps, r, "right")] == 0))
         out[k : k + len(ps)] = term(ps)
         k += len(ps)
     return out[:k]

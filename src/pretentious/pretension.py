@@ -149,7 +149,9 @@ def distance_squared(
 class _PrimeData:
     """The primes p <= x, as the classes that characters of every modulus
     reduce, with what all their twist objectives share: f(p) in f's fill
-    dtype (int8 for the sign families), 1/p and log p."""
+    dtype (int8 for the sign families), 1/p, log p, and the edges of the
+    chunks that every sum of the scan walks: whole cells of log p, from the
+    first prime in the cell of each PRIME_CHUNK-th prime on."""
 
     def __init__(self, f: FunctionSpec, x: int, table: PrimeTable):
         ps = table.primes_upto(x)
@@ -158,12 +160,17 @@ class _PrimeData:
         self.inv_p = 1.0 / ps
         self.logp = np.log(ps, dtype=np.float64)
         self.x = x
+        self.edges = [0]
+        for lo in range(0, len(ps) - PRIME_CHUNK, PRIME_CHUNK):
+            cell = np.floor(self.logp[lo : lo + PRIME_CHUNK + 1] / CELL_WIDTH)
+            if cell[0] < cell[-1]:
+                self.edges.append(lo + int(np.searchsorted(cell, cell[-1])))
+        self.edges.append(len(ps))
 
     def base(self, q: int) -> float:
-        """sum of 1/p over the primes p <= x not dividing q, of which only
-        those up to q are tested: no other prime can divide q."""
-        small = self.cls[: np.searchsorted(self.cls, q, side="right")]
-        return float(np.sum(np.delete(self.inv_p, np.flatnonzero(q % small == 0))))
+        """sum of 1/p over the primes p <= x not dividing q, which
+        `over_primes` drops as every sum over the primes does."""
+        return float(np.sum(over_primes(self.cls, lambda ps: 1.0 / ps, q)))
 
 
 def _twisted(fv: np.ndarray, cls: np.ndarray, psi: DirichletCharacter) -> np.ndarray:
@@ -177,12 +184,11 @@ def _is_even(data: _PrimeData, psi: DirichletCharacter) -> bool:
     """Whether psi's objective on data is even in t: every z_p is real.  A
     prime dividing psi.q has z_p = 0, so data may hold it.  A real f against
     a real character needs no look at the primes; otherwise they go through
-    in chunks, and the first complex z_p ends the search.  A few primes
-    settle most characters, so the first chunk holds only _EVEN_PROBE of
-    them and the rest hold PRIME_CHUNK."""
+    in the chunks of data.edges, the first _EVEN_PROBE primes on their own
+    (a few settle most characters), until the first complex z_p."""
     if np.isrealobj(data.fv) and not character_row(psi).imag.any():
         return True
-    edges = [0, *range(_EVEN_PROBE, len(data.fv), PRIME_CHUNK), len(data.fv)]
+    edges = sorted({_EVEN_PROBE, *data.edges})
     return not any(_twisted(data.fv[lo:hi], data.cls[lo:hi] % psi.q, psi).imag.any()
                    for lo, hi in zip(edges, edges[1:]))
 
@@ -196,9 +202,9 @@ class _CellMoments:
     does: data holds every prime, and those primes fall into the classes
     mod chi.q that the unit-group transform drops.
 
-    The moments of a t-block are built on first use, one modulus at a time
-    into one array for all the columns; the last _BLOCKS_KEPT blocks are
-    kept.
+    The moments of a t-block are built on first use from class sums over
+    the chunks of data.edges, one modulus at a time into one array for all
+    the columns; the last _BLOCKS_KEPT blocks are kept.
     """
 
     def __init__(self, data: _PrimeData, chars: list[DirichletCharacter]):
@@ -215,15 +221,7 @@ class _CellMoments:
             bins = np.where(G.unit_index < 0, G.phi, G.unit_index)
             self._groups.append((q, cols, [chars[col].index for col in cols], bins))
             self.base[cols] = data.base(q)
-        # the primes go through the class sums in chunks of whole cells, from
-        # the first prime in the cell of each PRIME_CHUNK-th prime on
         n = len(data.logp)
-        self._edges = [0]
-        for lo in range(0, n - PRIME_CHUNK, PRIME_CHUNK):
-            cell = np.floor(data.logp[lo : lo + PRIME_CHUNK + 1] / CELL_WIDTH)
-            if cell[0] < cell[-1]:
-                self._edges.append(lo + int(np.searchsorted(cell, cell[-1])))
-        self._edges.append(n)
         self._cells = math.floor(data.logp[-1] / CELL_WIDTH) + 1 - FIRST_CELL if n else 0
         padded = -(-self._cells // PHASE_SPLIT) * PHASE_SPLIT
         self.centres = (np.arange(FIRST_CELL, FIRST_CELL + padded) + 0.5) * CELL_WIDTH
@@ -233,13 +231,15 @@ class _CellMoments:
     def _class_sums(self, j: int, q: int, bins: np.ndarray) -> np.ndarray:
         """C[m, c, b] = sum over p in cell c with p = b (mod q) of
         f(p)/p e^(-i t_j v_p) v_p^m for the units b, where v_p = log p - u_c
-        and t_j = 2j T_BLOCK.  Each cell lies in one chunk of primes, so its
-        sums do not depend on the chunking; the powers of v stream through
-        one running array."""
+        and t_j = 2j T_BLOCK, over the chunks of data.edges.  Each cell lies
+        in one chunk, so its sums do not depend on the chunking, but for the
+        last bits of complex f where a chunk reaches 16384 primes: numpy then
+        forms w e^(-i t_j v) in place, operands swapped.  The powers of v
+        stream through one running array."""
         data = self.data
         width = unit_group(q).phi + 1
         C = np.zeros((MOMENTS, self._cells * width), dtype=np.complex128)
-        for lo, hi in zip(self._edges, self._edges[1:]):
+        for lo, hi in zip(data.edges, data.edges[1:]):
             logp = data.logp[lo:hi]
             key = np.floor(logp / CELL_WIDTH).astype(np.intp)
             key -= FIRST_CELL
@@ -396,9 +396,8 @@ def _scan(data: _PrimeData, chars: list[DirichletCharacter], A: float,
              if cols.stop > cols.start]
     # M2's terms go chunk by chunk into one array that is summed once
     terms = np.empty(len(data.logp))
-    for lo in range(0, len(terms), PRIME_CHUNK):
-        part = slice(lo, lo + PRIME_CHUNK)
-        terms[part] = np.abs(data.fv[part]) * data.inv_p[part] * data.logp[part] ** 2
+    for lo, hi in zip(data.edges, data.edges[1:]):
+        terms[lo:hi] = np.abs(data.fv[lo:hi]) * data.inv_p[lo:hi] * data.logp[lo:hi] ** 2
     M2 = float(np.sum(terms))
     cols, lo, hi, lb = [], [], [], []
     for (ts, c), vals in zip(grids, kernel.grids(grids)):

@@ -13,14 +13,14 @@ transfer identity F(x;q,a) ~ r f(r) F(x/r; q, a r^{-1}) up to a budget
 
 Per-modulus masses are computed from residue-class partial sums
 (`_class_sums`) followed by the unit-group transform in exponent
-coordinates, so nothing ever loops over characters times terms; a modulus
-r == 2 (mod 4) has no primitive character and costs no transform.  The scan
-sums the values into classes only for the moduli m in (R/2, R]; every
-r <= R folds the class sums of its largest multiple m <= R, which costs
-O(m) instead of O(x/q).  The sign families (mobius, liouville, threshold,
-legendre, one) keep f(nq + a) as int8, x/q bytes, and their class sums
-are exact int64, so the fold is exact too; for complex f it reorders the
-additions, so masses agree with a per-r sum to rounding.
+coordinates, so nothing ever loops over characters times terms.  An
+r == 2 (mod 4) has no primitive character: mass 0.0, with no fold and no
+transform.  Every other r <= R folds the class sums of its largest
+multiple m <= R, in (R/2, R], at O(m) instead of O(x/q), so only those m
+sum the values.  The sign families (mobius, liouville, threshold, legendre,
+one) keep f(nq + a) as int8, x/q bytes, and their class sums are exact
+int64, so the fold is exact too; for complex f it reorders the additions,
+so masses agree with a per-r sum to rounding.
 """
 
 from __future__ import annotations
@@ -153,13 +153,14 @@ def bad_moduli(
     # b = u - 1 >= 0, whose fold sums c_m[b], c_m[b + r], ... in index order
     folded = {}  # m -> the r whose largest multiple it is
     for r in range(2, R + 1):
-        folded.setdefault(R // r * r, []).append(r)
+        if r % 4 != 2:  # else no primitive character: mass 0.0 with no fold
+            folded.setdefault(R // r * r, []).append(r)
     mass = {}
     for m, rs in folded.items():
         c_m = _class_sums(cv, m, 0)
         for r in rs:
             mass[r] = _mass_from_classes(_class_sums(c_m, r, 0), r)
-    masses = sorted(mass.items())
+    masses = [(r, mass.get(r, 0.0)) for r in range(2, R + 1)]
     bad = [(r, m) for r, m in masses if m >= threshold]
     s = sum(1.0 / unit_group(r).phi for r, _ in bad)
     bound = 2.0 / eta**2

@@ -13,7 +13,7 @@ import pytest
 import pretentious.cli as cli
 from pretentious import __version__
 from pretentious.characters import character_by_index, character_row, unit_group
-from pretentious.arith import PrimeTable
+from pretentious.arith import PrimeTable, sieve_primes
 from pretentious.errors import PreconditionError, TheoremViolation
 from pretentious.funcspec import Mobius
 from pretentious.meanvalues import euler_product_mean, halasz_bound, progression_report
@@ -223,6 +223,22 @@ def test_trend_rows_are_the_reports_of_each_decade_and_modulus(tmp_path, capsys)
     rows = _csv_rows(path.read_text())
     assert [(int(r["x"]), int(r["q"]), float(r["normalized_max_residual"])) for r in rows] == \
         [(w["x"], w["q"], w["normalized_max_residual"]) for w in want]
+
+
+def test_trend_sieves_once(monkeypatch, capsys):
+    # one table to the last decade serves every decade and modulus
+    limits = []
+
+    def counting(limit):
+        limits.append(limit)
+        return sieve_primes(limit)
+
+    monkeypatch.setattr("pretentious.arith.sieve_primes", counting)
+    code, out, err = run_cli(capsys, ["meanvalues", "trend", "--f", "mobius", "--xmax", "1e5",
+                                      "--qs", "3,8", "--Q", "10", "--A", "2", "--format", "csv"])
+    assert code == 0, err
+    assert len(_csv_rows(out)) == 4
+    assert limits == [10**5]
 
 
 @pytest.mark.parametrize("q,a", [(4, 3), (5, 1)])

@@ -562,8 +562,10 @@ def test_bad_moduli_fold_matches_direct_for_complex_f(text, table_medium):
 @pytest.mark.parametrize("x", [8, 15, 16, 150, 10**4, 2 * 10**5])
 def test_bad_moduli_reads_the_values_once_per_modulus_above_half(x, table_medium,
                                                                  monkeypatch):
-    # only the moduli in (R/2, R] sum all x values; every r <= R then folds
-    # the class sums of one of them, whose length is at most R, once
+    # only the moduli in (R/2, R] sum all x values; every r <= R with a
+    # primitive character (r != 2 mod 4) then folds the class sums of one of
+    # them, whose length is at most R, once, and a top modulus that no such
+    # r folds from is never summed
     seen = []
 
     def counting(v, r, start, acc=None):
@@ -573,9 +575,13 @@ def test_bad_moduli_reads_the_values_once_per_modulus_above_half(x, table_medium
     monkeypatch.setattr(sieve_experiments, "_class_sums", counting)
     rep = bad_moduli(Mobius(), x, 1, 0, 0.9, table_medium)
     R = rep.modulus_bound
-    assert seen.count(x) == R - R // 2
+    folds = [r for r in range(2, R + 1) if r % 4 != 2]
+    tops = {R // r * r for r in folds}
+    assert seen.count(x) == len(tops)
     assert all(n == x or n <= R for n in seen)
-    assert len(seen) == (R - R // 2) + (R - 1)
+    assert len(seen) == len(tops) + len(folds)
+    if x == 2 * 10**5:  # R = 447: 224 moduli in (R/2, R] and 446 folds before the skip
+        assert (len(tops), len(folds)) == (205, 334)
 
 
 def _bad_moduli_per_r(f, x, q, a, eta, table):
