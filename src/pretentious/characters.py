@@ -313,7 +313,7 @@ def character_column(q: int, a: int) -> np.ndarray:
     L = lcm(*G.orders)
     scaled = np.array([b * (L // d) for b, d in zip(G.exponents[i].tolist(), G.orders)],
                       dtype=np.int64)
-    grid = np.indices(G.orders).reshape(len(G.orders), G.phi).T  # row e: the tuple of index e
+    grid = G.exponents[G.grid_order]  # row e: the tuple of index e
     return _roots(L)[(grid @ scaled) % L]
 
 

@@ -20,10 +20,11 @@ otherwise JSON. Every CSV goes through `_csv`, floats as their repr.
 
 The parser checks types, signs and finiteness; the library call checks
 every other precondition before it reads the prime table, which sieves on
-first use. `meanvalues trend` makes its one table, to the last decade,
-before the first scan, so an xmax past the sieve's range is refused before
-anything sieves. Exit codes: 0 success, 2 malformed arguments or spec strings
-(or an unreadable or unwritable file), 3 precondition violations, 4
+first use. `meanvalues trend` makes one table, to the last decade, and
+checks every modulus before its first scan, one per decade, so an xmax past
+the sieve's range or a bad q is refused before anything sieves. Exit codes:
+0 success, 2 malformed arguments or spec strings (or an unreadable or
+unwritable file), 3 precondition violations, 4
 theorem-assertion failures (the latter always indicate an implementation
 bug, not bad input); each failure prints one line on stderr.
 """
@@ -54,7 +55,8 @@ from .characters import (
 from .constants import all_constants, delta0, delta1, repulsion_constant, repulsion_minimum
 from .errors import PreconditionError, SpecParseError, TheoremViolation
 from .funcspec import FunctionSpec, parse_spec
-from .meanvalues import euler_product_mean, halasz_bound, progression_report
+from .meanvalues import (_check_modulus, _report, euler_product_mean, halasz_bound,
+                         progression_report)
 from .nearchar import ApproxHomomorphism, nearest_character
 from .pretension import find_exceptional
 from .sieve_experiments import (
@@ -230,15 +232,18 @@ def _cmd_meanvalues_trend(args):
         x *= 10
     if not decades:
         raise PreconditionError(f"xmax must be >= 10000 for one decade, got {args.xmax}")
-    # one table to the last decade, made before the first scan, so an xmax
-    # past the sieve's range is refused before anything sieves
+    # one table to the last decade, and every q checked at the first, where
+    # q <= x binds hardest, before the first scan
     table = PrimeTable(decades[-1])
+    for q in args.qs:
+        _check_modulus(decades[0], q)
     rows = []
     for x in decades:
+        exc = find_exceptional(f, x, args.Q, args.A, table)
         for q in args.qs:
-            rep = progression_report(f, x, q, args.Q, args.A, table)
+            rep = _report(f, x, q, exc, table)
             rows.append((args.f, q, x, rep.normalized_max_residual, rep.max_residual,
-                         rep.exceptional.conductor, rep.exceptional.t))
+                         exc.conductor, exc.t))
     if _wants_csv(args):
         return _csv(_TREND_COLUMNS, rows)
     return [dict(zip(_TREND_COLUMNS, row)) for row in rows]

@@ -9,7 +9,8 @@ Sums over n <= x never hold f(0..x): `progression_sums` takes f from
 funcspec one block of n at a time and folds each block into the running
 class sums.  `twisted_sum`, `decompose_via_characters`, `coprime_mean_bound`,
 `progression_report` and the total in `halasz_bound` all go through it, so
-their memory is a few blocks plus O(q), whatever x.
+their memory is a few blocks plus O(q), whatever x.  `progression_report`
+is one scan plus one `_report`; `meanvalues trend` shares each scan across q.
 """
 
 from __future__ import annotations
@@ -346,6 +347,11 @@ class ProgressionReport:
     error_ref_log_window: float
 
 
+def _check_modulus(x: int, q: int):
+    if not 1 <= q <= min(x, MAX_MODULUS):
+        raise PreconditionError(f"need 1 <= q <= min(x, {MAX_MODULUS}), got q={q}, x={x}")
+
+
 def progression_report(
     f: FunctionSpec,
     x: int,
@@ -367,28 +373,36 @@ def progression_report(
     Both take the unknowable o(1) to be 0, so they are reference curves,
     not bounds to assert.
     """
-    if not 1 <= q <= min(x, MAX_MODULUS):
-        raise PreconditionError(f"need 1 <= q <= min(x, {MAX_MODULUS}), got q={q}, x={x}")
-    exc = find_exceptional(f, x, Q, A, table)
+    _check_modulus(x, q)
+    return _report(f, x, q, find_exceptional(f, x, Q, A, table), table)
+
+
+def _report(f: FunctionSpec, x: int, q: int, exc: ExceptionalReport,
+            table: PrimeTable) -> ProgressionReport:
+    """The report of q, checked by _check_modulus, against the scan exc of
+    (f, x), whose Q and A it reads."""
+    A = exc.t_bound
     r_div = q % exc.conductor == 0
     G = unit_group(q)
     chi = induce(exc.psi, q) if r_div else character_by_index(q, 0)
     pt = progression_sums(f, x, q, table)
     base = complex(pt.sums[1 % q])
     main_scale = _regroup(chi, pt.sums) / G.phi if r_div else None
+    chi_a = character_row(chi)[G.units].tolist()
+    psi_a = character_row(exc.psi)[G.units % exc.psi.q].tolist()
     rows = []
     maxres = 0.0
-    for a in (int(u) for u in G.units):
+    for a, c, p in zip(G.units.tolist(), chi_a, psi_a):
         v = complex(pt.sums[a])
-        res = v - chi(a) * base
+        res = v - c * base
         maxres = max(maxres, abs(res))
-        main = exc.psi(a) * main_scale if main_scale is not None else None
+        main = p * main_scale if main_scale is not None else None
         rows.append(ProgressionRow(a=a, value=v, residual=res, main_term=main))
     logx = math.log(x)
     err_a = (x / q) / math.sqrt(math.log(A)) if A > 1 else None
     err_b = x / (q * logx ** (1.0 / 3.0)) + x / logx
     return ProgressionReport(
-        x=x, q=q, conductor_bound=Q, t_bound=A,
+        x=x, q=q, conductor_bound=exc.conductor_bound, t_bound=A,
         exceptional=exc, r_divides_q=r_div, chi=chi, rows=tuple(rows),
         max_residual=maxres,
         normalized_max_residual=maxres * q / x,

@@ -260,12 +260,11 @@ class _CellMoments:
 
     def _build(self, j: int) -> np.ndarray:
         """The moments of t-block j: the unit-group transform of each
-        modulus's class sums, written column by column into one array."""
+        modulus's class sums, its columns written into one array."""
         W = np.zeros((len(self.base), len(self.centres), MOMENTS), dtype=np.complex128)
         for q, cols, index, bins in self._groups:
             T = unit_group_transform(self._class_sums(j, q, bins), q)
-            for col, i in zip(cols, index):
-                W[col, :self._cells] = T[..., i].T
+            W[cols, :self._cells] = T[..., index].transpose(2, 1, 0)
         return W
 
     def moments(self, j: int) -> np.ndarray:

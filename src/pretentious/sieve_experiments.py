@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import MAX_SIEVE_LIMIT, PrimeTable, divisors
+from .arith import MAX_SIEVE_LIMIT, PrimeTable, divisors, factorize_small
 from .characters import primitive_mask, unit_group, unit_group_transform
 from .errors import PreconditionError, TheoremViolation
 from .funcspec import FunctionSpec, _fill_blocks, _legendre_row, evaluate
@@ -87,10 +87,8 @@ def _mass_from_classes(c: np.ndarray, r: int) -> float:
     """Total |S_psi| over primitive psi mod r given the class sums
     c = _class_sums(v, r, 0) of terms v[i] of n = i + 1: c[b] holds the
     class n == b + 1 (mod r), so the unit u is read at c[u - 1].  A modulus
-    r == 2 (mod 4) has no primitive character, and its mass is 0.0 with no
-    transform."""
-    if r % 4 == 2:
-        return 0.0
+    with no primitive character, r == 2 (mod 4), has an empty mask and mass
+    0.0; `bad_moduli` skips such r before it folds."""
     F = unit_group_transform(c[unit_group(r).units - 1], r)
     return float(np.sum(np.abs(F[primitive_mask(r)])))
 
@@ -313,9 +311,12 @@ def legendre_progression_experiment(
             best = s
             best_p = p
             running.append((p, s))
-    sq = {(u * u) % q for u in range(1, q + 1) if math.gcd(u, q) == 1}
+    # a is a square mod q iff it is one mod each p^e | q: by Euler's criterion
+    # at an odd p, and iff a == 1 (mod gcd(q, 8)) at p = 2
+    square = (a - 1) % math.gcd(q, 8) == 0 and all(
+        pow(a, (p - 1) // 2, p) == 1 for p, _ in factorize_small(q) if p != 2)
     return LegendreScanReport(
         x=x, q=q, a=a, p_limit=p_limit, infimum=best, argmin_p=best_p,
-        square_class=(a % q) in sq,
+        square_class=square,
         running=tuple(running),
     )

@@ -17,6 +17,7 @@ from pretentious.arith import PrimeTable, sieve_primes
 from pretentious.errors import PreconditionError, TheoremViolation
 from pretentious.funcspec import Mobius
 from pretentious.meanvalues import euler_product_mean, halasz_bound, progression_report
+from pretentious.pretension import find_exceptional
 from pretentious.sieve_experiments import (
     BadModuliReport,
     bad_moduli,
@@ -241,6 +242,24 @@ def test_trend_sieves_once(monkeypatch, capsys):
     assert limits == [10**5]
 
 
+def test_trend_scans_once_per_decade(monkeypatch, capsys):
+    # every modulus of a decade is reported against that decade's one scan
+    calls = []
+
+    def counting(f, x, *args, **kwargs):
+        calls.append(x)
+        return find_exceptional(f, x, *args, **kwargs)
+
+    monkeypatch.setattr("pretentious.cli.find_exceptional", counting)
+    monkeypatch.setattr("pretentious.meanvalues.find_exceptional", counting)
+    code, out, err = run_cli(capsys, ["meanvalues", "trend", "--f", "mobius", "--xmax", "1e5",
+                                      "--qs", "3,4,5,8", "--Q", "10", "--A", "2",
+                                      "--format", "csv"])
+    assert code == 0, err
+    assert len(_csv_rows(out)) == 8
+    assert calls == [10**4, 10**5]
+
+
 @pytest.mark.parametrize("q,a", [(4, 3), (5, 1)])
 def test_legendre_csv_smallest_scan(capsys, q, a):
     code, out, err = run_cli(capsys, ["sieve", "legendre", "--q", str(q), "--a", str(a),
@@ -319,8 +338,8 @@ def test_sweeps_report_errors_in_one_line(capsys, argv, code, message):
     pytest.param([*_TREND, "--qs", "3", "--xmax", "1000000000"], False,
                  id="trend-xmax-past-1e8"),
     pytest.param([*_TREND, "--qs", "3", "--xmax", "9999"], False, id="trend-no-decade"),
-    # q = 3 is scanned at x = 10^4 before q = 20000 is refused there
-    pytest.param([*_TREND, "--qs", "3,20000", "--xmax", "1e5"], True, id="trend-q-past-x"),
+    # every modulus is checked at x = 10^4 before the first scan
+    pytest.param([*_TREND, "--qs", "3,20000", "--xmax", "1e5"], False, id="trend-q-past-x"),
     pytest.param(["meanvalues", "report", "--f", "mobius", "--x", "1000", "--q", "1001",
                   "--Q", "10", "--A", "2", "--format", "csv"], False, id="report-q-past-x"),
     pytest.param(["sieve", "legendre", "--q", "4", "--a", "2", "--x", "100", "--p-limit", "50",

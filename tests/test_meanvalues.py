@@ -21,6 +21,7 @@ from pretentious.characters import (
     character_row,
     enumerate_characters,
     induce,
+    unit_group,
 )
 from pretentious.errors import PreconditionError
 from pretentious.funcspec import (
@@ -38,6 +39,7 @@ from pretentious.funcspec import (
 from pretentious.meanvalues import (
     _class_sums,
     _explicit_series,
+    _regroup,
     coprime_mean_bound,
     decompose_via_characters,
     euler_product_mean,
@@ -46,6 +48,7 @@ from pretentious.meanvalues import (
     progression_sums,
     twisted_sum,
 )
+from pretentious.pretension import find_exceptional
 
 _TABLE = {}
 
@@ -678,6 +681,36 @@ def test_report_residual_definition(table_medium):
     for row in rep.rows:
         direct = pt.sums[row.a % 3] - complex(rep.chi(row.a)) * f1
         assert row.residual == pytest.approx(direct, abs=1e-9)
+
+
+def _report_rows_oracle(f, x, q, exc, table):
+    """(a, value, residual, main term) of each unit a, from the Fraction
+    path: chi(a) and psi(a) through DirichletCharacter.__call__."""
+    r_div = q % exc.conductor == 0
+    chi = induce(exc.psi, q) if r_div else character_by_index(q, 0)
+    sums = progression_sums(f, x, q, table).sums
+    base = complex(sums[1 % q])
+    scale = _regroup(chi, sums) / unit_group(q).phi if r_div else None
+    rows = []
+    for a in unit_group(q).units.tolist():
+        v = complex(sums[a])
+        rows.append((a, v, v - chi(a) * base, None if scale is None else exc.psi(a) * scale))
+    return rows
+
+
+@pytest.mark.parametrize("text", ["char:5:2", "prod(char:7:2,nit:0.5)",
+                                  "prod(char:5:1,nit:0.5)"])
+def test_report_rows_equal_the_fraction_path(table_medium, text):
+    # q = 5, 60 and 240 are multiples of the conductor 5 of char:5:2 and of
+    # the complex char:5:1, so their rows carry main terms
+    f = parse_spec(text)
+    exc = find_exceptional(f, 10**5, 10, 2.0, table_medium)
+    for q in (5, 12, 60, 240):
+        rep = progression_report(f, 10**5, q, 10, 2.0, table_medium)
+        assert rep.exceptional == exc
+        rows = [(r.a, r.value, r.residual, r.main_term) for r in rep.rows]
+        assert rows == _report_rows_oracle(f, 10**5, q, exc, table_medium), q
+        assert rep.max_residual == max(abs(res) for _, _, res, _ in rows)
 
 
 @pytest.mark.parametrize("q, x", [(0, 1000), (1001, 1000), (MAX_MODULUS + 1, 10**5)])

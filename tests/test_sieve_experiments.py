@@ -894,3 +894,30 @@ def test_legendre_preconditions():
         legendre_progression_experiment(4, 3, 10**8 + 1, 100, _table())
     # the scan reads the table only for its primes: x may exceed its limit
     assert legendre_progression_experiment(4, 3, 10**5, 100, _table()).argmin_p <= 100
+
+
+def _square_class_oracle(q: int, a: int) -> bool:
+    # the set of the unit squares mod q, which the scan once built in O(q)
+    return a % q in {u * u % q for u in range(1, q + 1) if math.gcd(u, q) == 1}
+
+
+def test_legendre_square_class_matches_the_unit_squares():
+    for q in range(1, 201):
+        for a in (u for u in range(1, q + 1) if math.gcd(u, q) == 1):
+            rep = legendre_progression_experiment(q, a, 1000, 50, _table())
+            assert rep.square_class == _square_class_oracle(q, a), (q, a)
+
+
+def test_legendre_square_class_holds_nothing_over_the_units():
+    # the set of unit squares mod q = 1000003 traced 33.6 MB in 2 s, and
+    # --q is unbounded, so q = 10^9 + 7 never finished
+    q = 1000003
+    legendre_progression_experiment(q, 2, 10**8, 100, _table())  # warm the symbol rows
+    tracemalloc.start()
+    try:
+        rep = legendre_progression_experiment(q, 2, 10**8, 100, _table())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rep.square_class  # q == 3 (mod 8), so 2 is no square
+    assert peak < 5 * 2**20
