@@ -15,6 +15,10 @@ multiplicativity checks exact; floats appear when a value is rendered to
 complex and in the unit-group transform, where the primitivity test
 compares sums that are exactly 0 or |K| against |K|/2.
 
+Each per-modulus table (group, primitivity mask, character row, roots of
+unity, `funcspec`'s Legendre rows) is kept until all kept tables pass
+STORE_BYTES of arrays, and then all are emptied at once (`_kept`).
+
 Canonical order: characters are enumerated lexicographically by exponent
 tuple, so the principal character is always index 0, and `char:q:index`
 round-trips through mixed-radix encoding without enumerating.
@@ -25,7 +29,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, wraps
 from math import gcd, lcm, prod
 import itertools
 
@@ -35,6 +39,29 @@ from .arith import divisors, factorize_small  # divisors is re-exported
 from .errors import PreconditionError
 
 MAX_MODULUS = 10**4
+
+STORE_BYTES = 64 << 20  # the groups of r <= 1000 take 12.8 MB, of r <= 10^4 1.3 GB
+_store, _stored = [], 0  # the `_kept` caches, and the array bytes they hold
+
+
+def _kept(build):
+    """`build`, each table it returns kept by its key, a hit at C speed; when
+    the kept tables pass STORE_BYTES, every `_kept` cache is emptied at once.
+    No lock: tables are built only in the calling thread, as a fill's range
+    body reads what it shares when it is made (`funcspec._range_fill`)."""
+    @wraps(build)
+    def counted(*key):
+        global _stored
+        table = build(*key)
+        _stored += table.nbytes
+        if _stored > STORE_BYTES:
+            for kept in _store:
+                kept.cache_clear()
+            _stored = table.nbytes
+        return table
+
+    _store.append(cache(counted))
+    return _store[-1]
 
 
 def _primitive_root_odd(p: int, e: int) -> int:
@@ -124,15 +151,13 @@ class UnitGroupStructure:
         # unit at grid position i
         self.grid_order = np.empty_like(ravel)
         self.grid_order[ravel] = np.arange(self.phi)
+        self.nbytes = sum(a.nbytes for a in (self.units, idx, self.exponents, self.grid_order))
 
     def __repr__(self):
         return f"UnitGroupStructure(q={self.q}, orders={self.orders})"
 
 
-# bounded: the tables of every q <= MAX_MODULUS hold 1.3 GB, and a scan of
-# bad moduli to R = 10^4 visits them all; 1024 holds the groups of every
-# r <= 1000, which the scans at x = 10^6 and q >= 1 revisit
-@lru_cache(maxsize=1024)
+@_kept
 def unit_group(q: int) -> UnitGroupStructure:
     return UnitGroupStructure(q)
 
@@ -160,7 +185,7 @@ def unit_group_transform(values, q: int) -> np.ndarray:
     return grid.reshape(lead + (G.phi,))
 
 
-@lru_cache(maxsize=4096)
+@_kept
 def factors_through(q: int, d: int) -> np.ndarray:
     """Boolean array over canonical character indices mod q: does chi
     factor through d | q, i.e. kill every unit u == 1 (mod d)?
@@ -174,7 +199,7 @@ def factors_through(q: int, d: int) -> np.ndarray:
     return mask
 
 
-@lru_cache(maxsize=4096)
+@_kept
 def primitive_mask(q: int) -> np.ndarray:
     """Boolean array over canonical character indices mod q: is chi
     primitive, i.e. factoring through q/p for no prime p | q?"""
@@ -248,14 +273,13 @@ class DirichletCharacter:
         )
 
 
-@lru_cache(maxsize=4096)
 def _root_of_unity(a: Fraction) -> complex:
     if a.denominator == 2:
         return -1 + 0j  # exp(pi i) rounds to -1 + 1.2e-16i
     return cmath.exp(2j * cmath.pi * (a.numerator / a.denominator))
 
 
-@lru_cache(maxsize=128)
+@_kept
 def _roots(L: int) -> np.ndarray:
     """e(j/L) for j = 0..L-1 as complex128 (read-only)."""
     out = np.array([_root_of_unity(Fraction(j, L)) for j in range(L)], dtype=np.complex128)
@@ -283,7 +307,7 @@ def character_by_index(q: int, index: int) -> DirichletCharacter:
     return DirichletCharacter(q, tuple(reversed(exps)))
 
 
-@lru_cache(maxsize=512)
+@_kept
 def character_row(chi: DirichletCharacter) -> np.ndarray:
     """chi at residues 0..q-1 as complex128 (read-only).
 

@@ -55,12 +55,12 @@ import os
 import re
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .arith import MAX_SIEVE_LIMIT, PrimeTable, is_prime_small, sieve_primes
-from .characters import DirichletCharacter, character_by_index, character_row
+from .characters import DirichletCharacter, _kept, character_by_index, character_row
 from .errors import PreconditionError, SpecParseError
 
 _VALUE_TOL = 1e-12
@@ -558,8 +558,7 @@ def evaluate(spec: FunctionSpec, n: int, table: PrimeTable):
     return out
 
 
-@lru_cache(maxsize=256)
-def _legendre_row(p: int) -> np.ndarray:
+def _legendre_symbols(p: int) -> np.ndarray:
     """(n|p) for n = 0..p-1 as int8 (read-only); numpy sums int8 in int64."""
     row = -np.ones(p, dtype=np.int8)
     row[0] = 0
@@ -567,6 +566,9 @@ def _legendre_row(p: int) -> np.ndarray:
     row[h * h % p] = 1
     row.flags.writeable = False
     return row
+
+
+_legendre_row = _kept(_legendre_symbols)
 
 
 # widths of one block of `_fill_blocks`: 4 MB of complex128, and wider

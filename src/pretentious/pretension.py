@@ -232,10 +232,8 @@ class _CellMoments:
         """C[m, c, b] = sum over p in cell c with p = b (mod q) of
         f(p)/p e^(-i t_j v_p) v_p^m for the units b, where v_p = log p - u_c
         and t_j = 2j T_BLOCK, over the chunks of data.edges.  Each cell lies
-        in one chunk, so its sums do not depend on the chunking, but for the
-        last bits of complex f where a chunk reaches 16384 primes: numpy then
-        forms w e^(-i t_j v) in place, operands swapped.  The powers of v
-        stream through one running array."""
+        in one chunk, so its sums do not depend on the chunking.  The powers of
+        v stream through one running array."""
         data = self.data
         width = unit_group(q).phi + 1
         C = np.zeros((MOMENTS, self._cells * width), dtype=np.complex128)
@@ -249,7 +247,8 @@ class _CellMoments:
             key += bins[data.cls[lo:hi] % q]
             w = data.fv[lo:hi] * data.inv_p[lo:hi]
             if j:
-                w = w * np.exp(-2j * T_BLOCK * j * v)
+                # `w * ...` would round otherwise where numpy elides its temporary
+                w = np.multiply(w, np.exp(-2j * T_BLOCK * j * v))
             for m in range(MOMENTS):
                 if m:
                     w *= v

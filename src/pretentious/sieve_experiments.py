@@ -34,7 +34,7 @@ import numpy as np
 from .arith import MAX_SIEVE_LIMIT, PrimeTable, divisors, factorize_small
 from .characters import primitive_mask, unit_group, unit_group_transform
 from .errors import PreconditionError, TheoremViolation
-from .funcspec import FunctionSpec, _fill_blocks, _legendre_row, evaluate
+from .funcspec import FunctionSpec, _fill_blocks, _legendre_symbols, evaluate
 from .meanvalues import _check_sums, _class_sums, progression_sums
 
 LARGE_SIEVE_SLACK = 1e-9
@@ -304,7 +304,7 @@ def legendre_progression_experiment(
     best_p = 0
     running = []
     for p in ps:
-        row = _legendre_row(p)
+        row = _legendre_symbols(p)  # each p once: a row not kept
         residues = (start + (q % p) * np.arange(N % p, dtype=np.int64)) % p
         s = float(np.sum(row[residues])) * q / x
         if s < best:

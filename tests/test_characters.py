@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pretentious import characters
 from pretentious.arith import PrimeTable
 from pretentious.characters import (
     MAX_MODULUS,
@@ -46,7 +47,7 @@ from pretentious.pretension import (
     _PrimeData,
     distance_squared,
 )
-from pretentious.sieve_experiments import transfer_check
+from pretentious.sieve_experiments import bad_moduli, transfer_check
 
 MODULI = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 24, 36, 40, 60]
 
@@ -132,7 +133,55 @@ from pretentious.characters import MAX_MODULUS, unit_group
 out = {"phi_sum": sum(unit_group(r).phi for r in range(1, MAX_MODULUS + 1))}
 """)
     assert out["phi_sum"] == 30397486
-    assert out["rss_mb"] <= 500
+    assert out["rss_mb"] <= 160
+
+
+@pytest.fixture
+def small_store(monkeypatch):
+    """A 256 kB budget for the kept tables, which start empty and are
+    emptied again after the test, so that the count stays exact."""
+    def empty():
+        for kept in characters._store:
+            kept.cache_clear()
+        characters._stored = 0
+
+    monkeypatch.setattr(characters, "STORE_BYTES", 256 << 10)
+    empty()
+    yield
+    empty()
+
+
+def test_the_store_empties_every_cache_at_once(small_store):
+    def held():
+        return [kept.cache_info().currsize for kept in characters._store]
+
+    G = unit_group(9240)
+    primitive_mask(9240)  # the group, five factors_through masks and the mask
+    assert characters._stored == G.nbytes + 6 * G.phi == 208320
+    assert [f.cache_info().currsize for f in (unit_group, factors_through, primitive_mask)] == [
+        1, 5, 1]
+    # its row is 147840 bytes of complex128, with the 60th roots first: past
+    # 256 kB, so every cache is emptied and holds the row alone
+    row = character_row(character_by_index(9240, 77))
+    assert characters._stored == row.nbytes == 16 * 9240
+    assert sum(held()) == 1
+    # a table larger than the budget alone is kept, and alone
+    G = unit_group(9973)
+    assert characters._stored == G.nbytes > characters.STORE_BYTES
+    assert sum(held()) == 1 and unit_group(9973) is G
+
+
+def test_a_small_store_changes_no_result(small_store, monkeypatch, table_medium):
+    chars = enumerate_characters(9240)
+    got_bad = bad_moduli(Mobius(), 2 * 10**5, 1, 0, 0.3, table_medium)
+    assert characters._stored <= characters.STORE_BYTES
+    got = []
+    for chi in chars:
+        got.append((conductor(chi), primitive_part(chi)))
+        assert characters._stored <= characters.STORE_BYTES, chi.index
+    monkeypatch.undo()
+    assert bad_moduli(Mobius(), 2 * 10**5, 1, 0, 0.3, table_medium) == got_bad
+    assert got == [(conductor(chi), primitive_part(chi)) for chi in chars]
 
 
 # Test-only oracles: both orthogonality relations, exactly, from exponent

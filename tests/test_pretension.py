@@ -976,20 +976,11 @@ _LAYOUTS = {
     "every-cell": lambda cell: [0, *(np.flatnonzero(np.diff(cell)) + 1).tolist(), len(cell)],
     "one-chunk": lambda cell: [0, len(cell)],
 }
-# numpy computes f(p)/p * e^(-i t_j v) over 16384 or more primes in place on
-# the temporary, with the operands swapped, and a complex product then rounds
-# differently in the last bit; so one chunk of all 17984 primes moves the
-# last bits for complex f, and leaves a real f's bits as they are
-_SWAPPED = pytest.mark.xfail(strict=True, reason="a chunk of >= 16384 primes swaps the "
-                             "operands of the complex product f(p)/p e^(-i t_j v)")
 
 
 @pytest.mark.parametrize("text,layout", [
-    *((text, "every-cell") for text in ("mobius", "prod(char:5:2,nit:1.0)", "char:15:7")),
-    ("mobius", "one-chunk"),
-    pytest.param("prod(char:5:2,nit:1.0)", "one-chunk", marks=_SWAPPED),
-    pytest.param("char:15:7", "one-chunk", marks=_SWAPPED),
-])
+    (text, layout) for layout in _LAYOUTS
+    for text in ("mobius", "prod(char:5:2,nit:1.0)", "char:15:7")])
 def test_spectra_do_not_depend_on_the_cell_aligned_chunks(text, layout, monkeypatch):
     # other chunks of whole cells give the same spectrum bit for bit: a
     # cell's class sums lie in one chunk, and M2 and the parity test are

@@ -792,6 +792,13 @@ def test_legendre_scan_skips_divisors_of_q():
     assert rep.argmin_p % 3 != 0 and rep.argmin_p % 2 != 0
 
 
+def test_legendre_scan_keeps_no_row():
+    # it reads each p once, so its rows never enter the store of kept tables
+    before = _legendre_row.cache_info().currsize
+    legendre_progression_experiment(4, 3, 10**3, 2000, _table())
+    assert _legendre_row.cache_info().currsize == before
+
+
 @pytest.mark.parametrize("q, a, p_limit", [(4, 3, 2), (3, 1, 3), (15, 2, 5)])
 def test_legendre_scan_with_no_odd_prime_coprime_to_q_refused(q, a, p_limit):
     # no p to scan leaves no infimum, not an infinite one at p = 0
